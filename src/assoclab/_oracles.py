@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .symring import SymExpr, SymMonomial, LOG2
 from .freealg import (
-    A,
     B,
     NCSeries,
     nc_exp_letter,
@@ -30,12 +29,6 @@ from .freealg import (
     nc_unit,
 )
 from .delta_side import iint_to_sym, phi_delta, xi_series
-
-
-def c_times_sum(order: int) -> NCSeries:
-    """The degree-1 series c*(A+B)."""
-    c = SymExpr({SymMonomial(((LOG2, 1),)): Fraction(1)})
-    return NCSeries(order, {A: c, B: c})
 
 
 def psi_series(order: int) -> NCSeries:

@@ -7,7 +7,8 @@ Subcommands:
   eval       evaluate a single zeta or delta value
   selftest   run the built-in consistency checks
 
-Exit codes: 0 success, 1 verification/selftest failure, 2 usage error.
+Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
+(including an --output or --report path that cannot be written).
 Primary outputs are deterministic: the same configuration yields byte
 identical JSON across runs.
 """
@@ -18,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from mpmath import mp
 
@@ -28,38 +28,22 @@ from .freealg import nc_mul, nc_swap, nc_unit, series_to_json
 from .mzv_side import phi_mzv
 from .delta_side import iint_to_sym, phi_delta
 from .relations import (
+    AUX_NAMES,
     Relation,
     Span,
+    aux_relations,
     comparison_relations,
-    duality_relations,
     known_values,
     reduce as reduce_relations,
-    shuffle_relations,
 )
 from .numeric import Precision, eval_delta, eval_zeta, verify_relation
 
 DEFAULT_ORDER = 5
 DEFAULT_DIGITS = 40
-AUX_NAMES = ("shuffle", "duality", "known")
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    order: int = DEFAULT_ORDER
-    side: str = "both"
-    digits: int = DEFAULT_DIGITS
-    aux: tuple[str, ...] = ()
-    reduce: bool = False
-    fmt: str = "json"
-    output: str | None = None
-    report: str | None = None
-    kind: str | None = None
-    composition: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _max_order() -> int:
@@ -77,175 +61,135 @@ def _check_order(n: int) -> int:
     return n
 
 
+def _precision(digits: int) -> Precision:
+    try:
+        return Precision(digits)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _emit(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 
-def _aux_relations(names, order: int) -> list[Relation]:
-    out: list[Relation] = []
-    if "shuffle" in names and order >= 2:
-        out.extend(shuffle_relations(order))
-    if "duality" in names and order >= 3:
-        out.extend(duality_relations(order))
-    if "known" in names:
-        out.extend(r for r in known_values() if r.weight <= order)
-    return out
-
-
-def _cmd_expand(cfg: RunConfig) -> int:
-    order = _check_order(cfg.order)
+def _cmd_expand(args: argparse.Namespace) -> int:
+    order = _check_order(args.order)
     builders = {"mzv": phi_mzv, "delta": phi_delta}
-    payload = {"command": "expand", "side": cfg.side, "order": order}
-    if cfg.side == "both":
+    payload = {"command": "expand", "side": args.side, "order": order}
+    if args.side == "both":
         payload["mzv"] = series_to_json(phi_mzv(order))
         payload["delta"] = series_to_json(phi_delta(order))
     else:
-        payload["series"] = series_to_json(builders[cfg.side](order))
-    if cfg.fmt == "json":
-        _emit(_json_text(payload), cfg.output)
+        payload["series"] = series_to_json(builders[args.side](order))
+    if args.format == "json":
+        _emit(_json_text(payload), args.output)
     else:
         lines = []
-        keys = ("mzv", "delta") if cfg.side == "both" else ("series",)
+        keys = ("mzv", "delta") if args.side == "both" else ("series",)
         for key in keys:
             lines.append("# %s order %d" % (key, order))
             for term in payload[key]["terms"]:
                 lines.append("%s: %s" % (term["word"], term["coeff"]))
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _relations_payload(cfg: RunConfig) -> dict:
-    order = _check_order(cfg.order)
+def _cmd_relations(args: argparse.Namespace) -> int:
+    aux_names = _parse_aux(args.aux)
+    order = _check_order(args.order)
     rels = comparison_relations(order)
-    aux = _aux_relations(cfg.aux, order)
-    if cfg.reduce:
-        rels = reduce_relations(rels, aux, only_rels=True)
-    payload = {
-        "command": "relations",
-        "order": order,
-        "aux": sorted(cfg.aux),
-        "reduced": cfg.reduce,
-        "count": len(rels),
-        "relations": [r.to_json() for r in rels],
-    }
-    return payload
-
-
-def _cmd_relations(cfg: RunConfig) -> int:
-    payload = _relations_payload(cfg)
-    if cfg.fmt == "json":
-        _emit(_json_text(payload), cfg.output)
-    elif cfg.fmt == "latex":
+    if args.reduce:
+        rels = reduce_relations(rels, aux_relations(aux_names, order), only_rels=True)
+    if args.format == "json":
+        payload = {
+            "command": "relations",
+            "order": order,
+            "aux": sorted(aux_names),
+            "reduced": args.reduce,
+            "count": len(rels),
+            "relations": [r.to_json() for r in rels],
+        }
+        _emit(_json_text(payload), args.output)
+    elif args.format == "latex":
         lines = [r"\begin{alignat*}{1}"]
-        for rel in payload["relations"]:
-            lines.append(rel["latex"].replace(" = 0", " &= 0 \\\\"))
+        for r in rels:
+            lines.append(r.expr.latex() + " &= 0 \\\\")
         lines.append(r"\end{alignat*}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
-        lines = []
-        for rel in payload["relations"]:
-            lines.append(
-                "w=%d %s: %s = 0"
-                % (rel["weight"], _prov_text(rel["provenance"]), rel["lhs"])
-            )
-        _emit("\n".join(lines) + "\n", cfg.output)
+        lines = [
+            "w=%d %s: %s = 0" % (r.weight, r.provenance.label(), r.expr.render())
+            for r in rels
+        ]
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _prov_text(p: dict) -> str:
-    kind = p["kind"]
-    if kind == "comparison":
-        return "comparison[%d:%s]" % (p["order"], p["word"])
-    if kind == "shuffle":
-        return "shuffle[%s:%s|%s]" % (
-            p["kernel"],
-            ",".join(map(str, p["u"])),
-            ",".join(map(str, p["v"])),
-        )
-    if kind == "duality":
-        return "duality[%s]" % ",".join(map(str, p["composition"]))
-    return "known[%s]" % p["name"]
-
-
-def _cmd_verify(cfg: RunConfig) -> int:
-    order = _check_order(cfg.order)
-    if cfg.digits < 10:
-        raise UsageError("digits must be >= 10")
-    prec = Precision(cfg.digits)
-    rels = comparison_relations(order) + _aux_relations(AUX_NAMES, order)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    order = _check_order(args.order)
+    prec = _precision(args.digits)
+    rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     rows = []
-    failures = 0
+    failed = []
     for r in rels:
         res = verify_relation(r, prec)
+        row = r.to_json()
+        del row["weight"]
+        row["residual"] = mp.nstr(res.residual, 8)
+        row["verdict"] = "pass" if res.ok else "fail"
+        rows.append(row)
         if not res.ok:
-            failures += 1
-        rows.append(
-            {
-                "provenance": r.provenance.to_json(),
-                "lhs": r.expr.render(),
-                "latex": r.expr.latex() + " = 0",
-                "residual": mp.nstr(res.residual, 8),
-                "verdict": "pass" if res.ok else "fail",
-            }
-        )
+            failed.append("fail %s residual=%s\n" % (r.provenance.label(), row["residual"]))
     payload = {
         "command": "verify",
         "order": order,
-        "digits": cfg.digits,
+        "digits": args.digits,
         "count": len(rows),
-        "failures": failures,
+        "failures": len(failed),
         "relations": rows,
     }
-    if cfg.report:
-        with open(cfg.report, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(payload))
-    summary = "verified %d relations at %d digits: %s\n" % (
-        len(rows),
-        cfg.digits,
-        "all pass" if failures == 0 else "%d FAILED" % failures,
+    if args.report:
+        _emit(_json_text(payload), args.report)
+    sys.stdout.write(
+        "verified %d relations at %d digits: %s\n"
+        % (len(rows), args.digits, "%d FAILED" % len(failed) if failed else "all pass")
     )
-    sys.stdout.write(summary)
-    if failures:
-        for row in rows:
-            if row["verdict"] == "fail":
-                sys.stdout.write(
-                    "fail %s residual=%s\n" % (_prov_text(row["provenance"]), row["residual"])
-                )
-    return 0 if failures == 0 else 1
+    sys.stdout.write("".join(failed))
+    return 1 if failed else 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    if cfg.digits < 10:
-        raise UsageError("digits must be >= 10")
-    prec = Precision(cfg.digits)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    kind = "zeta" if args.zeta is not None else "delta"
+    composition = _parse_composition(getattr(args, kind))
+    prec = _precision(args.digits)
     try:
-        comp = check_composition(cfg.composition)
-        if cfg.kind == "zeta":
-            value = eval_zeta(comp, prec)
-        else:
-            value = eval_delta(comp, prec)
+        comp = check_composition(composition)
+        value = (eval_zeta if kind == "zeta" else eval_delta)(comp, prec)
     except (NotAdmissibleError, ValueError) as exc:
         raise UsageError(str(exc))
-    text = mp.nstr(value, cfg.digits)
-    if cfg.fmt == "json":
+    text = mp.nstr(value, args.digits)
+    if args.format == "json":
         payload = {
             "command": "eval",
-            "kind": cfg.kind,
+            "kind": kind,
             "composition": list(comp),
-            "digits": cfg.digits,
+            "digits": args.digits,
             "value": text,
         }
-        _emit(_json_text(payload), cfg.output)
+        _emit(_json_text(payload), args.output)
     else:
-        _emit(text + "\n", cfg.output)
+        _emit(text + "\n", args.output)
     return 0
 
 
@@ -275,7 +219,7 @@ def _selftest_checks():
     def mzv_inverse_reduced():
         phi = phi_mzv(4)
         prod = nc_mul(phi, nc_swap(phi))
-        span = Span(_aux_relations(AUX_NAMES, 4))
+        span = Span(aux_relations(AUX_NAMES, 4))
         for w, e in prod.coeffs.items():
             if w == "":
                 if e != SymExpr.one():
@@ -308,7 +252,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -320,19 +264,6 @@ def _cmd_selftest(cfg: RunConfig) -> int:
         if not ok:
             failures += 1
     return 0 if failures == 0 else 1
-
-
-def run(cfg: RunConfig) -> int:
-    handlers = {
-        "expand": _cmd_expand,
-        "relations": _cmd_relations,
-        "verify": _cmd_verify,
-        "eval": _cmd_eval,
-        "selftest": _cmd_selftest,
-    }
-    if cfg.command not in handlers:
-        raise UsageError("unknown command %r" % cfg.command)
-    return handlers[cfg.command](cfg)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -348,6 +279,7 @@ def _parser() -> argparse.ArgumentParser:
     ex.add_argument("--order", type=int, default=DEFAULT_ORDER)
     ex.add_argument("--format", choices=("json", "text"), default="json")
     ex.add_argument("--output")
+    ex.set_defaults(handler=_cmd_expand)
 
     rl = sub.add_parser("relations", help="extract and reduce relations")
     rl.add_argument("--order", type=int, default=DEFAULT_ORDER)
@@ -359,11 +291,13 @@ def _parser() -> argparse.ArgumentParser:
     rl.add_argument("--reduce", action="store_true")
     rl.add_argument("--format", choices=("json", "latex", "text"), default="json")
     rl.add_argument("--output")
+    rl.set_defaults(handler=_cmd_relations)
 
     vf = sub.add_parser("verify", help="numeric certification")
     vf.add_argument("--order", type=int, default=DEFAULT_ORDER)
     vf.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     vf.add_argument("--report")
+    vf.set_defaults(handler=_cmd_verify)
 
     ev = sub.add_parser("eval", help="evaluate one zeta or delta value")
     group = ev.add_mutually_exclusive_group(required=True)
@@ -372,8 +306,10 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     ev.add_argument("--format", choices=("json", "text"), default="json")
     ev.add_argument("--output")
+    ev.set_defaults(handler=_cmd_eval)
 
-    sub.add_parser("selftest", help="run built-in consistency checks")
+    st = sub.add_parser("selftest", help="run built-in consistency checks")
+    st.set_defaults(handler=_cmd_selftest)
     return p
 
 
@@ -396,43 +332,13 @@ def _parse_composition(raw: str) -> tuple[int, ...]:
         raise UsageError("composition must be comma separated integers, got %r" % raw)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "expand":
-        cfg.side = args.side
-        cfg.order = args.order
-        cfg.fmt = args.format
-        cfg.output = args.output
-    elif args.command == "relations":
-        cfg.order = args.order
-        cfg.aux = _parse_aux(args.aux)
-        cfg.reduce = args.reduce
-        cfg.fmt = args.format
-        cfg.output = args.output
-    elif args.command == "verify":
-        cfg.order = args.order
-        cfg.digits = args.digits
-        cfg.report = args.report
-    elif args.command == "eval":
-        cfg.digits = args.digits
-        cfg.fmt = args.format
-        cfg.output = args.output
-        if args.zeta is not None:
-            cfg.kind = "zeta"
-            cfg.composition = _parse_composition(args.zeta)
-        else:
-            cfg.kind = "delta"
-            cfg.composition = _parse_composition(args.delta)
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return run(_config_from_args(args))
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

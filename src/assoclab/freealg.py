@@ -85,10 +85,6 @@ def nc_unit(order: int) -> NCSeries:
     return NCSeries(order, {"": SymExpr.one()})
 
 
-def nc_zero(order: int) -> NCSeries:
-    return NCSeries(order, {})
-
-
 def nc_add(a: NCSeries, b: NCSeries) -> NCSeries:
     if a.order != b.order:
         raise OrderMismatchError("orders %d != %d" % (a.order, b.order))

@@ -211,18 +211,16 @@ def eval_alt_ones(n: int, prec: Precision = Precision()) -> tuple[SymExpr, mpf]:
 
 
 def _generator_value(g: Generator, prec: Precision) -> mpf:
-    key = (g.kind, g.parts, prec.digits, prec.guard)
-    hit = _VALUE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if g.kind == "log2":
+    # eval_zeta and eval_delta cache their own values
+    if g.kind == "zeta":
+        return eval_zeta(g.parts, prec)
+    if g.kind == "delta":
+        return eval_delta(g.parts, prec)
+    key = ("log2", None, prec.digits, prec.guard)
+    val = _VALUE_CACHE.get(key)
+    if val is None:
         with mp.workdps(_working_dps(prec, 1)):
-            val = mp.log(2)
-    elif g.kind == "zeta":
-        val = eval_zeta(g.parts, prec)
-    else:
-        val = eval_delta(g.parts, prec)
-    _VALUE_CACHE[key] = val
+            val = _VALUE_CACHE[key] = mp.log(2)
     return val
 
 

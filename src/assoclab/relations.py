@@ -248,6 +248,21 @@ def known_values() -> list[Relation]:
     return [Relation(expr, KnownValue(name)) for name, expr in table]
 
 
+AUX_NAMES = ("shuffle", "duality", "known")
+
+
+def aux_relations(names, order: int) -> list[Relation]:
+    """The named aux sets (a subset of AUX_NAMES) up to weight ``order``."""
+    out: list[Relation] = []
+    if "shuffle" in names and order >= 2:
+        out.extend(shuffle_relations(order))
+    if "duality" in names and order >= 3:
+        out.extend(duality_relations(order))
+    if "known" in names:
+        out.extend(r for r in known_values() if r.weight <= order)
+    return out
+
+
 def extract_relations(s1: NCSeries, s2: NCSeries) -> list[Relation]:
     """Word-by-word coefficient differences of two series, normalized.
 
@@ -344,6 +359,16 @@ class Span:
         return st
 
     @staticmethod
+    def _subtract(dst, q, src):
+        """dst -= q*src in place, dropping entries that cancel."""
+        for mono, val in src.items():
+            nv = dst.get(mono, Fraction(0)) - q * val
+            if nv:
+                dst[mono] = nv
+            else:
+                dst.pop(mono, None)
+
+    @staticmethod
     def _eliminate(st, vec, cert):
         # pivot rows hold no foreign pivot monomials, so one sweep suffices
         for m in sorted((m for m in vec if m in st), reverse=True):
@@ -352,12 +377,7 @@ class Span:
                 continue
             piv = st[m]
             cert |= piv.cert
-            for mono, val in piv.vec.items():
-                nv = vec.get(mono, Fraction(0)) - q * val
-                if nv:
-                    vec[mono] = nv
-                else:
-                    vec.pop(mono, None)
+            Span._subtract(vec, q, piv.vec)
         return vec
 
     def _insert(self, st, vec, tag, origin):
@@ -375,12 +395,7 @@ class Span:
             q = piv.vec.get(lead)
             if q:
                 piv.cert |= newpiv.cert
-                for mono, val in vec.items():
-                    nv = piv.vec.get(mono, Fraction(0)) - q * val
-                    if nv:
-                        piv.vec[mono] = nv
-                    else:
-                        piv.vec.pop(mono, None)
+                self._subtract(piv.vec, q, vec)
         st[lead] = newpiv
 
     def reduce_expr(self, e: SymExpr):

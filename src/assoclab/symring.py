@@ -193,6 +193,12 @@ def monomial(*factors: tuple[Generator, int]) -> SymMonomial:
     return SymMonomial(tuple(factors))
 
 
+def _latex_coeff(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return r"\tfrac{%d}{%d}" % (q.numerator, q.denominator)
+
+
 class SymExpr:
     """Finite Q-linear combination of monomials, kept in canonical form."""
 
@@ -312,7 +318,9 @@ class SymExpr:
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda mq: mq[0].sort_key(), reverse=True)
 
-    def render(self) -> str:
+    def _format(self, coeff, mono, times: str) -> str:
+        # shared by render and latex: they differ only in how a coefficient
+        # and a monomial print and in the product separator
         if not self._terms:
             return "0"
         parts = []
@@ -320,53 +328,28 @@ class SymExpr:
             sign = "-" if q < 0 else "+"
             aq = abs(q)
             if m.is_unit():
-                body = str(aq)
+                body = coeff(aq)
             elif aq == 1:
-                body = m.render()
+                body = mono(m)
             else:
-                body = "%s*%s" % (aq, m.render())
+                body = coeff(aq) + times + mono(m)
             if i == 0:
                 parts.append(body if q > 0 else "-" + body)
             else:
                 parts.append("%s %s" % (sign, body))
         return " ".join(parts)
 
+    def render(self) -> str:
+        return self._format(str, SymMonomial.render, "*")
+
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (m, q) in enumerate(self.sorted_terms()):
-            sign = "-" if q < 0 else "+"
-            aq = abs(q)
-            if aq.denominator == 1:
-                coeff = str(aq.numerator)
-            else:
-                coeff = r"\tfrac{%d}{%d}" % (aq.numerator, aq.denominator)
-            if m.is_unit():
-                body = coeff
-            elif aq == 1:
-                body = m.latex()
-            else:
-                body = "%s %s" % (coeff, m.latex())
-            if i == 0:
-                parts.append(body if q > 0 else "-" + body)
-            else:
-                parts.append("%s %s" % (sign, body))
-        return " ".join(parts)
+        return self._format(_latex_coeff, SymMonomial.latex, " ")
 
     def __repr__(self):
         return "SymExpr(%s)" % self.render()
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def sym_add(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a + b
-
-
-def sym_mul(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a * b
 
 
 def sym_weight(e: SymExpr) -> int:

@@ -169,3 +169,40 @@ def test_json_outputs_are_deterministic(tmp_path, capsys):
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--order", "2", "--output"],
+    ["verify", "--order", "2", "--digits", "20", "--report"],
+], ids=["expand-output", "verify-report"])
+def test_unwritable_path_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + [str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
+
+
+def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
+    from assoclab.relations import comparison_relations
+
+    target = comparison_relations(3)[-1]
+    real = cli.verify_relation
+
+    def planted(rel, prec):
+        res = real(rel, prec)
+        if rel.expr == target.expr:
+            return res._replace(residual=mp.mpf("0.25"), ok=False)
+        return res
+
+    monkeypatch.setattr(cli, "verify_relation", planted)
+    report = tmp_path / "report.json"
+    code, out = run_capture(capsys, ["verify", "--order", "3", "--digits", "20",
+                                     "--report", str(report)])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].endswith(": 1 FAILED")
+    assert lines[1:] == ["fail %s residual=0.25" % target.provenance.label()]
+    payload = json.loads(report.read_text())
+    assert payload["failures"] == 1
+    failed = [r for r in payload["relations"] if r["verdict"] == "fail"]
+    assert len(failed) == 1 and failed[0]["residual"] == "0.25"
+    assert failed[0]["provenance"] == target.provenance.to_json()
