@@ -40,6 +40,8 @@ OUTPUT_GOLDENS = [
      "ab0add17a2982f2c7ac47f1a73cc32a38d4c858fd8c146a506dfb7f61dda33bb"),
     (["expand", "--side", "both", "--order", "5", "--format", "text"],
      "11f26f05ed7f42598a57b033bc4b63fac8f25cfe4fd39833eafed88ec94451e5"),
+    (["expand", "--side", "delta", "--order", "6"],
+     "968c1e4470cc4ca64822efb21ba2f324c627b630135a0c95450da1eecf1f61ff"),
 ]
 
 VERIFY_GOLDENS = {
@@ -47,6 +49,7 @@ VERIFY_GOLDENS = {
     3: "f76f754f6a5b9fbf5b84c8383d6dddb2b9172095bb4da2de3632cd2cc0915e00",
     4: "1e43c3c0251878dff069e074cb2cf79ba91a16948daa9467163a6abca084a126",
     5: "fd8c779c5215ba1e259d54fa27cf7f9f5e18b8274253bff60dc1cb6437608d27",
+    6: "d4d60735254a70b83db6689fae32c5f84f01fb77b8acba98fd2b9e530a81e90f",
 }
 
 
