@@ -10,7 +10,6 @@ from .symring import (
     NotHomogeneousError,
     SymExpr,
     SymMonomial,
-    WeightMismatchError,
     delta,
     monomial,
     sym_weight,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symring import SymExpr, SymMonomial, LOG2
+from .symring import SymExpr, LOG2
 from .freealg import (
     B,
     NCSeries,
@@ -36,8 +36,8 @@ def psi_series(order: int) -> NCSeries:
     return nc_mul(nc_exp_letter(B, 1, order), xi_series(B, order))
 
 
-def omega(order: int, k: int) -> NCSeries:
-    psi = psi_series(order)
+def omega(psi: NCSeries, k: int) -> NCSeries:
+    """Degree-k antisymmetrisation psi_k - swap(psi)_k of a built psi."""
     return nc_sub(nc_graded_part(psi, k), nc_graded_part(nc_swap(psi), k))
 
 
@@ -53,7 +53,7 @@ def phi_from_recursion(order: int) -> NCSeries:
     psi_swap = nc_swap(psi)
     parts: dict[int, NCSeries] = {0: nc_unit(order)}
     for k in range(1, order + 1):
-        acc = omega(order, k)
+        acc = omega(psi, k)
         for j in range(1, k):
             prod = nc_mul(parts[j], nc_graded_part(psi_swap, k - j))
             acc = nc_sub(acc, nc_graded_part(prod, k))
@@ -67,9 +67,7 @@ def phi_from_recursion(order: int) -> NCSeries:
 
 def omega2_closed_form(order: int) -> NCSeries:
     """(c^2 + 2 I[1]) X, the printed degree-2 antisymmetrisation."""
-    coeff = SymExpr({SymMonomial(((LOG2, 2),)): Fraction(1)}) + iint_to_sym((1,)).scale(
-        Fraction(2)
-    )
+    coeff = SymExpr.gen(LOG2, 2) + iint_to_sym((1,)).scale(Fraction(2))
     return nc_scale(commutator_x(order), coeff)
 
 
@@ -79,6 +77,6 @@ def check_psi_recursion(order: int = 5) -> bool:
 
 
 def check_omega2(order: int = 4) -> bool:
-    got = omega(order, 2)
+    got = omega(psi_series(order), 2)
     want = omega2_closed_form(order)
     return nc_graded_part(got, 2) == nc_graded_part(want, 2)

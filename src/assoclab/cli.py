@@ -110,7 +110,7 @@ def _cmd_relations(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     rels = comparison_relations(order)
     if args.reduce:
-        rels = reduce_relations(rels, aux_relations(aux_names, order), only_rels=True)
+        rels = reduce_relations(rels, aux_relations(aux_names, order))
     if args.format == "json":
         payload = {
             "command": "relations",
@@ -139,6 +139,9 @@ def _cmd_relations(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     prec = _precision(args.digits)
+    if args.report:
+        # fail on an unwritable path before the certification, not after it
+        _emit("", args.report)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     rows = []
     failed = []
@@ -194,19 +197,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks():
-    from .symring import SymExpr, SymMonomial, LOG2, delta, zeta
+    from .symring import SymExpr, LOG2, delta, zeta
     from fractions import Fraction
 
-    euler = SymExpr.gen(zeta((2,))) - SymExpr.gen(delta((2,)), coeff=2) - SymExpr(
-        {SymMonomial(((LOG2, 2),)): Fraction(1)}
-    )
+    euler = SymExpr.gen(zeta((2,))) - SymExpr.gen(delta((2,)), coeff=2) - SymExpr.gen(LOG2, 2)
 
     def order2_comparison():
         rels = comparison_relations(2)
         return len(rels) == 1 and rels[0].expr == Relation(euler, None).expr
 
     def iint_special_cases():
-        c3 = SymExpr({SymMonomial(((LOG2, 3),)): Fraction(1, 6)})
+        c3 = SymExpr.gen(LOG2, 3, Fraction(1, 6))
         ok = iint_to_sym((0, 0, 0)) == c3
         ok = ok and iint_to_sym((2,)) == SymExpr.gen(delta((3,)))
         want = SymExpr.gen(delta((2, 2))) + SymExpr.gen(delta((3, 1)), coeff=2)

@@ -29,6 +29,7 @@ from .freealg import (
     nc_mul,
     nc_resize,
     nc_scale,
+    nc_swap,
     nc_unit,
     other_letter,
 )
@@ -116,11 +117,9 @@ def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
     if r == 0:
         return SymExpr.one()
     if all(l == 0 for l in levels):
-        return SymExpr({SymMonomial(((LOG2, r),)): Fraction(1, factorial(r))})
-    acc = SymExpr.zero()
-    for coeff, parts in iint_terms(levels):
-        acc = acc + SymExpr.gen(delta(parts), coeff=Fraction(coeff))
-    return acc
+        return SymExpr.gen(LOG2, r, Fraction(1, factorial(r)))
+    # distinct carry vectors give distinct compositions, so no key repeats
+    return SymExpr({SymMonomial(((delta(parts), 1),)): k for k, parts in iint_terms(levels)})
 
 
 def xi_series(actor: str, order: int) -> NCSeries:
@@ -151,6 +150,8 @@ def phi_delta(order: int) -> NCSeries:
     """exp(cB) * Xi_B * inverse(Xi_A) * exp(-cA) at the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    left = nc_mul(nc_exp_letter(B, 1, order), xi_series(B, order))
-    right = nc_mul(nc_inverse(xi_series(A, order)), nc_exp_letter(A, -1, order))
+    xi_b = xi_series(B, order)
+    left = nc_mul(nc_exp_letter(B, 1, order), xi_b)
+    right = nc_mul(nc_inverse(nc_swap(xi_b)), nc_exp_letter(A, -1, order))
+    del xi_b  # release Xi_B before the largest product
     return nc_mul(left, right)

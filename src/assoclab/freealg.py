@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import factorial
 from fractions import Fraction
 
-from .symring import SymExpr, SymMonomial, LOG2, sym_weight
+from .symring import SymExpr, LOG2, sym_weight
 
 A = "A"
 B = "B"
@@ -153,7 +153,7 @@ def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:
     coeffs = {"": SymExpr.one()}
     for k in range(1, order + 1):
         q = Fraction(sign**k, factorial(k))
-        coeffs[letter * k] = SymExpr({SymMonomial(((LOG2, k),)): q})
+        coeffs[letter * k] = SymExpr.gen(LOG2, k, q)
     return NCSeries(order, coeffs)
 
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .symring import (
     LOG2,
+    Generator,
     SymExpr,
     SymMonomial,
     delta,
@@ -165,10 +166,7 @@ def iint_to_zeta(levels) -> SymExpr:
     levels = tuple(int(l) for l in levels)
     if not levels or min(levels) < 1:
         raise ValueError("all indices must be >= 1, got %r" % (levels,))
-    acc = SymExpr.zero()
-    for coeff, parts in iint_terms(levels):
-        acc = acc + SymExpr.gen(zeta(parts), coeff=Fraction(coeff))
-    return acc
+    return SymExpr({SymMonomial(((zeta(parts), 1),)): k for k, parts in iint_terms(levels)})
 
 
 def shuffle_relations(max_weight: int) -> list[Relation]:
@@ -187,18 +185,16 @@ def shuffle_relations(max_weight: int) -> list[Relation]:
         for v in words[i:]:
             if wu + index_weight(v) > max_weight:
                 continue
-            sh = shuffle(u, v)
-            lhs = iint_to_sym(u) * iint_to_sym(v)
-            for w, k in sorted(sh.items()):
-                lhs = lhs - iint_to_sym(w).scale(Fraction(k))
-            if lhs:
-                out.append(Relation(lhs, Shuffle(u, v, "delta")))
+            sh = sorted(shuffle(u, v).items())
+            kernels = [("delta", iint_to_sym)]
             if min(u) >= 1 and min(v) >= 1:
-                zlhs = iint_to_zeta(u) * iint_to_zeta(v)
-                for w, k in sorted(sh.items()):
-                    zlhs = zlhs - iint_to_zeta(w).scale(Fraction(k))
-                if zlhs:
-                    out.append(Relation(zlhs, Shuffle(u, v, "zeta")))
+                kernels.append(("zeta", iint_to_zeta))
+            for kernel, f in kernels:
+                lhs = f(u) * f(v)
+                for w, k in sh:
+                    lhs = lhs - f(w).scale(Fraction(k))
+                if lhs:
+                    out.append(Relation(lhs, Shuffle(u, v, kernel)))
     return out
 
 
@@ -222,13 +218,9 @@ def duality_relations(max_weight: int) -> list[Relation]:
     return out
 
 
-def _c_power(k: int, q=1) -> SymExpr:
-    return SymExpr({SymMonomial(((LOG2, k),)): Fraction(q)})
-
-
 def known_values() -> list[Relation]:
     """Fixed table of classical closed forms, lowest weight first."""
-    c = _c_power
+    c = lambda k, q=1: SymExpr.gen(LOG2, k, q)
     z = lambda *p: SymExpr.gen(zeta(p))
     d = lambda *p: SymExpr.gen(delta(p))
     half = Fraction(1, 2)
@@ -319,7 +311,7 @@ class Span:
             for m in r.expr.monomials():
                 for g, _ in m.factors:
                     gens.add(g)
-        self._gens = sorted(gens)
+        self._gens = sorted(gens, key=Generator.sort_key)
         self._mono_cache: dict[int, list[SymMonomial]] = {}
         self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
 
@@ -371,7 +363,7 @@ class Span:
     @staticmethod
     def _eliminate(st, vec, cert):
         # pivot rows hold no foreign pivot monomials, so one sweep suffices
-        for m in sorted((m for m in vec if m in st), reverse=True):
+        for m in sorted((m for m in vec if m in st), key=SymMonomial.sort_key, reverse=True):
             q = vec.get(m)
             if not q:
                 continue
@@ -413,22 +405,18 @@ class Span:
         return not rem
 
 
-def reduce(rels, aux=(), only_rels: bool = False) -> list[Relation]:
-    """Echelon generating set of the ideal span of rels and aux.
+def reduce(rels, aux=()) -> list[Relation]:
+    """Echelon generating set of the ideal span of rels modulo aux.
 
     Aux rows are inserted first at every weight, so the reported reduced
     form of each rels row is its remainder modulo aux and the earlier rows.
-    Rows that reduce to zero (consequences) are omitted.  With only_rels
-    the aux rows still eliminate but are not reported.
+    Rows that reduce to zero (consequences) are omitted.  The aux rows
+    eliminate but are not reported.
     """
     rels, aux = list(rels), list(aux)
     span = Span(aux + rels)
-    if only_rels:
-        keep = {id(r) for r in rels}
-        weights = sorted({r.weight for r in rels})
-    else:
-        keep = {id(r) for r in aux} | {id(r) for r in rels}
-        weights = sorted({r.weight for r in span.base})
+    keep = {id(r) for r in rels}
+    weights = sorted({r.weight for r in rels})
     out: list[Relation] = []
     for w in weights:
         st = span._slice(w)

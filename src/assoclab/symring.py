@@ -33,10 +33,6 @@ class NotHomogeneousError(ValueError):
     """Raised when a weight is requested for a mixed-weight expression."""
 
 
-class WeightMismatchError(ValueError):
-    """Raised when a substitution would break weight homogeneity."""
-
-
 class NotAdmissibleError(ValueError):
     """Raised for a zeta generator whose first exponent is below 2."""
 
@@ -87,9 +83,6 @@ class Generator:
     def sort_key(self) -> tuple:
         # larger key = eliminated earlier; see module docstring
         return (self.weight, _KIND_RANK[self.kind], self.depth, self.parts or ())
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def render(self) -> str:
         if self.kind == "log2":
@@ -148,17 +141,11 @@ class SymMonomial:
             expanded.extend([g.sort_key()] * e)
         return (self.weight, tuple(expanded))
 
-    def __lt__(self, other: "SymMonomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def mul(self, other: "SymMonomial") -> "SymMonomial":
         return SymMonomial(self.factors + other.factors)
 
     def is_unit(self) -> bool:
         return not self.factors
-
-    def generators(self) -> list[Generator]:
-        return [g for g, _ in self.factors]
 
     def render(self) -> str:
         if not self.factors:
@@ -364,29 +351,3 @@ def sym_weight(e: SymExpr) -> int:
         raise NotHomogeneousError("mixed weights %s" % sorted(weights))
     return weights.pop()
 
-
-def sym_substitute(e: SymExpr, g: Generator, replacement: SymExpr) -> SymExpr:
-    """Replace every power of ``g`` by the same power of ``replacement``.
-
-    The replacement must be homogeneous of the generator's weight, so the
-    substitution preserves weight homogeneity.
-    """
-    if sym_weight(replacement) != g.weight:
-        raise WeightMismatchError(
-            "replacement weight %s != generator weight %s"
-            % (sym_weight(replacement), g.weight)
-        )
-    out = SymExpr.zero()
-    for m, q in e.items():
-        rest = []
-        exp = 0
-        for gen, k in m.factors:
-            if gen == g:
-                exp = k
-            else:
-                rest.append((gen, k))
-        term = SymExpr({SymMonomial(tuple(rest)): q})
-        if exp:
-            term = term * replacement**exp
-        out = out + term
-    return out

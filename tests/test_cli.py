@@ -181,6 +181,16 @@ def test_unwritable_path_is_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
 
 
+def test_verify_checks_report_path_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(order):
+        raise AssertionError("relations built before the report path was checked")
+
+    monkeypatch.setattr(cli, "comparison_relations", no_work)
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--order", "2", "--digits", "20", "--report", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 

@@ -102,7 +102,7 @@ def test_iint_only_all_zero_words_reach_all_ones_deltas():
     for w in index_words(5):
         e = iint_to_sym(w)
         for m in e.monomials():
-            for g in m.generators():
+            for g, _ in m.factors:
                 if g.kind == "delta" and set(g.parts) == {1}:
                     assert set(w) == {0}
 
@@ -126,14 +126,15 @@ def test_xi_series_order_one():
     assert xi.coeffs == {"": SymExpr.one(), "A": SymExpr.gen(LOG2)}
 
 
-def test_xi_series_actor_grading_and_argument_letter():
-    xi = xi_series("B", 4)
+@pytest.mark.parametrize("order", [4, 6])
+def test_xi_series_actor_grading_and_argument_letter(order):
+    xi = xi_series("B", order)
     check_grading(xi)
     # every non-unit word contains at least one A: the argument letter
     for w in xi.coeffs:
         if w:
             assert "A" in w
-    swapped = xi_series("A", 4)
+    swapped = xi_series("A", order)
     assert nc_swap(xi) == swapped
 
 

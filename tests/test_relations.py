@@ -178,7 +178,7 @@ def test_known_values_no_depth_one_delta_beyond_three():
     # the weight 4 and 5 single deltas have no closed form in this corpus
     for r in known_values():
         for m in r.expr.monomials():
-            for g in m.generators():
+            for g, _ in m.factors:
                 if g.kind == "delta" and g.depth == 1:
                     assert g.weight <= 3
 
@@ -287,13 +287,13 @@ def test_span_membership_needs_products_of_relations():
 def test_reduce_idempotent_on_exprs():
     rels = comparison_relations(3)
     aux = shuffle_relations(3) + duality_relations(3)
-    once = reduce(rels, aux=aux, only_rels=True)
-    twice = reduce(once, aux=aux, only_rels=True)
+    once = reduce(rels, aux=aux)
+    twice = reduce(once, aux=aux)
     assert exprs(once) == exprs(twice)
 
 
 def test_reduce_rows_sorted_and_monic():
-    rows = reduce(comparison_relations(4), only_rels=True)
+    rows = reduce(comparison_relations(4))
     weights = [r.weight for r in rows]
     assert weights == sorted(weights)
     for r in rows:
@@ -302,8 +302,7 @@ def test_reduce_rows_sorted_and_monic():
 
 def test_reduce_certificates_exclude_own_provenance():
     rows = reduce(comparison_relations(4),
-                  aux=shuffle_relations(4) + duality_relations(4),
-                  only_rels=True)
+                  aux=shuffle_relations(4) + duality_relations(4))
     for r in rows:
         if r.certificate is not None:
             assert r.provenance.label() not in r.certificate
@@ -312,8 +311,7 @@ def test_reduce_certificates_exclude_own_provenance():
 def test_reduce_deterministic():
     def snapshot():
         rows = reduce(comparison_relations(4),
-                      aux=shuffle_relations(4) + known_values(),
-                      only_rels=True)
+                      aux=shuffle_relations(4) + known_values())
         return [r.to_json() for r in rows]
 
     assert snapshot() == snapshot()
@@ -321,8 +319,7 @@ def test_reduce_deterministic():
 
 def test_reduced_rows_all_true_numerically():
     rows = reduce(comparison_relations(4),
-                  aux=shuffle_relations(4) + duality_relations(4) + known_values(),
-                  only_rels=True)
+                  aux=shuffle_relations(4) + duality_relations(4) + known_values())
     prec = Precision(digits=40)
     for r in rows:
         assert verify_relation(r, prec).ok, r.expr.render()
