@@ -22,15 +22,12 @@ from .freealg import (
     A,
     B,
     NCSeries,
-    ad_power,
-    nc_add,
+    ad_words,
     nc_exp_letter,
     nc_inverse,
     nc_mul,
-    nc_resize,
-    nc_scale,
     nc_swap,
-    nc_unit,
+    nc_word_sums,
     other_letter,
 )
 
@@ -132,18 +129,10 @@ def xi_series(actor: str, order: int) -> NCSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     argument = other_letter(actor)
-    acc = nc_unit(order)
-
-    @lru_cache(maxsize=None)
-    def ad_factor(level: int) -> NCSeries:
-        return nc_resize(ad_power(actor, argument, level), order)
-
-    for levels in index_words(order):
-        word = nc_unit(order)
-        for l in levels:
-            word = nc_mul(word, ad_factor(l))
-        acc = nc_add(acc, nc_scale(word, iint_to_sym(levels)))
-    return acc
+    return nc_word_sums(
+        order,
+        ((iint_to_sym(levels), ad_words(actor, argument, levels)) for levels in index_words(order)),
+    )
 
 
 def phi_delta(order: int) -> NCSeries:

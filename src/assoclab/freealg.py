@@ -14,7 +14,7 @@ constraint, because intermediate test expressions are free to violate it.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from fractions import Fraction
 
 from .symring import SymExpr, LOG2, sym_weight
@@ -157,30 +157,45 @@ def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:
     return NCSeries(order, coeffs)
 
 
+def nc_word_sums(order: int, terms) -> NCSeries:
+    """1 + sum of coeff * k * w over (SymExpr coeff, {word w: int k}) pairs."""
+    acc: dict[str, SymExpr] = {"": SymExpr.one()}
+    for coeff, words in terms:
+        for w, k in words.items():
+            term = coeff.scale(k)
+            prev = acc.get(w)
+            acc[w] = term if prev is None else prev + term
+    return NCSeries(order, acc)
+
+
+def ad_words(actor: str, argument: str, levels) -> dict[str, int]:
+    """Integer word counts of ad_actor^l1(argument) ... ad_actor^lr(argument).
+
+    Each factor is sum_i (-1)^i C(l, i) actor^(l-i) argument actor^i; words
+    that coincide are added and zero counts dropped, so ad_X^m(X) = 0, m >= 1.
+    """
+    out = {"": 1}
+    for l in levels:
+        nxt: dict[str, int] = {}
+        for i in range(l + 1):
+            piece = actor * (l - i) + argument + actor * i
+            for w, c in out.items():
+                nxt[w + piece] = nxt.get(w + piece, 0) + (-1) ** i * comb(l, i) * c
+        out = {w: c for w, c in nxt.items() if c}
+    return out
+
+
 def ad_power(actor: str, argument: str, m: int) -> NCSeries:
     """The iterated commutator ad_actor^m(argument) expanded into words.
 
-    Returned at truncation order m + 1 (its homogeneous degree); use
-    ``nc_resize`` to embed it into a larger computation.
+    Returned at truncation order m + 1, its homogeneous degree.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if actor not in LETTERS or argument not in LETTERS:
         raise ValueError("letters must be A or B")
-    coeffs: dict[str, SymExpr] = {argument: SymExpr.one()}
-    for _ in range(m):
-        nxt: dict[str, SymExpr] = {}
-        for w, e in coeffs.items():
-            for word, val in ((actor + w, e), (w + actor, -e)):
-                s = nxt.get(word)
-                nxt[word] = val if s is None else s + val
-        coeffs = {w: e for w, e in nxt.items() if e}
-    return NCSeries(m + 1, coeffs)
-
-
-def nc_resize(s: NCSeries, order: int) -> NCSeries:
-    """Same series at a different truncation order (growing or shrinking)."""
-    return NCSeries(order, dict(s.coeffs))
+    words = ad_words(actor, argument, (m,))
+    return NCSeries(m + 1, {w: SymExpr.rational(k) for w, k in words.items()})
 
 
 def nc_swap(s: NCSeries) -> NCSeries:

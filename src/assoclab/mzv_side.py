@@ -13,12 +13,11 @@ from the i-th B-run and prepended at the left end, weighted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from .symring import SymExpr, zeta
-from .freealg import NCSeries, nc_unit
+from .freealg import NCSeries, nc_word_sums
 
 
 @dataclass(frozen=True)
@@ -124,13 +123,10 @@ def phi_mzv(order: int) -> NCSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    acc: dict[str, SymExpr] = dict(nc_unit(order).coeffs)
-    for r in range(2, order + 1):
-        for pq in enumerate_pq(r):
-            z = zeta(zeta_composition(pq))
-            outer = -1 if sum(q for _, q in pq.pairs) % 2 else 1
-            for w, count in _word_sum(pq).items():
-                term = SymExpr.gen(z, coeff=Fraction(outer * count))
-                prev = acc.get(w)
-                acc[w] = term if prev is None else prev + term
-    return NCSeries(order, acc)
+    terms = (
+        (SymExpr.gen(zeta(zeta_composition(pq)), coeff=(-1) ** sum(q for _, q in pq.pairs)),
+         _word_sum(pq))
+        for r in range(2, order + 1)
+        for pq in enumerate_pq(r)
+    )
+    return nc_word_sums(order, terms)

@@ -40,13 +40,11 @@ K1 = "1"
 @dataclass(frozen=True)
 class Precision:
     digits: int = 40
-    guard: int = 5
+    guard = 5  # extra working digits; a constant, not a field
 
     def __post_init__(self):
         if self.digits < 10:
             raise ValueError("digits must be >= 10")
-        if self.guard < 5:
-            raise ValueError("guard must be >= 5")
 
 
 def _working_dps(prec: Precision, terms: int) -> int:

@@ -38,7 +38,6 @@ from .symring import (
 )
 from .freealg import NCSeries, OrderMismatchError, nc_coeff
 from .mzv_side import (
-    PQComposition,
     dual_composition,
     enumerate_pq,
     phi_mzv,
@@ -362,11 +361,10 @@ class Span:
 
     @staticmethod
     def _eliminate(st, vec, cert):
-        # pivot rows hold no foreign pivot monomials, so one sweep suffices
-        for m in sorted((m for m in vec if m in st), key=SymMonomial.sort_key, reverse=True):
-            q = vec.get(m)
-            if not q:
-                continue
+        # pivot rows hold no foreign pivot monomials, so subtracting one pivot
+        # never changes another pivot's coefficient: any sweep order will do
+        for m in [m for m in vec if m in st]:
+            q = vec[m]
             piv = st[m]
             cert |= piv.cert
             Span._subtract(vec, q, piv.vec)

@@ -16,7 +16,17 @@ from assoclab.delta_side import (
     phi_delta,
     xi_series,
 )
-from assoclab.freealg import check_grading, nc_graded_part, nc_mul, nc_swap, nc_unit
+from assoclab.freealg import (
+    NCSeries,
+    check_grading,
+    nc_add,
+    nc_graded_part,
+    nc_mul,
+    nc_scale,
+    nc_sub,
+    nc_swap,
+    nc_unit,
+)
 from assoclab.symring import LOG2, SymExpr, delta
 
 from oracle_utils import close_enough, iint_numeric
@@ -136,6 +146,25 @@ def test_xi_series_actor_grading_and_argument_letter(order):
             assert "A" in w
     swapped = xi_series("A", order)
     assert nc_swap(xi) == swapped
+
+
+@pytest.mark.parametrize("actor", ["A", "B"])
+def test_xi_series_matches_its_definition(actor):
+    # 1 + sum of I[levels] F_l1 ... F_lr with F_l = ad_actor^l(argument),
+    # each F_l built by iterating x -> actor x - x actor
+    argument = "B" if actor == "A" else "A"
+    for order in range(1, 7):
+        act = NCSeries(order, {actor: SymExpr.one()})
+        f = [NCSeries(order, {argument: SymExpr.one()})]
+        while len(f) < order:
+            f.append(nc_sub(nc_mul(act, f[-1]), nc_mul(f[-1], act)))
+        want = nc_unit(order)
+        for levels in index_words(order):
+            word = nc_unit(order)
+            for l in levels:
+                word = nc_mul(word, f[l])
+            want = nc_add(want, nc_scale(word, iint_to_sym(levels)))
+        assert xi_series(actor, order) == want, order
 
 
 def test_phi_delta_degree_two_closed_form():

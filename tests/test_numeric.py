@@ -43,8 +43,6 @@ def test_precision_validation():
     assert Precision().digits == 40
     with pytest.raises(ValueError):
         Precision(digits=5)
-    with pytest.raises(ValueError):
-        Precision(digits=20, guard=1)
 
 
 def test_working_dps_and_cutoff_monotone():
