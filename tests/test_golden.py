@@ -30,6 +30,10 @@ OUTPUT_GOLDENS = [
      "6e670dea150ea173d22e11e886518909cf1a528965a93b09769c43083aa1a8ea"),
     (["relations", "--order", "6", "--aux", "all", "--reduce"],
      "e0304e876af0ba33a23f67a8b28a52d8429387d5c470ea317656148c8a7ad795"),
+    (["relations", "--order", "7", "--aux", "all", "--reduce"],
+     "5d1d523476cf2a2d723a2a89bd6661cef20392a19fa1e366d3a85c3bce0548d8"),
+    (["relations", "--order", "6", "--aux", "shuffle", "--reduce"],
+     "bab05eb5fad78d4a61cc297a3f379db8e9948c78f702f89810162f9d86ebd57c"),
     (["relations", "--order", "5", "--aux", "all", "--reduce", "--format", "text"],
      "a5d54936ce0b75215561c025973fad4f7328df9f8651f4d88f6deba1671cd368"),
     (["relations", "--order", "5", "--aux", "all", "--reduce", "--format", "latex"],
@@ -58,7 +62,9 @@ VERIFY_GOLDENS = {
     OUTPUT_GOLDENS,
     ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_GOLDENS],
 )
-def test_output_golden(tmp_path, capsys, argv, digest):
+def test_output_golden(tmp_path, capsys, monkeypatch, argv, digest):
+    # one case runs at order 7, above the default order cap of 6
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "7")
     target = tmp_path / "out"
     assert main(argv + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
