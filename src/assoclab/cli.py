@@ -9,6 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
 (including an --output or --report path that cannot be written).
+Input bounds, checked before any evaluation (exit 2 past them): --digits
+lies in 10..2000, and an eval --zeta/--delta composition has at most 12
+parts and weight at most 24.
 Primary outputs are deterministic: the same configuration yields byte
 identical JSON across runs.
 """
@@ -40,6 +43,9 @@ from .numeric import Precision, eval_delta, eval_zeta, verify_relation
 
 DEFAULT_ORDER = 5
 DEFAULT_DIGITS = 40
+MAX_DIGITS = 2000
+MAX_EVAL_DEPTH = 12
+MAX_EVAL_WEIGHT = 24
 
 
 class UsageError(Exception):
@@ -62,6 +68,8 @@ def _check_order(n: int) -> int:
 
 
 def _precision(digits: int) -> Precision:
+    if digits > MAX_DIGITS:
+        raise UsageError("digits must be <= %d, got %d" % (MAX_DIGITS, digits))
     try:
         return Precision(digits)
     except ValueError as exc:
@@ -328,9 +336,14 @@ def _parse_aux(raw: str) -> tuple[str, ...]:
 
 def _parse_composition(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in raw.split(","))
+        comp = tuple(int(s) for s in raw.split(","))
     except ValueError:
         raise UsageError("composition must be comma separated integers, got %r" % raw)
+    if len(comp) > MAX_EVAL_DEPTH:
+        raise UsageError("composition must have at most %d parts, got %d" % (MAX_EVAL_DEPTH, len(comp)))
+    if sum(comp) > MAX_EVAL_WEIGHT:
+        raise UsageError("composition weight must be <= %d, got %d" % (MAX_EVAL_WEIGHT, sum(comp)))
+    return comp
 
 
 def main(argv=None) -> int:

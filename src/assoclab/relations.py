@@ -19,6 +19,13 @@ w - w' before elimination at weight w.  Multiplier generators are drawn from
 the generators that occur in the input rows, which keeps slices finite and
 is sound because membership is only ever asserted, never refuted, by a
 larger multiplier set.
+
+Elimination is fraction free.  A slice keys each monomial of its weight by
+its rank in the fixed monomial order, and each row is a primitive integer
+vector {rank: int}: the gcd of its entries is 1 and its lead (the entry of
+highest rank) is positive.  Rationals appear only at the boundary: reduced
+relations are emitted as row / lead, and an expression is reduced at its own
+scale.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .symring import (
     LOG2,
@@ -293,110 +301,177 @@ class _Pivot:
         self.origin = origin
 
 
+# reduce_expr's extra coordinate: no pivot holds it, so it carries the
+# factor by which the row operations have scaled the expression
+_SCALE = -1
+
+
 class Span:
     """Weight-sliced echelon form of the ideal span of a relation list.
 
     Rows of each weight-w slice are the base relations of weight w plus
     every lower-weight base relation multiplied by the monomials of the
-    complementary weight.  Slices are built lazily and kept fully reduced
-    (echelon with back-substitution), so reducing an expression is a single
-    elimination pass.
+    complementary weight.  A monomial is a descending tuple of indices into
+    the sorted generator list, so tuple order is the fixed monomial order,
+    and a slice keys each monomial by its rank in the sorted
+    ``_monomials(w)``.  Rows are primitive integer vectors ``{rank: int}``:
+    the gcd of the entries is 1 and the lead (highest rank) entry is
+    positive.  Elimination is fraction free: each step is
+    vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
+    g = gcd(a, L), followed by division by the content.  Slices are built
+    lazily and kept fully reduced (echelon with back-substitution), so
+    reducing an expression is a single elimination pass.  Fractions appear
+    only at the boundary, in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
         self.base = list(base)
-        gens = set()
-        for r in self.base:
-            for m in r.expr.monomials():
-                for g, _ in m.factors:
-                    gens.add(g)
+        gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
-        self._mono_cache: dict[int, list[SymMonomial]] = {}
-        self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
+        self._gen_index = {g: i for i, g in enumerate(self._gens)}
+        self._mono_cache: dict[int, list[tuple[int, ...]]] = {}
+        self._rank_cache: dict[int, dict[tuple[int, ...], int]] = {}
+        self._slices: dict[int, dict[int, _Pivot]] = {}
+        # a row of the top weight enters only its own slice, once, so it is
+        # converted there and not kept; the others are kept for the products
+        top = max((r.weight for r in self.base), default=0)
+        self._rows = {i: self._integer_row(r) for i, r in enumerate(self.base) if r.weight < top}
 
-    def _monomials(self, w: int) -> list[SymMonomial]:
+    def _indices(self, m: SymMonomial) -> tuple[int, ...]:
+        return tuple(self._gen_index[g] for g, e in reversed(m.factors) for _ in range(e))
+
+    def _integer_row(self, r: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """r as a primitive integer row: the ranks of its monomials at its
+        own weight and their coefficients, as two tuples to keep it small."""
+        rank = self._ranks(r.weight)
+        den = lcm(*(q.denominator for _, q in r.expr.items()))
+        ranks = tuple(rank[self._indices(m)] for m in r.expr.monomials())
+        values = [q.numerator * (den // q.denominator) for _, q in r.expr.items()]
+        content = gcd(*values)
+        return ranks, tuple(v // content for v in values)
+
+    def _monomial(self, w: int, k: int) -> SymMonomial:
+        """The monomial of rank k at weight w."""
+        t = self._monomials(w)[k]
+        return SymMonomial(tuple(Counter(self._gens[i] for i in t).items()))
+
+    def _monomials(self, w: int) -> list[tuple[int, ...]]:
         if w in self._mono_cache:
             return self._mono_cache[w]
-        found: list[SymMonomial] = []
+        found: list[tuple[int, ...]] = []
+        weights = [g.weight for g in self._gens]
 
         def rec(i: int, rem: int, picked):
             if rem == 0:
-                found.append(SymMonomial(tuple(Counter(picked).items())))
+                found.append(tuple(reversed(picked)))
                 return
-            for j in range(i, len(self._gens)):
-                g = self._gens[j]
-                if g.weight <= rem:
-                    rec(j, rem - g.weight, picked + [g])
+            for j in range(i, len(weights)):
+                if weights[j] <= rem:
+                    rec(j, rem - weights[j], picked + [j])
 
         rec(0, w, [])
-        found.sort(key=lambda m: m.sort_key())
+        found.sort()
         self._mono_cache[w] = found
         return found
 
-    def _slice(self, w: int) -> dict[SymMonomial, _Pivot]:
+    def _ranks(self, w: int) -> dict[tuple[int, ...], int]:
+        rank = self._rank_cache.get(w)
+        if rank is None:
+            rank = {t: k for k, t in enumerate(self._monomials(w))}
+            self._rank_cache[w] = rank
+        return rank
+
+    def _slice(self, w: int) -> dict[int, _Pivot]:
         st = self._slices.get(w)
         if st is not None:
             return st
         st = {}
         self._slices[w] = st
-        for r in self.base:
+        rank = self._ranks(w)
+        for i, r in enumerate(self.base):
             if r.weight < w:
+                ranks, values = self._rows.get(i) or self._integer_row(r)
+                monos = [self._monomials(r.weight)[k] for k in ranks]
                 for m in self._monomials(w - r.weight):
-                    vec = {mono.mul(m): q for mono, q in r.expr.items()}
-                    self._insert(st, vec, r.provenance, None)
-        for r in self.base:
+                    keys = [rank[tuple(sorted(t + m, reverse=True))] for t in monos]
+                    self._insert(st, dict(zip(keys, values)), r.provenance, None)
+        for i, r in enumerate(self.base):
             if r.weight == w:
-                self._insert(st, dict(r.expr.items()), r.provenance, r)
+                ranks, values = self._rows.get(i) or self._integer_row(r)
+                self._insert(st, dict(zip(ranks, values)), r.provenance, r)
         return st
 
     @staticmethod
-    def _subtract(dst, q, src):
-        """dst -= q*src in place, dropping entries that cancel."""
-        for mono, val in src.items():
-            nv = dst.get(mono, Fraction(0)) - q * val
+    def _combine(vec, piv, lead):
+        """vec <- ((L/g)·vec - (a/g)·piv) / content in place, where
+        a = vec[lead], L = piv[lead] > 0 and g = gcd(a, L)."""
+        a, L = vec[lead], piv[lead]
+        g = gcd(a, L)
+        f, q = L // g, a // g
+        if f != 1:
+            for k in vec:
+                vec[k] *= f
+        for k, v in piv.items():
+            nv = vec.get(k, 0) - q * v
             if nv:
-                dst[mono] = nv
+                vec[k] = nv
             else:
-                dst.pop(mono, None)
+                del vec[k]
+        content = gcd(*vec.values())
+        if content > 1:
+            for k in vec:
+                vec[k] //= content
 
     @staticmethod
     def _eliminate(st, vec, cert):
         # pivot rows hold no foreign pivot monomials, so subtracting one pivot
         # never changes another pivot's coefficient: any sweep order will do
         for m in [m for m in vec if m in st]:
-            q = vec[m]
             piv = st[m]
             cert |= piv.cert
-            Span._subtract(vec, q, piv.vec)
-        return vec
+            Span._combine(vec, piv.vec, m)
 
     def _insert(self, st, vec, tag, origin):
         cert = {tag}
-        vec = self._eliminate(st, vec, cert)
+        self._eliminate(st, vec, cert)
         if not vec:
             return
-        lead = max(vec, key=lambda m: m.sort_key())
-        lc = vec[lead]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            vec = {m: q * inv for m, q in vec.items()}
+        lead = max(vec)
+        if vec[lead] < 0:
+            vec = {k: -v for k, v in vec.items()}
         newpiv = _Pivot(vec, set(cert), origin)
         for piv in st.values():
-            q = piv.vec.get(lead)
-            if q:
+            if lead in piv.vec:
                 piv.cert |= newpiv.cert
-                self._subtract(piv.vec, q, vec)
+                self._combine(piv.vec, vec, lead)
         st[lead] = newpiv
 
     def reduce_expr(self, e: SymExpr):
         """Remainder of e modulo the span slice of its weight, plus the
-        provenances of every row that took part in the elimination."""
+        provenances of every row that took part in the elimination.
+
+        The remainder is e minus a rational combination of pivot rows, at
+        the scale of e; monomials in generators the span does not know pass
+        through unchanged."""
         if not e:
             return e, frozenset()
-        st = self._slice(sym_weight(e))
+        w = sym_weight(e)
+        st = self._slice(w)
+        rank = self._ranks(w)
+        den = lcm(*(q.denominator for _, q in e.items()))
+        vec = {_SCALE: den}
+        rest = {}
+        for m, q in e.items():
+            if all(g in self._gen_index for g, _ in m.factors):
+                vec[rank[self._indices(m)]] = q.numerator * (den // q.denominator)
+            else:
+                rest[m] = q
         used: set = set()
-        vec = self._eliminate(st, dict(e.items()), used)
-        return SymExpr(vec), frozenset(used)
+        self._eliminate(st, vec, used)
+        scale = vec.pop(_SCALE)
+        for k, v in vec.items():
+            rest[self._monomial(w, k)] = Fraction(v, scale)
+        return SymExpr(rest), frozenset(used)
 
     def contains(self, e: SymExpr) -> bool:
         rem, _ = self.reduce_expr(e)
@@ -418,13 +493,12 @@ def reduce(rels, aux=()) -> list[Relation]:
     out: list[Relation] = []
     for w in weights:
         st = span._slice(w)
-        rows = [
-            (lead, piv)
-            for lead, piv in st.items()
-            if piv.origin is not None and id(piv.origin) in keep
-        ]
-        rows.sort(key=lambda t: t[0].sort_key(), reverse=True)
-        for lead, piv in rows:
+        for lead in sorted(st, reverse=True):
+            piv = st[lead]
+            if piv.origin is None or id(piv.origin) not in keep:
+                continue
+            L = piv.vec[lead]
+            expr = SymExpr({span._monomial(w, k): Fraction(v, L) for k, v in piv.vec.items()})
             cert = frozenset(piv.cert - {piv.origin.provenance})
-            out.append(Relation(SymExpr(piv.vec), piv.origin.provenance, cert))
+            out.append(Relation(expr, piv.origin.provenance, cert))
     return out

@@ -217,3 +217,140 @@ def naive_zeta(comp, limit: int = 100_000):
     tail_bound = last * 2 * limit / (s1 - 1)
     rounding = 1e-12 * len(comp) * (1.0 + total)
     return total, tail_bound + rounding
+
+
+# -- rational elimination oracle ---------------------------------------------
+#
+# The span elimination written over the rationals: rows are {SymMonomial:
+# Fraction} dicts, kept monic, and the leading monomial is found through
+# SymMonomial.sort_key.  The package eliminates fraction free on integer rows
+# keyed by monomial rank; both must give the same pivots, rows and
+# certificates.
+
+
+class _FractionPivot:
+    __slots__ = ("vec", "cert", "origin")
+
+    def __init__(self, vec, cert, origin):
+        self.vec = vec
+        self.cert = cert
+        self.origin = origin
+
+
+class FractionSpan:
+    """Weight-sliced, fully reduced echelon form over Q of a relation list,
+    with the same ideal slices and the same insertion order as the package's
+    ``Span``."""
+
+    def __init__(self, base):
+        from assoclab.symring import Generator
+
+        self.base = list(base)
+        gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
+        self._gens = sorted(gens, key=Generator.sort_key)
+        self._mono_cache: dict = {}
+        self._slices: dict = {}
+
+    def _monomials(self, w: int) -> list:
+        from assoclab.symring import SymMonomial
+
+        if w in self._mono_cache:
+            return self._mono_cache[w]
+        found = []
+
+        def rec(i: int, rem: int, picked):
+            if rem == 0:
+                found.append(SymMonomial(tuple(Counter(picked).items())))
+                return
+            for j in range(i, len(self._gens)):
+                g = self._gens[j]
+                if g.weight <= rem:
+                    rec(j, rem - g.weight, picked + [g])
+
+        rec(0, w, [])
+        found.sort(key=lambda m: m.sort_key())
+        self._mono_cache[w] = found
+        return found
+
+    def _slice(self, w: int) -> dict:
+        st = self._slices.get(w)
+        if st is not None:
+            return st
+        st = {}
+        self._slices[w] = st
+        for r in self.base:
+            if r.weight < w:
+                for m in self._monomials(w - r.weight):
+                    vec = {mono.mul(m): q for mono, q in r.expr.items()}
+                    self._insert(st, vec, r.provenance, None)
+        for r in self.base:
+            if r.weight == w:
+                self._insert(st, dict(r.expr.items()), r.provenance, r)
+        return st
+
+    @staticmethod
+    def _subtract(dst, q, src):
+        for mono, val in src.items():
+            nv = dst.get(mono, Fraction(0)) - q * val
+            if nv:
+                dst[mono] = nv
+            else:
+                dst.pop(mono, None)
+
+    @staticmethod
+    def _eliminate(st, vec, cert):
+        for m in [m for m in vec if m in st]:
+            q = vec[m]
+            piv = st[m]
+            cert |= piv.cert
+            FractionSpan._subtract(vec, q, piv.vec)
+        return vec
+
+    def _insert(self, st, vec, tag, origin):
+        cert = {tag}
+        vec = self._eliminate(st, vec, cert)
+        if not vec:
+            return
+        lead = max(vec, key=lambda m: m.sort_key())
+        lc = vec[lead]
+        if lc != 1:
+            vec = {m: q / lc for m, q in vec.items()}
+        newpiv = _FractionPivot(vec, set(cert), origin)
+        for piv in st.values():
+            q = piv.vec.get(lead)
+            if q:
+                piv.cert |= newpiv.cert
+                self._subtract(piv.vec, q, vec)
+        st[lead] = newpiv
+
+    def reduce_expr(self, e):
+        from assoclab.symring import SymExpr, sym_weight
+
+        if not e:
+            return e, frozenset()
+        st = self._slice(sym_weight(e))
+        used: set = set()
+        vec = self._eliminate(st, dict(e.items()), used)
+        return SymExpr(vec), frozenset(used)
+
+
+def fraction_reduce(rels, aux=()) -> list:
+    """``relations.reduce`` computed on a FractionSpan."""
+    from assoclab.relations import Relation
+    from assoclab.symring import SymExpr
+
+    rels, aux = list(rels), list(aux)
+    span = FractionSpan(aux + rels)
+    keep = {id(r) for r in rels}
+    out = []
+    for w in sorted({r.weight for r in rels}):
+        rows = [
+            (lead, piv)
+            for lead, piv in span._slice(w).items()
+            if piv.origin is not None and id(piv.origin) in keep
+        ]
+        rows.sort(key=lambda t: t[0].sort_key(), reverse=True)
+        for lead, piv in rows:
+            cert = frozenset(piv.cert - {piv.origin.provenance})
+            out.append(Relation(SymExpr(piv.vec), piv.origin.provenance, cert))
+    return out

@@ -145,6 +145,35 @@ def test_eval_usage_errors(capsys):
     assert main(["eval", "--zeta", "2", "--digits", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--delta", "1", "--digits", "2000"],
+    ["eval", "--delta", ",".join(["1"] * 12)],
+    ["eval", "--delta", "24"],
+])
+def test_eval_at_input_bounds(capsys, argv):
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["kind"] == "delta"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "--delta", "1", "--digits", "2001"], "digits must be <= 2000"),
+    (["verify", "--order", "2", "--digits", "2001"], "digits must be <= 2000"),
+    (["eval", "--delta", ",".join(["1"] * 13)], "at most 12 parts"),
+    (["eval", "--delta", "25"], "weight must be <= 24"),
+    (["eval", "--zeta", "20,5"], "weight must be <= 24"),
+])
+def test_input_past_bounds_is_usage_error(capsys, monkeypatch, argv, message):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    for name in ("eval_delta", "eval_zeta", "comparison_relations"):
+        monkeypatch.setattr(cli, name, no_evaluation)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_subcommand_and_unknown_flag(capsys):
     assert main([]) == 2
     assert main(["relations", "--frobnicate"]) == 2

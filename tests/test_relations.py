@@ -14,12 +14,14 @@ from assoclab.delta_side import phi_delta
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, verify_relation
 from assoclab.relations import (
+    AUX_NAMES,
     Comparison,
     Duality,
     KnownValue,
     Relation,
     Shuffle,
     Span,
+    aux_relations,
     comparison_relations,
     duality_relations,
     extract_relations,
@@ -31,7 +33,7 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, zeta
 
-from oracle_utils import shuffle_brute
+from oracle_utils import FractionSpan, fraction_reduce, shuffle_brute
 
 C = SymExpr.gen(LOG2)
 
@@ -256,6 +258,50 @@ def test_span_reduce_expr_remainder_is_normal_form():
     rem, _ = span.reduce_expr(z(3) + d(2) * C)
     rem2, _ = span.reduce_expr(rem)
     assert rem2 == rem
+
+
+def test_span_reduce_expr_boundary_cases():
+    span = Span(comparison_relations(3))
+    e = z(3) + d(2) * C
+    rem, cert = span.reduce_expr(e)
+    assert rem and cert
+    assert span.contains(e - rem)
+    # the remainder keeps the scale of the input, also a non-integer one
+    for q in (Fraction(3, 7), Fraction(-5, 2), Fraction(1, 6)):
+        assert span.reduce_expr(e.scale(q)) == (rem.scale(q), cert)
+    # monomials in generators outside the base pass through unchanged
+    euler_span = Span(comparison_relations(2))
+    assert euler_span.reduce_expr(z(3)) == (z(3), frozenset())
+    euler_times_c = (z(2) - d(2).scale(2) - SymExpr.gen(LOG2, exp=2)) * C
+    rem, cert = euler_span.reduce_expr(z(3).scale(Fraction(2, 3)) + euler_times_c)
+    assert rem == z(3).scale(Fraction(2, 3)) and cert
+    # zero and weight-0 input
+    assert span.reduce_expr(SymExpr.zero()) == (SymExpr.zero(), frozenset())
+    third = SymExpr.rational(Fraction(1, 3))
+    assert span.reduce_expr(third) == (third, frozenset())
+
+
+@pytest.fixture(scope="module", params=[5, 6, 7])
+def order_rows(request):
+    order = request.param
+    return comparison_relations(order), aux_relations(AUX_NAMES, order)
+
+
+def test_reduce_matches_fraction_oracle(order_rows):
+    comp, aux = order_rows
+    got, want = reduce(comp, aux), fraction_reduce(comp, aux)
+    assert [r.expr for r in got] == [r.expr for r in want]
+    assert [r.provenance for r in got] == [r.provenance for r in want]
+    assert [r.certificate for r in got] == [r.certificate for r in want]
+
+
+def test_reduce_expr_matches_fraction_oracle(order_rows):
+    comp, aux = order_rows
+    for base in (aux, aux + comp):
+        span, oracle = Span(base), FractionSpan(base)
+        for r in comp:
+            e = r.expr.scale(Fraction(-2, 3))
+            assert span.reduce_expr(e) == oracle.reduce_expr(e), r.provenance.label()
 
 
 def test_span_contains_euler_relation():
