@@ -439,7 +439,7 @@ class Span:
         lead = max(vec)
         if vec[lead] < 0:
             vec = {k: -v for k, v in vec.items()}
-        newpiv = _Pivot(vec, set(cert), origin)
+        newpiv = _Pivot(vec, cert, origin)
         for piv in st.values():
             if lead in piv.vec:
                 piv.cert |= newpiv.cert
