@@ -46,6 +46,8 @@ OUTPUT_GOLDENS = [
      "11f26f05ed7f42598a57b033bc4b63fac8f25cfe4fd39833eafed88ec94451e5"),
     (["expand", "--side", "delta", "--order", "6"],
      "968c1e4470cc4ca64822efb21ba2f324c627b630135a0c95450da1eecf1f61ff"),
+    (["expand", "--side", "both", "--order", "7"],
+     "32cf75b3b9f5552772644d7faaa6a34da0cf4b531126c293b69753871bbc4b9e"),
 ]
 
 VERIFY_GOLDENS = {
@@ -63,7 +65,7 @@ VERIFY_GOLDENS = {
     ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_GOLDENS],
 )
 def test_output_golden(tmp_path, capsys, monkeypatch, argv, digest):
-    # one case runs at order 7, above the default order cap of 6
+    # the order-7 cases run above the default order cap of 6
     monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "7")
     target = tmp_path / "out"
     assert main(argv + ["--output", str(target)]) == 0
