@@ -10,6 +10,11 @@ The series built by the expansion modules satisfy a weight grading: the
 coefficient of every degree-r word is weight homogeneous of weight r.  That is
 a checkable invariant (``check_grading``), not an enforced constructor
 constraint, because intermediate test expressions are free to violate it.
+
+Products are graded: the right factor's words are grouped by degree, so only
+pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
+word are summed in one accumulator (``symring.sum_of_products``).  The
+inverse is solved degree by degree from the same pair sums.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from math import comb, factorial
 from fractions import Fraction
 
-from .symring import SymExpr, LOG2, sym_weight
+from .symring import SymExpr, LOG2, sum_of_products, sym_weight
 
 A = "A"
 B = "B"
@@ -107,41 +112,56 @@ def nc_scale(a: NCSeries, e: SymExpr) -> NCSeries:
     return NCSeries(a.order, {w: e * c for w, c in a.coeffs.items()})
 
 
+def _by_degree(s: NCSeries) -> list[list[tuple[str, SymExpr]]]:
+    out: list[list[tuple[str, SymExpr]]] = [[] for _ in range(s.order + 1)]
+    for w, e in s.coeffs.items():
+        out[len(w)].append((w, e))
+    return out
+
+
+def _meet(pairs: dict[str, list], left, right) -> None:
+    """Append (cu, cv) to pairs[u + v] for every u in left, v in right."""
+    for u, cu in left:
+        for v, cv in right:
+            w = u + v
+            got = pairs.get(w)
+            if got is None:
+                pairs[w] = [(cu, cv)]
+            else:
+                got.append((cu, cv))
+
+
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product truncated at the common order."""
     if a.order != b.order:
         raise OrderMismatchError("orders %d != %d" % (a.order, b.order))
     order = a.order
-    out: dict[str, SymExpr] = {}
-    for u, cu in a.coeffs.items():
-        room = order - len(u)
-        for v, cv in b.coeffs.items():
-            if len(v) > room:
-                continue
-            w = u + v
-            prod = cu * cv
-            s = out.get(w)
-            out[w] = prod if s is None else s + prod
-    return NCSeries(order, out)
+    left, right = _by_degree(a), _by_degree(b)
+    pairs: dict[str, list] = {}
+    for i in range(order + 1):
+        for j in range(order - i + 1):
+            _meet(pairs, left[i], right[j])
+    return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 
 def nc_inverse(s: NCSeries) -> NCSeries:
-    """Multiplicative inverse via the geometric series.
+    """Multiplicative inverse, solved degree by degree.
 
-    Requires constant term exactly 1; then 1 - s has no constant term and the
-    sum of its powers terminates at the truncation order.
+    Requires constant term exactly 1.  With t = 1 - s, which has no constant
+    term, the inverse is 1 + t + t^2 + ..., so inv[w] is the sum of
+    t[u] * inv[v] over the splits w = uv with u nonempty; the right side only
+    reads inverse coefficients of lower degree.
     """
     if s.coeffs.get("") != SymExpr.one():
         raise NotUnitalError("constant term must be 1")
-    u = nc_sub(nc_unit(s.order), s)
-    acc = nc_unit(s.order)
-    power = nc_unit(s.order)
-    for _ in range(s.order):
-        power = nc_mul(power, u)
-        if not power.coeffs:
-            break
-        acc = nc_add(acc, power)
-    return acc
+    t = _by_degree(nc_neg(s))
+    inv: list[list[tuple[str, SymExpr]]] = [[("", SymExpr.one())]]
+    for n in range(1, s.order + 1):
+        pairs: dict[str, list] = {}
+        for k in range(1, n + 1):
+            _meet(pairs, t[k], inv[n - k])
+        inv.append([(w, e) for w, p in pairs.items() if (e := sum_of_products(p))])
+    return NCSeries(s.order, {w: e for level in inv for w, e in level})
 
 
 def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:

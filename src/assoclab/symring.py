@@ -20,12 +20,17 @@ elimination order during relation reduction: generators compare by
 weight delta generators (and among them the deeper ones) are the largest and
 get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
+
+Generators and monomials compute their hash once, monomial products are
+memoised (``monomial_product``), and every expression product runs through
+the one loop ``sum_of_products``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -71,6 +76,10 @@ class Generator:
                 raise NotAdmissibleError(
                     "zeta generator needs first exponent >= 2, got %r" % (self.parts,)
                 )
+        object.__setattr__(self, "_hash", hash((self.kind, self.parts)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def weight(self) -> int:
@@ -128,6 +137,10 @@ class SymMonomial:
             merged[g] = merged.get(g, 0) + e
         canon = tuple(sorted(merged.items(), key=lambda fe: fe[0].sort_key()))
         object.__setattr__(self, "factors", canon)
+        object.__setattr__(self, "_hash", hash(canon))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def weight(self) -> int:
@@ -142,7 +155,7 @@ class SymMonomial:
         return (self.weight, tuple(expanded))
 
     def mul(self, other: "SymMonomial") -> "SymMonomial":
-        return SymMonomial(self.factors + other.factors)
+        return monomial_product(self, other)
 
     def is_unit(self) -> bool:
         return not self.factors
@@ -174,6 +187,12 @@ class SymMonomial:
 
 
 UNIT_MONOMIAL = SymMonomial(())
+
+
+@lru_cache(maxsize=None)
+def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
+    """m1 * m2, memoised: series products meet the same pairs many times."""
+    return SymMonomial(m1.factors + m2.factors)
 
 
 def monomial(*factors: tuple[Generator, int]) -> SymMonomial:
@@ -273,18 +292,7 @@ class SymExpr:
         return self + (-other)
 
     def __mul__(self, other: "SymExpr") -> "SymExpr":
-        out: dict[SymMonomial, Fraction] = {}
-        for m1, q1 in self._terms.items():
-            for m2, q2 in other._terms.items():
-                m = m1.mul(m2)
-                s = out.get(m, Fraction(0)) + q1 * q2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        e = SymExpr.__new__(SymExpr)
-        e._terms = out
-        return e
+        return sum_of_products(((self, other),))
 
     def scale(self, q) -> "SymExpr":
         q = Fraction(q)
@@ -337,6 +345,28 @@ class SymExpr:
 
 
 # -- module-level operations ------------------------------------------------
+
+
+def sum_of_products(pairs) -> SymExpr:
+    """Sum of a * b over (SymExpr a, SymExpr b) pairs, in one accumulator.
+
+    The one product loop of the package: a series product collects every
+    pair that meets at a word and sums them here, with no intermediate
+    expression per pair.
+    """
+    out: dict[SymMonomial, Fraction] = {}
+    get = out.get
+    for a, b in pairs:
+        right = b._terms.items()
+        for m1, q1 in a._terms.items():
+            for m2, q2 in right:
+                m = monomial_product(m1, m2)
+                p = q1 * q2
+                s = get(m)
+                out[m] = p if s is None else s + p
+    e = SymExpr.__new__(SymExpr)
+    e._terms = {m: q for m, q in out.items() if q}
+    return e
 
 
 def sym_weight(e: SymExpr) -> int:

@@ -354,3 +354,54 @@ def fraction_reduce(rels, aux=()) -> list:
             cert = frozenset(piv.cert - {piv.origin.provenance})
             out.append(Relation(SymExpr(piv.vec), piv.origin.provenance, cert))
     return out
+
+
+# -- all-pairs series product and geometric-series inverse ---------------------
+#
+# The package groups the right factor's words by degree, sums every pair that
+# meets at an output word in one accumulator, memoises monomial products and
+# solves the inverse degree by degree.  These oracles visit every (u, v) pair,
+# multiply coefficients term by term through the monomial constructor, and
+# invert by summing the powers of 1 - s.
+
+
+def expr_mul(a, b):
+    """a * b, one term pair at a time, without the package's product loop."""
+    from assoclab.symring import SymExpr, SymMonomial
+
+    out: dict = {}
+    for m1, q1 in a.items():
+        for m2, q2 in b.items():
+            m = SymMonomial(m1.factors + m2.factors)
+            out[m] = out.get(m, Fraction(0)) + q1 * q2
+    return SymExpr(out)
+
+
+def nc_mul_all_pairs(a, b):
+    """Concatenation product visiting every word pair, skipping long ones."""
+    from assoclab.freealg import NCSeries
+
+    assert a.order == b.order
+    out: dict = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            if len(u) + len(v) > a.order:
+                continue
+            prod = expr_mul(cu, cv)
+            prev = out.get(u + v)
+            out[u + v] = prod if prev is None else prev + prod
+    return NCSeries(a.order, out)
+
+
+def nc_inverse_geometric(s):
+    """1 + t + t^2 + ... with t = 1 - s, summed until the powers vanish."""
+    from assoclab.freealg import nc_add, nc_sub, nc_unit
+
+    t = nc_sub(nc_unit(s.order), s)
+    acc = power = nc_unit(s.order)
+    for _ in range(s.order):
+        power = nc_mul_all_pairs(power, t)
+        if not power.coeffs:
+            break
+        acc = nc_add(acc, power)
+    return acc

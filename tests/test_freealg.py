@@ -33,7 +33,7 @@ from assoclab.freealg import (
 )
 from assoclab.symring import LOG2, SymExpr, delta, zeta
 
-from oracle_utils import binomial_ad
+from oracle_utils import binomial_ad, expr_mul, nc_inverse_geometric, nc_mul_all_pairs
 
 
 def _rand_series(rng: random.Random, order: int) -> NCSeries:
@@ -41,6 +41,30 @@ def _rand_series(rng: random.Random, order: int) -> NCSeries:
     for _ in range(rng.randint(0, 6)):
         w = "".join(rng.choice("AB") for _ in range(rng.randint(0, order)))
         coeffs[w] = SymExpr.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return NCSeries(order, coeffs)
+
+
+_GENERATORS = (LOG2, zeta([2]), zeta([3]), zeta([2, 1]), delta([1]), delta([2]), delta([1, 2]))
+
+
+def _rand_expr(rng: random.Random) -> SymExpr:
+    """A few monomials in zeta, delta and c, with small rational coefficients."""
+    out = SymExpr.zero()
+    for _ in range(rng.randint(1, 3)):
+        e = SymExpr.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            e = e * SymExpr.gen(rng.choice(_GENERATORS), rng.randint(1, 2))
+        out = out + e
+    return out
+
+
+def _rand_sym_series(rng: random.Random, order: int, unit: bool = False) -> NCSeries:
+    coeffs = {}
+    for _ in range(rng.randint(0, 8)):
+        w = "".join(rng.choice("AB") for _ in range(rng.randint(0, order)))
+        coeffs[w] = _rand_expr(rng)
+    if unit:
+        coeffs[""] = SymExpr.one()
     return NCSeries(order, coeffs)
 
 
@@ -115,6 +139,59 @@ def test_inverse_property_random():
         inv = nc_inverse(s)
         assert nc_mul(s, inv) == nc_unit(4)
         assert nc_mul(inv, s) == nc_unit(4)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_mul_matches_all_pairs_oracle(order):
+    rng = random.Random(6100 + order)
+    for _ in range(40):
+        s, t = _rand_sym_series(rng, order), _rand_sym_series(rng, order)
+        assert nc_mul(s, t) == nc_mul_all_pairs(s, t)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_inverse_matches_geometric_oracle(order):
+    rng = random.Random(6200 + order)
+    for _ in range(20):
+        s = _rand_sym_series(rng, order, unit=True)
+        assert nc_inverse(s) == nc_inverse_geometric(s)
+
+
+def test_inverse_of_swapped_xi_matches_geometric_oracle():
+    from assoclab.delta_side import xi_series
+
+    xi_a = nc_swap(xi_series(B, 6))
+    assert nc_inverse(xi_a) == nc_inverse_geometric(xi_a)
+
+
+def test_expr_mul_matches_term_by_term_oracle():
+    rng = random.Random(6300)
+    for _ in range(200):
+        a, b = _rand_expr(rng), _rand_expr(rng)
+        assert a * b == expr_mul(a, b)
+
+
+def test_mul_drops_words_whose_contributions_cancel():
+    x = SymExpr.gen(zeta([2])) + SymExpr.gen(LOG2, 2, Fraction(1, 2))
+    y = SymExpr.gen(delta([1, 2])) - SymExpr.gen(zeta([3]))
+    # AB = A.B + 1.AB cancels; AAB = A.AB survives; A and B come from one side
+    s = NCSeries(4, {"": y, "A": x})
+    t = NCSeries(4, {"B": y, "AB": -x})
+    got = nc_mul(s, t)
+    assert "AB" not in got.coeffs
+    assert got == nc_mul_all_pairs(s, t)
+    assert set(got.coeffs) == {"B", "AAB"}
+    assert got.coeffs["AAB"] == -(x * x)
+
+
+def test_inverse_drops_cancelled_words():
+    # s = 1 + A + B + AB: inv[AB] = -inv[B] - 1 = 0, so AB is absent
+    one = SymExpr.one()
+    s = NCSeries(3, {"": one, "A": one, "B": one, "AB": one})
+    inv = nc_inverse(s)
+    assert inv == nc_inverse_geometric(s)
+    assert all(inv.coeffs.values())
+    assert "AB" not in inv.coeffs
 
 
 def _rand_series_nonconst(rng: random.Random, order: int) -> NCSeries:
