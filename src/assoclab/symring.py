@@ -76,7 +76,8 @@ class Generator:
                 raise NotAdmissibleError(
                     "zeta generator needs first exponent >= 2, got %r" % (self.parts,)
                 )
-        object.__setattr__(self, "_hash", hash((self.kind, self.parts)))
+        # ints only, so the hash is the same in every process
+        object.__setattr__(self, "_hash", hash((_KIND_RANK[self.kind], self.parts or ())))
 
     def __hash__(self):
         return self._hash
