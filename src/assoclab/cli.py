@@ -8,7 +8,8 @@ Subcommands:
   selftest   run the built-in consistency checks
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
-(including an --output or --report path that cannot be written).
+(including an --output or --report path that cannot be written, which is
+checked before any work).
 Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
 parts and weight at most 24.
@@ -147,9 +148,6 @@ def _cmd_relations(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     prec = _precision(args.digits)
-    if args.report:
-        # fail on an unwritable path before the certification, not after it
-        _emit("", args.report)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     rows = []
     failed = []
@@ -352,6 +350,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # fail on an unwritable path before any work, not after it
+        for path in (getattr(args, "output", None), getattr(args, "report", None)):
+            if path:
+                _emit("", path)
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -310,18 +310,21 @@ class Span:
     """Weight-sliced echelon form of the ideal span of a relation list.
 
     Rows of each weight-w slice are the base relations of weight w plus
-    every lower-weight base relation multiplied by the monomials of the
-    complementary weight.  A monomial is a descending tuple of indices into
-    the sorted generator list, so tuple order is the fixed monomial order,
-    and a slice keys each monomial by its rank in the sorted
-    ``_monomials(w)``.  Rows are primitive integer vectors ``{rank: int}``:
-    the gcd of the entries is 1 and the lead (highest rank) entry is
-    positive.  Elimination is fraction free: each step is
-    vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
-    g = gcd(a, L), followed by division by the content.  Slices are built
-    lazily and kept fully reduced (echelon with back-substitution), so
-    reducing an expression is a single elimination pass.  Fractions appear
-    only at the boundary, in ``reduce_expr`` and ``reduce``.
+    every lower-weight base relation, converted when the slice is built,
+    multiplied by the monomials of the complementary weight.  A monomial
+    is a descending tuple of indices into the sorted generator list, so
+    tuple order is the fixed monomial order, and a slice keys each
+    monomial by its rank in the sorted ``_monomials(w)``.  Pivot rows are
+    primitive integer vectors ``{rank: int}``: the gcd of the entries is 1
+    and the lead (highest rank) entry is positive.  Elimination is fraction
+    free: each step is vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead],
+    L = piv[lead] and g = gcd(a, L), followed by division by the content.
+    Slices are built lazily and kept fully reduced (echelon with
+    back-substitution), so reducing an expression is a single elimination
+    pass.  A pivot's certificate is a bitmask over base-row indices, and its
+    origin is the index of its base row (-1 for a product row).  Fractions
+    and provenances appear only at the boundary, in ``reduce_expr`` and
+    ``reduce``.
     """
 
     def __init__(self, base):
@@ -332,28 +335,36 @@ class Span:
         self._mono_cache: dict[int, list[tuple[int, ...]]] = {}
         self._rank_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._slices: dict[int, dict[int, _Pivot]] = {}
-        # a row of the top weight enters only its own slice, once, so it is
-        # converted there and not kept; the others are kept for the products
-        top = max((r.weight for r in self.base), default=0)
-        self._rows = {i: self._integer_row(r) for i, r in enumerate(self.base) if r.weight < top}
 
     def _indices(self, m: SymMonomial) -> tuple[int, ...]:
         return tuple(self._gen_index[g] for g, e in reversed(m.factors) for _ in range(e))
-
-    def _integer_row(self, r: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """r as a primitive integer row: the ranks of its monomials at its
-        own weight and their coefficients, as two tuples to keep it small."""
-        rank = self._ranks(r.weight)
-        den = lcm(*(q.denominator for _, q in r.expr.items()))
-        ranks = tuple(rank[self._indices(m)] for m in r.expr.monomials())
-        values = [q.numerator * (den // q.denominator) for _, q in r.expr.items()]
-        content = gcd(*values)
-        return ranks, tuple(v // content for v in values)
 
     def _monomial(self, w: int, k: int) -> SymMonomial:
         """The monomial of rank k at weight w."""
         t = self._monomials(w)[k]
         return SymMonomial(tuple(Counter(self._gens[i] for i in t).items()))
+
+    def _row(self, e: SymExpr, w: int):
+        """e of weight w as an integer row ``{rank: int}`` over the common
+        denominator ``den`` of its coefficients, plus the terms ``rest`` in
+        generators outside the base."""
+        rank = self._ranks(w)
+        den = lcm(*(q.denominator for _, q in e.items()))
+        vec, rest = {}, {}
+        for m, q in e.items():
+            if all(g in self._gen_index for g, _ in m.factors):
+                vec[rank[self._indices(m)]] = q.numerator * (den // q.denominator)
+            else:
+                rest[m] = q
+        return vec, den, rest
+
+    def _expr(self, w: int, vec, den: int) -> SymExpr:
+        """The row vec / den of weight w as an expression."""
+        return SymExpr({self._monomial(w, k): Fraction(v, den) for k, v in vec.items()})
+
+    def _provenances(self, cert: int) -> frozenset:
+        """The provenances of the base rows whose bits are set in cert."""
+        return frozenset(r.provenance for i, r in enumerate(self.base) if cert >> i & 1)
 
     def _monomials(self, w: int) -> list[tuple[int, ...]]:
         if w in self._mono_cache:
@@ -390,15 +401,14 @@ class Span:
         rank = self._ranks(w)
         for i, r in enumerate(self.base):
             if r.weight < w:
-                ranks, values = self._rows.get(i) or self._integer_row(r)
-                monos = [self._monomials(r.weight)[k] for k in ranks]
+                vec, _, _ = self._row(r.expr, r.weight)
+                monos = [self._monomials(r.weight)[k] for k in vec]
                 for m in self._monomials(w - r.weight):
                     keys = [rank[tuple(sorted(t + m, reverse=True))] for t in monos]
-                    self._insert(st, dict(zip(keys, values)), r.provenance, None)
+                    self._insert(st, dict(zip(keys, vec.values())), 1 << i, -1)
         for i, r in enumerate(self.base):
             if r.weight == w:
-                ranks, values = self._rows.get(i) or self._integer_row(r)
-                self._insert(st, dict(zip(ranks, values)), r.provenance, r)
+                self._insert(st, self._row(r.expr, w)[0], 1 << i, i)
         return st
 
     @staticmethod
@@ -423,28 +433,30 @@ class Span:
                 vec[k] //= content
 
     @staticmethod
-    def _eliminate(st, vec, cert):
+    def _eliminate(st, vec, cert: int) -> int:
         # pivot rows hold no foreign pivot monomials, so subtracting one pivot
         # never changes another pivot's coefficient: any sweep order will do
         for m in [m for m in vec if m in st]:
             piv = st[m]
             cert |= piv.cert
             Span._combine(vec, piv.vec, m)
+        return cert
 
-    def _insert(self, st, vec, tag, origin):
-        cert = {tag}
-        self._eliminate(st, vec, cert)
+    def _insert(self, st, vec, cert, origin):
+        cert = self._eliminate(st, vec, cert)
         if not vec:
             return
         lead = max(vec)
+        content = gcd(*vec.values())
         if vec[lead] < 0:
-            vec = {k: -v for k, v in vec.items()}
-        newpiv = _Pivot(vec, cert, origin)
+            content = -content
+        if content != 1:
+            vec = {k: v // content for k, v in vec.items()}
         for piv in st.values():
             if lead in piv.vec:
-                piv.cert |= newpiv.cert
+                piv.cert |= cert
                 self._combine(piv.vec, vec, lead)
-        st[lead] = newpiv
+        st[lead] = _Pivot(vec, cert, origin)
 
     def reduce_expr(self, e: SymExpr):
         """Remainder of e modulo the span slice of its weight, plus the
@@ -457,21 +469,11 @@ class Span:
             return e, frozenset()
         w = sym_weight(e)
         st = self._slice(w)
-        rank = self._ranks(w)
-        den = lcm(*(q.denominator for _, q in e.items()))
-        vec = {_SCALE: den}
-        rest = {}
-        for m, q in e.items():
-            if all(g in self._gen_index for g, _ in m.factors):
-                vec[rank[self._indices(m)]] = q.numerator * (den // q.denominator)
-            else:
-                rest[m] = q
-        used: set = set()
-        self._eliminate(st, vec, used)
+        vec, den, rest = self._row(e, w)
+        vec[_SCALE] = den
+        cert = self._eliminate(st, vec, 0)
         scale = vec.pop(_SCALE)
-        for k, v in vec.items():
-            rest[self._monomial(w, k)] = Fraction(v, scale)
-        return SymExpr(rest), frozenset(used)
+        return self._expr(w, vec, scale) + SymExpr(rest), self._provenances(cert)
 
     def contains(self, e: SymExpr) -> bool:
         rem, _ = self.reduce_expr(e)
@@ -484,21 +486,18 @@ def reduce(rels, aux=()) -> list[Relation]:
     Aux rows are inserted first at every weight, so the reported reduced
     form of each rels row is its remainder modulo aux and the earlier rows.
     Rows that reduce to zero (consequences) are omitted.  The aux rows
-    eliminate but are not reported.
+    eliminate but are not reported, also where rels repeats one of them.
     """
     rels, aux = list(rels), list(aux)
     span = Span(aux + rels)
-    keep = {id(r) for r in rels}
-    weights = sorted({r.weight for r in rels})
     out: list[Relation] = []
-    for w in weights:
+    for w in sorted({r.weight for r in rels}):
         st = span._slice(w)
         for lead in sorted(st, reverse=True):
             piv = st[lead]
-            if piv.origin is None or id(piv.origin) not in keep:
+            if piv.origin < len(aux):
                 continue
-            L = piv.vec[lead]
-            expr = SymExpr({span._monomial(w, k): Fraction(v, L) for k, v in piv.vec.items()})
-            cert = frozenset(piv.cert - {piv.origin.provenance})
-            out.append(Relation(expr, piv.origin.provenance, cert))
+            prov = span.base[piv.origin].provenance
+            cert = span._provenances(piv.cert) - {prov}
+            out.append(Relation(span._expr(w, piv.vec, piv.vec[lead]), prov, cert))
     return out

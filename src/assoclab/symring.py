@@ -212,15 +212,7 @@ class SymExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        canon: dict[SymMonomial, Fraction] = {}
-        if terms:
-            for m, q in terms.items():
-                q = Fraction(q)
-                if q:
-                    canon[m] = canon.get(m, Fraction(0)) + q
-                    if not canon[m]:
-                        del canon[m]
-        self._terms = canon
+        self._terms = {m: q for m, c in (terms or {}).items() if (q := Fraction(c))}
 
     # -- constructors ------------------------------------------------------
 

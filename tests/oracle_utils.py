@@ -283,9 +283,9 @@ class FractionSpan:
                 for m in self._monomials(w - r.weight):
                     vec = {mono.mul(m): q for mono, q in r.expr.items()}
                     self._insert(st, vec, r.provenance, None)
-        for r in self.base:
+        for i, r in enumerate(self.base):
             if r.weight == w:
-                self._insert(st, dict(r.expr.items()), r.provenance, r)
+                self._insert(st, dict(r.expr.items()), r.provenance, i)
         return st
 
     @staticmethod
@@ -341,18 +341,19 @@ def fraction_reduce(rels, aux=()) -> list:
 
     rels, aux = list(rels), list(aux)
     span = FractionSpan(aux + rels)
-    keep = {id(r) for r in rels}
     out = []
     for w in sorted({r.weight for r in rels}):
+        # a pivot is reported when it was inserted from a rels row, by its
+        # position in the base, also when that row equals an aux row
         rows = [
             (lead, piv)
             for lead, piv in span._slice(w).items()
-            if piv.origin is not None and id(piv.origin) in keep
+            if piv.origin is not None and piv.origin >= len(aux)
         ]
         rows.sort(key=lambda t: t[0].sort_key(), reverse=True)
         for lead, piv in rows:
-            cert = frozenset(piv.cert - {piv.origin.provenance})
-            out.append(Relation(SymExpr(piv.vec), piv.origin.provenance, cert))
+            prov = span.base[piv.origin].provenance
+            out.append(Relation(SymExpr(piv.vec), prov, frozenset(piv.cert - {prov})))
     return out
 
 

@@ -220,6 +220,22 @@ def test_verify_checks_report_path_before_any_work(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--order", "2"],
+    ["relations", "--order", "2", "--aux", "all", "--reduce"],
+    ["eval", "--zeta", "3"],
+], ids=["expand", "relations", "eval"])
+def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("phi_mzv", "comparison_relations", "eval_zeta"):
+        monkeypatch.setattr(cli, name, no_work)
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 

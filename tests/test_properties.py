@@ -1,12 +1,15 @@
-"""Property tests: the coefficient ring and the series algebra (hypothesis)."""
+"""Property tests: the coefficient ring, the series algebra, shuffles and
+span membership (hypothesis)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
 from assoclab.freealg import NCSeries, nc_inverse, nc_mul, nc_unit
+from assoclab.relations import AUX_NAMES, Span, aux_relations, comparison_relations, shuffle
 from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, zeta
 
 generators = st.one_of(
@@ -76,3 +79,54 @@ def test_nc_inverse_is_two_sided(s):
     assert nc_mul(s, inv) == nc_unit(4)
     assert nc_mul(inv, s) == nc_unit(4)
     assert nc_inverse(inv) == s
+
+
+# -- shuffles and span membership --------------------------------------------
+
+letters = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+
+
+def _is_subsequence(a, w) -> bool:
+    rest = iter(w)
+    return all(x in rest for x in a)
+
+
+@given(letters, letters)
+def test_shuffle_count_is_binomial_and_keeps_both_words(u, v):
+    sh = shuffle(u, v)
+    assert sum(sh.values()) == comb(len(u) + len(v), len(u))
+    for w in sh:
+        assert len(w) == len(u) + len(v)
+        assert _is_subsequence(u, w) and _is_subsequence(v, w)
+
+
+BASE = aux_relations(AUX_NAMES, 4) + comparison_relations(4)
+
+
+def _samples():
+    c, z2, z4 = (SymExpr.gen(g) for g in (LOG2, zeta((2,)), zeta((4,))))
+    low = [r.expr for r in BASE if r.weight == 2][:2]
+    members = [r.expr for r in BASE[::3]]
+    members += [a * b for a in low for b in low] + [a * c * c for a in low]
+    members += [(r.expr * c).scale(Fraction(-3, 2)) for r in BASE if r.weight == 3][:3]
+    # z2^2 and z4 are free at weight 4: the span misses 2z2^2 = 5z4
+    outside = [z2 * z2, z4, c * c * z2, members[-1] + z4.scale(Fraction(1, 3))]
+    return members + outside
+
+
+SAMPLES = _samples()
+IN_ORDER = Span(BASE)
+EXPECTED = [IN_ORDER.reduce_expr(e)[0] for e in SAMPLES]
+
+
+def test_span_samples_hold_members_and_non_members():
+    found = [not rem for rem in EXPECTED]
+    assert any(found) and not all(found)
+
+
+@given(st.permutations(BASE))
+def test_span_membership_does_not_depend_on_row_order(base):
+    span = Span(base)
+    assert [span.contains(e) for e in SAMPLES] == [IN_ORDER.contains(e) for e in SAMPLES]
+    # the slices are fully reduced, so the normal form is unique too
+    assert [span.reduce_expr(e)[0] for e in SAMPLES] == EXPECTED

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -304,10 +304,42 @@ def test_reduce_expr_matches_fraction_oracle(order_rows):
             assert span.reduce_expr(e) == oracle.reduce_expr(e), r.provenance.label()
 
 
+def test_reduce_reports_no_aux_row_also_when_rels_repeat_it():
+    rels = comparison_relations(4)
+    assert reduce(rels, aux=rels) == []
+    got = reduce(rels, aux=rels[:3])
+    assert got
+    assert not {r.provenance for r in got} & {r.provenance for r in rels[:3]}
+
+
+@pytest.mark.parametrize("n_aux", [3, None], ids=["aux-prefix", "aux-all"])
+def test_reduce_with_overlapping_aux_matches_fraction_oracle(n_aux):
+    rels = comparison_relations(4)
+    aux = rels[:n_aux]
+    got, want = reduce(rels, aux), fraction_reduce(rels, aux)
+    assert [(r.expr, r.provenance, r.certificate) for r in got] == [
+        (r.expr, r.provenance, r.certificate) for r in want
+    ]
+
+
 def test_span_contains_euler_relation():
     span = Span(comparison_relations(2))
     assert span.contains(z(2) - d(2).scale(2) - SymExpr.gen(LOG2, exp=2))
     assert not span.contains(z(2) - d(2))
+
+
+def test_span_pivots_are_primitive_with_positive_lead():
+    base = aux_relations(AUX_NAMES, 5) + comparison_relations(5)
+    span = Span(base)
+    for w in range(1, 6):
+        for lead, piv in span._slice(w).items():
+            assert lead == max(piv.vec) and piv.vec[lead] > 0
+            assert gcd(*piv.vec.values()) == 1
+            # a pivot inserted from a base row carries that row's bit
+            assert piv.origin == -1 or piv.cert >> piv.origin & 1
+    st = {}
+    span._insert(st, {0: 4, 2: -6}, 1, 0)
+    assert st[2].vec == {0: -2, 2: 3}
 
 
 def test_span_certificates_point_at_base_rows():
