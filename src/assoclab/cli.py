@@ -77,12 +77,12 @@ def _precision(digits: int) -> Precision:
         raise UsageError(str(exc))
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None, mode: str = "w") -> None:
     if not path:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
@@ -350,10 +350,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # fail on an unwritable path before any work, not after it
+        # check paths before any work; append mode leaves an existing file intact
         for path in (getattr(args, "output", None), getattr(args, "report", None)):
             if path:
-                _emit("", path)
+                _emit("", path, "a")
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)

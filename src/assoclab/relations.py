@@ -21,11 +21,13 @@ is sound because membership is only ever asserted, never refuted, by a
 larger multiplier set.
 
 Elimination is fraction free.  A slice keys each monomial of its weight by
-its rank in the fixed monomial order, and each row is a primitive integer
-vector {rank: int}: the gcd of its entries is 1 and its lead (the entry of
-highest rank) is positive.  Rationals appear only at the boundary: reduced
-relations are emitted as row / lead, and an expression is reduced at its own
-scale.
+its rank in the fixed monomial order, converts the base rows it multiplies
+when it is built, and keeps each pivot as a primitive integer vector
+{rank: int}: the gcd of its entries is 1 and its lead (the entry of highest
+rank) is positive.  A pivot's certificate is a bitmask over the indices of
+the base rows it consumed.  Rationals and provenances appear only at the
+boundary: reduced relations are emitted as row / lead with the provenances
+of their certificate bits, and an expression is reduced at its own scale.
 """
 
 from __future__ import annotations
@@ -352,10 +354,12 @@ class Span:
         den = lcm(*(q.denominator for _, q in e.items()))
         vec, rest = {}, {}
         for m, q in e.items():
-            if all(g in self._gen_index for g, _ in m.factors):
-                vec[rank[self._indices(m)]] = q.numerator * (den // q.denominator)
-            else:
+            try:
+                t = self._indices(m)
+            except KeyError:  # a generator outside the base
                 rest[m] = q
+            else:
+                vec[rank[t]] = q.numerator * (den // q.denominator)
         return vec, den, rest
 
     def _expr(self, w: int, vec, den: int) -> SymExpr:

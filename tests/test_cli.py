@@ -236,6 +236,13 @@ def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch, a
     assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
 
 
+def test_usage_error_leaves_existing_output_intact(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    target.write_text("earlier result\n")
+    assert main(["relations", "--order", "99", "--output", str(target)]) == 2
+    assert target.read_text() == "earlier result\n"
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 
