@@ -50,14 +50,22 @@ OUTPUT_GOLDENS = [
      "968c1e4470cc4ca64822efb21ba2f324c627b630135a0c95450da1eecf1f61ff"),
     (["expand", "--side", "both", "--order", "7"],
      "32cf75b3b9f5552772644d7faaa6a34da0cf4b531126c293b69753871bbc4b9e"),
+    (["eval", "--zeta", "3,2", "--digits", "50"],
+     "23db2f8e3a2fd41f067834ba629a11f7e83e8c2b8481c1d9fe7785c2919c83ed"),
+    (["eval", "--delta", "1,2,2", "--digits", "300"],
+     "a43040410db831ba2012524b4c7cf8862126da036c0fdbc2fd1f9c092c44f52e"),
+    (["eval", "--zeta", "2", "--digits", "2000"],
+     "498ed20317afa02b82d9d76cd3024dc09f0a6ff44c9fcb1ea72cdb550d2ed3d5"),
 ]
 
+# keyed by (order, digits)
 VERIFY_GOLDENS = {
-    2: "7985c0e2cab1b2329c4826c46cf04b7eded9ef8c48fe876477822ea22bd51392",
-    3: "f76f754f6a5b9fbf5b84c8383d6dddb2b9172095bb4da2de3632cd2cc0915e00",
-    4: "1e43c3c0251878dff069e074cb2cf79ba91a16948daa9467163a6abca084a126",
-    5: "fd8c779c5215ba1e259d54fa27cf7f9f5e18b8274253bff60dc1cb6437608d27",
-    6: "d4d60735254a70b83db6689fae32c5f84f01fb77b8acba98fd2b9e530a81e90f",
+    (2, 40): "7985c0e2cab1b2329c4826c46cf04b7eded9ef8c48fe876477822ea22bd51392",
+    (3, 40): "f76f754f6a5b9fbf5b84c8383d6dddb2b9172095bb4da2de3632cd2cc0915e00",
+    (4, 40): "1e43c3c0251878dff069e074cb2cf79ba91a16948daa9467163a6abca084a126",
+    (5, 40): "fd8c779c5215ba1e259d54fa27cf7f9f5e18b8274253bff60dc1cb6437608d27",
+    (6, 40): "d4d60735254a70b83db6689fae32c5f84f01fb77b8acba98fd2b9e530a81e90f",
+    (5, 300): "1ba74d4e831a3fc5505d553cc04fac1a04e819031398c9630e14331b44bfedbc",
 }
 
 
@@ -75,13 +83,17 @@ def test_output_golden(tmp_path, capsys, monkeypatch, argv, digest):
     assert _sha(target.read_bytes()) == digest
 
 
-@pytest.mark.parametrize("order", sorted(VERIFY_GOLDENS))
-def test_verify_report_golden(tmp_path, capsys, order):
+@pytest.mark.parametrize(
+    "order,digits",
+    sorted(VERIFY_GOLDENS),
+    ids=[str(o) if d == 40 else "%d-digits-%d" % (o, d) for o, d in sorted(VERIFY_GOLDENS)],
+)
+def test_verify_report_golden(tmp_path, capsys, order, digits):
     report = tmp_path / "report.json"
-    assert main(["verify", "--order", str(order), "--digits", "40",
+    assert main(["verify", "--order", str(order), "--digits", str(digits),
                  "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
     for row in payload["relations"]:
         del row["residual"]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert _sha(text.encode("utf-8")) == VERIFY_GOLDENS[order]
+    assert _sha(text.encode("utf-8")) == VERIFY_GOLDENS[order, digits]
