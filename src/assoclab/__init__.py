@@ -51,7 +51,6 @@ from .relations import (
 )
 from .numeric import (
     Precision,
-    eval_alt_ones,
     eval_delta,
     eval_symexpr,
     eval_zeta,

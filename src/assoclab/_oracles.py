@@ -18,9 +18,7 @@ from fractions import Fraction
 
 from .symring import SymExpr, LOG2
 from .freealg import (
-    B,
     NCSeries,
-    nc_exp_letter,
     nc_graded_part,
     nc_mul,
     nc_scale,
@@ -28,12 +26,7 @@ from .freealg import (
     nc_swap,
     nc_unit,
 )
-from .delta_side import iint_to_sym, phi_delta, xi_series
-
-
-def psi_series(order: int) -> NCSeries:
-    """exp(cB) * Xi_B, the left half of the delta-side product."""
-    return nc_mul(nc_exp_letter(B, 1, order), xi_series(B, order))
+from .delta_side import iint_to_sym, phi_delta, psi_series
 
 
 def omega(psi: NCSeries, k: int) -> NCSeries:

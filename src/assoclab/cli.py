@@ -349,13 +349,20 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    created = []
     try:
         # check paths before any work; append mode leaves an existing file intact
         for path in (getattr(args, "output", None), getattr(args, "report", None)):
             if path:
+                existed = os.path.lexists(path)
                 _emit("", path, "a")
+                if not existed:
+                    created.append(path)
         return args.handler(args)
     except UsageError as exc:
+        # a usage error leaves no empty file behind, only what was there before
+        for path in created:
+            os.remove(path)
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

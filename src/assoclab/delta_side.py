@@ -8,7 +8,10 @@ at argument 1/2).  The full series is the product
 
     exp(c B) * Xi_B * inverse(Xi_A) * exp(-c A),
 
-with c = log 2 and Xi_A the letter swap of Xi_B.
+with c = log 2 and Xi_A the letter swap of Xi_B.  It is built from the one
+factor psi = exp(c B) * Xi_B, whose letter swap is exp(c A) * Xi_A, as
+
+    Phi = psi * inverse(swap(psi)).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from math import comb, factorial
 
 from .symring import SymExpr, SymMonomial, LOG2, delta
 from .freealg import (
-    A,
     B,
     NCSeries,
     ad_words,
@@ -135,12 +137,14 @@ def xi_series(actor: str, order: int) -> NCSeries:
     )
 
 
+def psi_series(order: int) -> NCSeries:
+    """exp(cB) * Xi_B, the left half of the delta-side product."""
+    return nc_mul(nc_exp_letter(B, 1, order), xi_series(B, order))
+
+
 def phi_delta(order: int) -> NCSeries:
     """exp(cB) * Xi_B * inverse(Xi_A) * exp(-cA) at the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    xi_b = xi_series(B, order)
-    left = nc_mul(nc_exp_letter(B, 1, order), xi_b)
-    right = nc_mul(nc_inverse(nc_swap(xi_b)), nc_exp_letter(A, -1, order))
-    del xi_b  # release Xi_B before the largest product
-    return nc_mul(left, right)
+    psi = psi_series(order)
+    return nc_mul(psi, nc_inverse(nc_swap(psi)))

@@ -8,10 +8,14 @@ midpoint: every split half is again a delta-type value.  The split of the
 depth-one word K0 K1 is Euler's dilogarithm identity zeta[2] = 2 d[2] + c^2;
 the general case is the same convolution at arbitrary depth.
 
+The constant c = log 2 is itself the delta value d[1] = Li_1(1/2), so it
+takes the same summation as every other delta generator.
+
 All evaluation goes through mpmath.  Results carry no error object; instead
 the working precision exceeds the requested digits by a guard margin plus a
 term-count allowance, and the summation cutoffs are chosen against an
-explicit tail bound.
+explicit tail bound.  Values are cached once, by ``functools.lru_cache`` on
+the validated composition and the (frozen) Precision.
 """
 
 from __future__ import annotations
@@ -19,19 +23,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .symring import (
-    Generator,
-    LOG2,
-    NotAdmissibleError,
-    SymExpr,
-    check_composition,
-    zeta,
-)
+from .symring import Generator, NotAdmissibleError, SymExpr, check_composition
 
 K0 = "0"
 K1 = "1"
@@ -60,19 +56,16 @@ def _delta_cutoff(depth: int, target_digits: int) -> int:
     return M
 
 
-_VALUE_CACHE: dict[tuple, mpf] = {}
-
-
 def eval_delta(comp, prec: Precision = Precision()) -> mpf:
     """Nested sum over n1 > n2 > ... > nk >= 1 of 2^(-n1) / prod ni^si.
 
     The first part may be 1; convergence is geometric regardless.
     """
-    comp = check_composition(comp)
-    key = ("delta", comp, prec.digits, prec.guard)
-    hit = _VALUE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _delta(check_composition(comp), prec)
+
+
+@lru_cache(maxsize=None)
+def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
     depth = len(comp)
     M = _delta_cutoff(depth, prec.digits + prec.guard)
     with mp.workdps(_working_dps(prec, M * depth)):
@@ -91,7 +84,6 @@ def eval_delta(comp, prec: Precision = Precision()) -> mpf:
         for n in range(1, M + 1):
             pw /= 2
             total += pw * prev[n - 1] / mpf(n) ** s1
-    _VALUE_CACHE[key] = total
     return total
 
 
@@ -138,10 +130,11 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
     comp = check_composition(comp)
     if comp[0] < 2:
         raise NotAdmissibleError("first part must be >= 2: %r" % (comp,))
-    key = ("zeta", comp, prec.digits, prec.guard)
-    hit = _VALUE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _zeta(comp, prec)
+
+
+@lru_cache(maxsize=None)
+def _zeta(comp: tuple[int, ...], prec: Precision) -> mpf:
     word = zeta_word(comp)
     n = len(word)
     with mp.workdps(_working_dps(prec, n + 1)):
@@ -154,72 +147,14 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
             if v:
                 part *= eval_delta(word_to_composition(v), prec)
             total += part
-    _VALUE_CACHE[key] = total
     return total
-
-
-def _partitions(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
-def _polylog_at_sign(k: int) -> SymExpr:
-    # Li_k evaluated at (-1)^k: -c for k=1, zeta_k for even k,
-    # (2^(1-k)-1) zeta_k for odd k >= 3
-    if k == 1:
-        return SymExpr.gen(LOG2, coeff=Fraction(-1))
-    if k % 2 == 0:
-        return SymExpr.gen(zeta((k,)))
-    return SymExpr.gen(zeta((k,)), coeff=Fraction(1 - 2 ** (k - 1), 2 ** (k - 1)))
-
-
-@lru_cache(maxsize=None)
-def alt_ones_symexpr(n: int) -> SymExpr:
-    """Closed form of the weight-n all-ones polylogarithm at alternating signs.
-
-    Exponential-of-power-sums expansion over partitions of n; the only
-    generators that appear are c and single zetas up to weight n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = SymExpr.zero()
-    for parts in _partitions(n):
-        mult: dict[int, int] = {}
-        for k in parts:
-            mult[k] = mult.get(k, 0) + 1
-        term = SymExpr.one()
-        for k, j in mult.items():
-            base = _polylog_at_sign(k).scale(Fraction(-1, k))
-            term = term * (base**j).scale(Fraction(1, math.factorial(j)))
-        total = total + term
-    if n % 2:
-        total = -total
-    return total
-
-
-def eval_alt_ones(n: int, prec: Precision = Precision()) -> tuple[SymExpr, mpf]:
-    e = alt_ones_symexpr(n)
-    return e, eval_symexpr(e, prec)
 
 
 def _generator_value(g: Generator, prec: Precision) -> mpf:
-    # eval_zeta and eval_delta cache their own values
+    # c is the delta value d[1]; its generator carries no parts
     if g.kind == "zeta":
         return eval_zeta(g.parts, prec)
-    if g.kind == "delta":
-        return eval_delta(g.parts, prec)
-    key = ("log2", None, prec.digits, prec.guard)
-    val = _VALUE_CACHE.get(key)
-    if val is None:
-        with mp.workdps(_working_dps(prec, 1)):
-            val = _VALUE_CACHE[key] = mp.log(2)
-    return val
+    return eval_delta(g.parts or (1,), prec)
 
 
 def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:

@@ -54,7 +54,6 @@ from .mzv_side import (
     zeta_composition,
 )
 from .delta_side import iint_terms, iint_to_sym, index_weight, index_words, phi_delta
-from .numeric import alt_ones_symexpr
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,12 @@ def known_values() -> list[Relation]:
         ("delta_2_1", d(2, 1) - z(3).scale(Fraction(1, 8)) + c(3, Fraction(1, 6))),
         ("delta_1_2", d(1, 2) - (c(1) * z(2)).scale(half) + c(3, Fraction(1, 6)) + z(3).scale(Fraction(1, 4))),
         ("delta_3_1", d(3, 1) - z(4).scale(Fraction(1, 8)) + (c(1) * z(3)).scale(Fraction(1, 8)) - c(4, Fraction(1, 24))),
-        ("delta_2_2_alt_ones", d(2, 2) - alt_ones_symexpr(4)),
-        ("delta_1_2_2_alt_ones", d(1, 2, 2) + alt_ones_symexpr(5)),
+        ("delta_2_2_alt_ones", d(2, 2) + z(4).scale(Fraction(1, 4)) - (c(1) * z(3)).scale(Fraction(1, 4))
+         - (z(2) * z(2)).scale(Fraction(1, 8)) + (c(2) * z(2)).scale(Fraction(1, 4)) - c(4, Fraction(1, 24))),
+        ("delta_1_2_2_alt_ones", d(1, 2, 2) - z(5).scale(Fraction(3, 16)) + (c(1) * z(4)).scale(Fraction(1, 4))
+         + (z(2) * z(3)).scale(Fraction(1, 8)) - (c(2) * z(3)).scale(Fraction(1, 8))
+         - (c(1) * z(2) * z(2)).scale(Fraction(1, 8)) + (c(3) * z(2)).scale(Fraction(1, 12))
+         - c(5, Fraction(1, 120))),
         ("zeta_3_1_self_dual", z(3, 1) - z(4).scale(Fraction(1, 4))),
         ("zeta_4_1", z(4, 1) - z(5).scale(Fraction(2)) + z(2) * z(3)),
         ("zeta_3_2", z(3, 2) - (z(3) * z(2)).scale(Fraction(3)) + z(5).scale(Fraction(11, 2))),

@@ -243,6 +243,18 @@ def test_usage_error_leaves_existing_output_intact(tmp_path, capsys):
     assert target.read_text() == "earlier result\n"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["relations", "--aux", "bogus"], "--output"),
+    (["expand", "--order", "99"], "--output"),
+    (["verify", "--digits", "5"], "--report"),
+], ids=["relations", "expand", "verify"])
+def test_usage_error_leaves_no_new_file(tmp_path, capsys, argv, flag):
+    target = tmp_path / "new.json"
+    assert main(argv + [flag, str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and each
+module imports only the package modules of the layers below it.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` is skipped: its
@@ -40,3 +41,51 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+SERIES = {"symring", "freealg", "mzv_side", "delta_side"}
+
+# allowed assoclab imports per module; None means unrestricted
+LAYERS = {
+    "symring": set(),
+    "freealg": {"symring"},
+    "mzv_side": {"symring", "freealg"},
+    "delta_side": {"symring", "freealg"},
+    "relations": SERIES,
+    "numeric": {"symring"},
+    "_oracles": None,
+    "cli": None,
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of the assoclab modules a source file imports, at any depth."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("assoclab."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("assoclab."))
+    return out
+
+
+def test_layer_checker_reads_every_import_form():
+    source = "from .symring import zeta\nfrom . import numeric\nimport assoclab.freealg\n" \
+             "def f():\n    from assoclab.cli import main\n"
+    assert package_imports(source) == {"symring", "numeric", "freealg", "cli"}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES} == set(LAYERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    allowed = LAYERS[path.stem]
+    if allowed is not None:
+        assert package_imports(path.read_text()) <= allowed

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -14,8 +13,6 @@ from assoclab.numeric import (
     VerifyResult,
     _delta_cutoff,
     _working_dps,
-    alt_ones_symexpr,
-    eval_alt_ones,
     eval_delta,
     eval_symexpr,
     eval_zeta,
@@ -117,6 +114,18 @@ def test_eval_delta_single_one_is_log_two():
         assert abs(v - mp.log(2)) < mp.mpf(10) ** (-39)
 
 
+@pytest.mark.parametrize("digits", [40, 300])
+def test_log_two_generator_is_delta_one(digits):
+    v = eval_symexpr(SymExpr.gen(LOG2), Precision(digits))
+    with mp.workdps(digits + 20):
+        assert abs(v - mp.log(2)) < mp.mpf(10) ** (-digits)
+
+
+def test_eval_delta_accepts_a_list_behind_the_cache():
+    p = Precision(digits=30)
+    assert eval_delta([2, 1], p) == eval_delta((2, 1), p)
+
+
 def test_eval_zeta_precision_scaling():
     lo = eval_zeta((3, 2), Precision(digits=20))
     hi = eval_zeta((3, 2), Precision(digits=60))
@@ -163,27 +172,6 @@ def test_word_dual_examples():
     assert word_dual((2, 2)) == (2, 2)
     assert word_dual((3, 1)) == (3, 1)
     assert word_dual((4, 1)) == (3, 1, 1)
-
-
-def test_alt_ones_symexpr_depth_two():
-    c2 = SymExpr.gen(LOG2, exp=2, coeff=Fraction(1, 2))
-    z2 = SymExpr.gen(zeta((2,)), coeff=Fraction(-1, 2))
-    assert alt_ones_symexpr(2) == c2 + z2
-
-
-def test_alt_ones_weight_homogeneous():
-    from assoclab.symring import sym_weight
-
-    for n in range(1, 7):
-        assert sym_weight(alt_ones_symexpr(n)) == n
-
-
-def test_eval_alt_ones_pair_consistent():
-    prec = Precision(digits=35)
-    for n in (2, 3, 4, 5):
-        expr, value = eval_alt_ones(n, prec)
-        assert expr == alt_ones_symexpr(n)
-        assert close_enough(value, eval_symexpr(expr, prec), 30)
 
 
 def test_eval_symexpr_zero_and_composite():
