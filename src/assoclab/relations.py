@@ -10,7 +10,8 @@ Sources of relations:
     indices positive the same combinatorics applies verbatim to the
     zeta-kernel integrals, giving quadratic zeta identities,
   * duality: reverse-and-swap symmetry of the zeta integration words,
-  * known values: a fixed table of classical closed forms.
+  * known values: a fixed table of classical closed forms, each written out
+    as a literal over the generators.
 
 Reduction works per weight class.  Monomials in the generators are the
 coordinates; the span of a relation set is taken in the ideal sense: a

@@ -62,22 +62,26 @@ def package_imports(source: str) -> set[str]:
     """Names of the assoclab modules a source file imports, at any depth."""
     out: set[str] = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            if node.level and node.module:
-                out.add(node.module.split(".")[0])
-            elif node.level:
-                out.update(alias.name for alias in node.names)
-            elif node.module and node.module.startswith("assoclab."):
-                out.add(node.module.split(".")[1])
-        elif isinstance(node, ast.Import):
+        if isinstance(node, ast.Import):
             out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("assoclab."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "assoclab":
+                    continue
+                module = module[len("assoclab."):]
+            if module:
+                out.add(module.split(".")[0])
+            else:  # from . import x, or from assoclab import x
+                out.update(alias.name for alias in node.names)
     return out
 
 
 def test_layer_checker_reads_every_import_form():
-    source = "from .symring import zeta\nfrom . import numeric\nimport assoclab.freealg\n" \
-             "def f():\n    from assoclab.cli import main\n"
-    assert package_imports(source) == {"symring", "numeric", "freealg", "cli"}
+    source = ("from .symring import zeta\nfrom . import numeric\nimport assoclab.freealg\n"
+              "from assoclab import relations\nimport os\n"
+              "def f():\n    from assoclab.cli import main\n")
+    assert package_imports(source) == {"symring", "numeric", "freealg", "relations", "cli"}
 
 
 def test_every_module_has_a_layer():
