@@ -50,6 +50,8 @@ OUTPUT_GOLDENS = [
      "968c1e4470cc4ca64822efb21ba2f324c627b630135a0c95450da1eecf1f61ff"),
     (["expand", "--side", "both", "--order", "7"],
      "32cf75b3b9f5552772644d7faaa6a34da0cf4b531126c293b69753871bbc4b9e"),
+    (["expand", "--side", "delta", "--order", "8"],
+     "760ad05aa702dbba29d56bc07042111ff85ab3fb851b0f790056f5b8edd0b9b6"),
     (["eval", "--zeta", "3,2", "--digits", "50"],
      "23db2f8e3a2fd41f067834ba629a11f7e83e8c2b8481c1d9fe7785c2919c83ed"),
     (["eval", "--delta", "1,2,2", "--digits", "300"],
