@@ -24,6 +24,7 @@ from .freealg import (
     OrderMismatchError,
     ad_power,
     nc_coeff,
+    nc_div,
     nc_exp_letter,
     nc_inverse,
     nc_mul,

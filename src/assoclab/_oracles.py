@@ -1,15 +1,12 @@
 """Hand-expansion cross-checks used by selftest and the integration tests.
 
-The product form of the delta-side series can be rebuilt degree by degree
-from the single factor psi = exp(cB) * Xi_B and its letter swap: with
-omega_k the degree-k antisymmetrisation psi_k - swap(psi)_k, the series
-satisfies the recursion
-
-    Phi_k = omega_k - sum over 0 < j < k of Phi_j * swap(psi)_{k-j},
-
-because Phi * swap(psi) = psi as series and one can solve triangularly.
-These identities hold exactly at the raw-generator level and make an
-independent oracle for the assembled product.  None of this is public API.
+Production builds the delta-side series as the quotient psi / swap(psi) of
+the single factor psi = exp(cB) * Xi_B, solved degree by degree.  The
+oracle here is the product form: the whole inverse series of swap(psi),
+built on its own and multiplied on the left by psi.  The degree-2
+antisymmetrisation psi_2 - swap(psi)_2 is also checked against its printed
+closed form.  These identities hold exactly at the raw-generator level.
+None of this is public API.
 """
 
 from __future__ import annotations
@@ -20,11 +17,11 @@ from .symring import SymExpr, LOG2
 from .freealg import (
     NCSeries,
     nc_graded_part,
+    nc_inverse,
     nc_mul,
     nc_scale,
     nc_sub,
     nc_swap,
-    nc_unit,
 )
 from .delta_side import iint_to_sym, phi_delta, psi_series
 
@@ -40,22 +37,10 @@ def commutator_x(order: int) -> NCSeries:
     return NCSeries(order, {"BA": one, "AB": -one})
 
 
-def phi_from_recursion(order: int) -> NCSeries:
-    """Rebuild the delta-side series from psi alone, degree by degree."""
+def phi_from_product(order: int) -> NCSeries:
+    """psi * inverse(swap(psi)): the delta-side series as an explicit product."""
     psi = psi_series(order)
-    psi_swap = nc_swap(psi)
-    parts: dict[int, NCSeries] = {0: nc_unit(order)}
-    for k in range(1, order + 1):
-        acc = omega(psi, k)
-        for j in range(1, k):
-            prod = nc_mul(parts[j], nc_graded_part(psi_swap, k - j))
-            acc = nc_sub(acc, nc_graded_part(prod, k))
-        parts[k] = acc
-    coeffs: dict[str, SymExpr] = {}
-    for part in parts.values():
-        for w, e in part.coeffs.items():
-            coeffs[w] = coeffs.get(w, SymExpr.zero()) + e
-    return NCSeries(order, coeffs)
+    return nc_mul(psi, nc_inverse(nc_swap(psi)))
 
 
 def omega2_closed_form(order: int) -> NCSeries:
@@ -64,9 +49,9 @@ def omega2_closed_form(order: int) -> NCSeries:
     return nc_scale(commutator_x(order), coeff)
 
 
-def check_psi_recursion(order: int = 5) -> bool:
-    """The triangular rebuild must equal the assembled product exactly."""
-    return phi_from_recursion(order) == phi_delta(order)
+def check_product_form(order: int = 5) -> bool:
+    """The product form must equal the production quotient exactly."""
+    return phi_from_product(order) == phi_delta(order)
 
 
 def check_omega2(order: int = 4) -> bool:

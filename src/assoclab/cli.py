@@ -252,7 +252,7 @@ def _selftest_checks():
         ("kernel integral special cases", iint_special_cases),
         ("delta side times its swap is the unit series", delta_inverse_raw),
         ("mzv side inverse holds modulo aux relations", mzv_inverse_reduced),
-        ("psi recursion rebuilds the delta side", lambda: _oracles.check_psi_recursion(5)),
+        ("product form rebuilds the delta side", lambda: _oracles.check_product_form(5)),
         ("degree-2 antisymmetrisation closed form", lambda: _oracles.check_omega2(4)),
         ("known closed forms verify at 30 digits", numeric_known_values),
         ("self-dual evaluation verifies numerically", numeric_duality),

@@ -9,9 +9,8 @@ at argument 1/2).  The full series is the product
     exp(c B) * Xi_B * inverse(Xi_A) * exp(-c A),
 
 with c = log 2 and Xi_A the letter swap of Xi_B.  It is built from the one
-factor psi = exp(c B) * Xi_B, whose letter swap is exp(c A) * Xi_A, as
-
-    Phi = psi * inverse(swap(psi)).
+factor psi = exp(c B) * Xi_B, whose letter swap is exp(c A) * Xi_A, as the
+quotient Phi = psi / swap(psi): the series with Phi * swap(psi) = psi.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from .freealg import (
     B,
     NCSeries,
     ad_words,
+    nc_div,
     nc_exp_letter,
-    nc_inverse,
     nc_mul,
     nc_swap,
     nc_word_sums,
@@ -147,4 +146,4 @@ def phi_delta(order: int) -> NCSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     psi = psi_series(order)
-    return nc_mul(psi, nc_inverse(nc_swap(psi)))
+    return nc_div(psi, nc_swap(psi))

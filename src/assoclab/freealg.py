@@ -13,8 +13,9 @@ constraint, because intermediate test expressions are free to violate it.
 
 Products are graded: the right factor's words are grouped by degree, so only
 pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
-word are summed in one accumulator (``symring.sum_of_products``).  The
-inverse is solved degree by degree from the same pair sums.
+word are summed in one accumulator (``symring.sum_of_products``).
+Quotients a * inverse(s) are solved degree by degree from the same pair
+sums (``nc_div``), and the inverse is the quotient of the unit.
 """
 
 from __future__ import annotations
@@ -144,24 +145,31 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 
-def nc_inverse(s: NCSeries) -> NCSeries:
-    """Multiplicative inverse, solved degree by degree.
+def nc_div(a: NCSeries, s: NCSeries) -> NCSeries:
+    """Right quotient a * inverse(s), solved degree by degree.
 
-    Requires constant term exactly 1.  With t = 1 - s, which has no constant
-    term, the inverse is 1 + t + t^2 + ..., so inv[w] is the sum of
-    t[u] * inv[v] over the splits w = uv with u nonempty; the right side only
-    reads inverse coefficients of lower degree.
+    Requires constant term exactly 1 in s.  With t = 1 - s, the quotient
+    solves x = a + x * t, and as t has no constant term, x[w] only reads
+    quotient coefficients of lower degree.
     """
-    if s.coeffs.get("") != SymExpr.one():
+    if a.order != s.order:
+        raise OrderMismatchError("orders %d != %d" % (a.order, s.order))
+    one = SymExpr.one()
+    if s.coeffs.get("") != one:
         raise NotUnitalError("constant term must be 1")
-    t = _by_degree(nc_neg(s))
-    inv: list[list[tuple[str, SymExpr]]] = [[("", SymExpr.one())]]
-    for n in range(1, s.order + 1):
-        pairs: dict[str, list] = {}
+    head, t = _by_degree(a), _by_degree(nc_neg(s))
+    x: list[list[tuple[str, SymExpr]]] = []
+    for n in range(s.order + 1):
+        pairs = {w: [(e, one)] for w, e in head[n]}
         for k in range(1, n + 1):
-            _meet(pairs, t[k], inv[n - k])
-        inv.append([(w, e) for w, p in pairs.items() if (e := sum_of_products(p))])
-    return NCSeries(s.order, {w: e for level in inv for w, e in level})
+            _meet(pairs, x[n - k], t[k])
+        x.append([(w, e) for w, p in pairs.items() if (e := sum_of_products(p))])
+    return NCSeries(s.order, {w: e for level in x for w, e in level})
+
+
+def nc_inverse(s: NCSeries) -> NCSeries:
+    """Multiplicative inverse: the quotient of the unit by s."""
+    return nc_div(nc_unit(s.order), s)
 
 
 def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:

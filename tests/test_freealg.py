@@ -19,6 +19,7 @@ from assoclab.freealg import (
     check_grading,
     nc_add,
     nc_coeff,
+    nc_div,
     nc_exp_letter,
     nc_graded_part,
     nc_inverse,
@@ -130,6 +131,15 @@ def test_inverse_requires_unit_constant_term():
         nc_inverse(NCSeries(3))
     with pytest.raises(NotUnitalError):
         nc_inverse(NCSeries(3, {"": SymExpr.rational(2)}))
+
+
+def test_div_requires_unit_divisor_and_equal_orders():
+    with pytest.raises(NotUnitalError):
+        nc_div(nc_unit(3), NCSeries(3))
+    with pytest.raises(NotUnitalError):
+        nc_div(nc_unit(3), NCSeries(3, {"": SymExpr.rational(2)}))
+    with pytest.raises(OrderMismatchError):
+        nc_div(nc_unit(2), nc_unit(3))
 
 
 def test_inverse_property_random():

@@ -3,20 +3,37 @@
 A refactor must leave every digest unchanged.  The verify report is hashed
 with its ``residual`` strings removed (last-digit noise is not part of the
 contract) and serialised with sorted keys, as the benchmark harness does.
+The benchmark's own output checks in ``perfbench/golden.json`` are read
+(never written) and run here too, so a moved digest fails a test rather
+than only the benchmark runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from assoclab.cli import main
 
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _report_sha(payload: dict) -> str:
+    for row in payload["relations"]:
+        del row["residual"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _sha(text.encode("utf-8"))
+
+
+def _bench_golden(workload: str) -> dict:
+    return json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))[workload]
 
 
 OUTPUT_GOLDENS = [
@@ -94,8 +111,22 @@ def test_verify_report_golden(tmp_path, capsys, order, digits):
     report = tmp_path / "report.json"
     assert main(["verify", "--order", str(order), "--digits", str(digits),
                  "--report", str(report)]) == 0
+    assert _report_sha(json.loads(report.read_text())) == VERIFY_GOLDENS[order, digits]
+
+
+# reduce-o8 is pinned above as relations --order 8 --aux all --reduce
+def test_benchmark_expand_o9_golden(capsys, monkeypatch):
+    golden = _bench_golden("expand-o9")
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "9")
+    assert main(["expand", "--side", "both", "--order", "9"]) == 0
+    assert _sha(capsys.readouterr().out.encode("utf-8")) == golden["stdout_sha256"]
+
+
+def test_benchmark_verify_o7_d300_golden(tmp_path, capsys, monkeypatch):
+    golden = _bench_golden("verify-o7-d300")
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "9")
+    report = tmp_path / "report.json"
+    assert main(["verify", "--order", "7", "--digits", "300", "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
-    for row in payload["relations"]:
-        del row["residual"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert _sha(text.encode("utf-8")) == VERIFY_GOLDENS[order, digits]
+    assert (payload["count"], payload["failures"]) == (golden["count"], golden["failures"])
+    assert _report_sha(payload) == golden["report_sha256_without_residual"]

@@ -301,9 +301,10 @@ def test_normal_forms_weight_five_depth_two(span5):
         assert "d[1,4]" not in got.render()
 
 
-def test_series_consistency_oracles():
-    assert _oracles.check_psi_recursion(5)
-    assert _oracles.check_omega2(4)
+@pytest.mark.parametrize("order", range(8))
+def test_series_consistency_oracles(order):
+    assert _oracles.check_product_form(order)
+    assert _oracles.check_omega2(order)
 
 
 def all_level_words(max_weight):

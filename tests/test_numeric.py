@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -47,6 +48,39 @@ def test_working_dps_and_cutoff_monotone():
     assert _working_dps(p, 100) >= 35
     assert _delta_cutoff(1, 40) < _delta_cutoff(1, 80)
     assert _delta_cutoff(4, 40) >= _delta_cutoff(1, 40)
+
+
+def _chain_tail(depth: int, M: int):
+    """Sum over n > M of 2^-n * H_(n-1)^(depth-1) / (depth-1)!.
+
+    A depth-k delta value's summand at outer index n is at most 2^-n times
+    the sum over n > n2 > ... > nk >= 1 of 1/(n2...nk), which is at most
+    H_(n-1)^(k-1)/(k-1)!; so this bounds what a cutoff at M drops.  Terms
+    fall by about half each step beyond n = 32, so the sum stops once a term
+    is below 10^-25 of the running total.
+    """
+    with mp.workdps(30):
+        h = mp.fsum(mp.one / j for j in range(1, M + 1))  # H_(n-1) at n = M + 1
+        pw = mp.mpf(2) ** -(M + 1)
+        scale = mp.one / math.factorial(depth - 1)
+        total, n = mp.zero, M + 1
+        while True:
+            term = pw * h ** (depth - 1) * scale
+            total += term
+            if term < total * mp.mpf(10) ** -25:
+                return total
+            h += mp.one / n
+            pw /= 2
+            n += 1
+
+
+@pytest.mark.parametrize("digits", [10, 40, 100, 300, 1000, 2000])
+def test_delta_cutoff_drops_less_than_the_target(digits):
+    target = digits + Precision.guard
+    for depth in range(1, 13):
+        M = _delta_cutoff(depth, target)
+        tail = _chain_tail(depth, M)
+        assert tail < mp.mpf(10) ** -target, (depth, M, mp.nstr(tail, 5))
 
 
 def test_eval_delta_spot_value():

@@ -8,9 +8,11 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from assoclab.freealg import NCSeries, nc_inverse, nc_mul, nc_unit
+from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit
 from assoclab.relations import AUX_NAMES, Span, aux_relations, comparison_relations, shuffle
 from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, zeta
+
+from oracle_utils import nc_inverse_geometric, nc_mul_all_pairs
 
 generators = st.one_of(
     st.just(LOG2),
@@ -79,6 +81,15 @@ def test_nc_inverse_is_two_sided(s):
     assert nc_mul(s, inv) == nc_unit(4)
     assert nc_mul(inv, s) == nc_unit(4)
     assert nc_inverse(inv) == s
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_series(n), _series(n, unit=True))))
+def test_nc_div_is_the_right_quotient(pair):
+    a, s = pair
+    x = nc_div(a, s)
+    assert nc_mul(x, s) == a
+    assert x == nc_mul_all_pairs(a, nc_inverse_geometric(s))
 
 
 # -- shuffles and span membership --------------------------------------------
