@@ -75,6 +75,12 @@ OUTPUT_GOLDENS = [
      "a43040410db831ba2012524b4c7cf8862126da036c0fdbc2fd1f9c092c44f52e"),
     (["eval", "--zeta", "2", "--digits", "2000"],
      "498ed20317afa02b82d9d76cd3024dc09f0a6ff44c9fcb1ea72cdb550d2ed3d5"),
+    # a small value (2.4e-11) at the digit bound: its last printed digits
+    # sit near the absolute rounding floor of the summation
+    (["eval", "--delta", "1,1,1,1,1,1,1,1,1,1,1,13", "--digits", "2000"],
+     "1f9881764e181000a74a3b59420ff0a4717c2ba987c01d8ffbb32528cd0fd946"),
+    (["eval", "--zeta", "12", "--digits", "1000"],
+     "7ad46beea2b6e61f2976166f020f49e30257801ca6a3dbda70dadcf25083f72a"),
 ]
 
 # keyed by (order, digits)
