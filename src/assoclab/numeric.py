@@ -11,11 +11,18 @@ the general case is the same convolution at arbitrary depth.
 The constant c = log 2 is itself the delta value d[1] = Li_1(1/2), so it
 takes the same summation as every other delta generator.
 
-All evaluation goes through mpmath.  Results carry no error object; instead
-the working precision exceeds the requested digits by a guard margin plus a
-term-count allowance, and the summation cutoffs are chosen against an
-explicit tail bound.  Values are cached once, by ``functools.lru_cache`` on
-the validated composition and the (frozen) Precision.
+The nested sum is the one of Borwein, Bradley, Broadhurst and Lisonek
+(Special values of multiple polylogarithms, Trans. AMS 353, 2001) at
+argument 1/2, run in integer fixed point: every partial sum is a Python int
+scaled by 2^P, every step is a floor division, and ``_delta``'s docstring
+bounds what the floors lose.  mpmath is used only at the edges: each delta
+value becomes an mpf once, at the working precision, and the midpoint
+split, ``eval_symexpr`` and the residuals are mpf arithmetic.  Results carry
+no error object; instead the working precision exceeds the requested digits
+by a guard margin plus a term-count allowance, and the summation cutoffs
+are chosen against an explicit tail bound.  Values are cached once, by
+``functools.lru_cache`` on the validated composition and the (frozen)
+Precision.
 """
 
 from __future__ import annotations
@@ -64,27 +71,50 @@ def eval_delta(comp, prec: Precision = Precision()) -> mpf:
     return _delta(check_composition(comp), prec)
 
 
+def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
+    # P = ceil(dps*log2(10) + E) with E = k + sum s_i*log2(k+1-i): the first
+    # chain n_i = k+1-i is a term of at least 2^-E, a lower bound on the
+    # value, so an absolute error of 2^-P stays relative to small values
+    k = len(comp)
+    e = k + sum(s * math.log2(k - i) for i, s in enumerate(comp))
+    return int(math.ceil(dps * math.log2(10) + e))
+
+
 @lru_cache(maxsize=None)
 def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
-    depth = len(comp)
-    M = _delta_cutoff(depth, prec.digits + prec.guard)
-    with mp.workdps(_working_dps(prec, M * depth)):
-        # prev[n] = sum over chains below n for the already-processed suffix
-        prev = [mp.one] * (M + 1)
-        for s in comp[:0:-1]:
-            cur = [mp.zero] * (M + 1)
-            run = mp.zero
-            for n in range(1, M + 1):
-                run += prev[n - 1] / mpf(n) ** s
-                cur[n] = run
-            prev = cur
-        total = mp.zero
-        pw = mp.one
-        s1 = comp[0]
+    """Fixed-point nested sum: every value is an int scaled by 2^P.
+
+    Rounding bound.  Each floor division loses less than one unit (2^-P).
+    A level-j array entry at n sums n terms, each a level-(j-1) entry at
+    m-1 < n divided by m^s >= m (carrying less than j-1 units) plus one
+    floor, so it carries at most j*n units of error.  The outer term at n
+    divides a level-(k-1) entry by 2^n, so the 2^-n factor damps that error:
+    the outer sum loses less than M + (k-1)*sum (n-1)/2^n = M + k - 1 units.
+    So the total loss is under (M + k)*2^-P, and every floor rounds down.
+    The cutoff M adds the tail after M, which ``_delta_cutoff`` keeps below
+    10^-(digits+guard); P is chosen so that (M + k)*2^-P is below
+    2^-E*10^-(digits+guard), with 2^-E a lower bound on the value.
+    """
+    k = len(comp)
+    M = _delta_cutoff(k, prec.digits + prec.guard)
+    dps = _working_dps(prec, M * k)
+    P = _fixed_point_bits(comp, dps)
+    # prev[n] = sum over chains below n for the already-processed suffix
+    prev = [1 << P] * (M + 1)
+    for s in comp[:0:-1]:
+        cur = [0] * (M + 1)
+        run = 0
         for n in range(1, M + 1):
-            pw /= 2
-            total += pw * prev[n - 1] / mpf(n) ** s1
-    return total
+            run += prev[n - 1] // n**s
+            cur[n] = run
+        prev = cur
+    total = 0
+    s1 = comp[0]
+    for n in range(1, M + 1):
+        total += (prev[n - 1] >> n) // n**s1
+    # the one rounding to mpf, at the working precision (not the ambient 53 bits)
+    with mp.workdps(dps):
+        return mpf((total, -P))
 
 
 def zeta_word(comp) -> str:

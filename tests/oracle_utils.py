@@ -5,7 +5,10 @@ different code shape) than the package: top-down memoized recursion instead of
 the rolling-array dynamic programme, a polynomial-times-exponential closed-form
 integrator instead of any series conversion, and mpmath's own zeta for the
 depth-one comparisons.  Agreement between these and the package is evidence;
-shared code would be none.
+shared code would be none.  The exceptions are the package's former
+production paths kept here as references (the mpf delta kernel, the rational
+elimination, the all-pairs product and geometric inverse): each checks the
+faster rewrite that replaced it.
 """
 
 from __future__ import annotations
@@ -70,6 +73,86 @@ def brute_delta(comp, digits: int = 30):
         for n1 in range(1, cut + 1):
             out += half ** n1 * tail(1, n1 - 1) / mp.mpf(n1) ** comp[0]
         return +out
+
+
+def _mpf_budget(depth: int, prec):
+    from assoclab.numeric import _delta_cutoff, _working_dps
+
+    M = _delta_cutoff(depth, prec.digits + prec.guard)
+    return M, _working_dps(prec, M * depth)
+
+
+def _mpf_powers(s: int, M: int):
+    # pw[n - 1] = n^s at the working precision
+    return [mp.mpf(n) ** s for n in range(1, M + 1)]
+
+
+def _mpf_level(prev, pw, M: int):
+    # the next suffix's array: cur[n] = sum over m <= n of prev[m-1] / m^s
+    cur = [mp.zero] * (M + 1)
+    run = mp.zero
+    for n in range(1, M + 1):
+        run += prev[n - 1] / pw[n - 1]
+        cur[n] = run
+    return cur
+
+
+def _mpf_outer(prev, pw, M: int):
+    # scaling by 2^-n is exact, so ldexp rounds nothing
+    total = mp.zero
+    for n in range(1, M + 1):
+        total += mp.ldexp(prev[n - 1], -n) / pw[n - 1]
+    return total
+
+
+def delta_mpf(comp, prec):
+    """The nested delta sum in mpf arithmetic, at the package's cutoff and
+    working precision for ``prec`` (a ``numeric.Precision``).
+
+    This is the mpf loop the package ran before its fixed-point integer
+    kernel (ldexp in place of a running 2^-n, exact either way, so the
+    values are bit for bit the old ones).  It is the same recurrence with
+    every step rounded by mpmath, so it checks the integer kernel's
+    rounding, not its cutoff.
+    """
+    comp = tuple(comp)
+    M, dps = _mpf_budget(len(comp), prec)
+    with mp.workdps(dps):
+        # prev[n] = sum over chains below n for the already-processed suffix
+        prev = [mp.one] * (M + 1)
+        for s in comp[:0:-1]:
+            prev = _mpf_level(prev, _mpf_powers(s, M), M)
+        return _mpf_outer(prev, _mpf_powers(comp[0], M), M)
+
+
+def delta_mpf_table(max_weight: int, prec) -> dict:
+    """``{comp: delta_mpf(comp, prec)}`` for every composition of weight at
+    most ``max_weight``.
+
+    Compositions of one depth share cutoff and precision, so a depth-first
+    walk over suffixes builds each suffix array once and reuses it for every
+    longer composition ending in it.  The values are those of ``delta_mpf``
+    step for step, in about half the array passes through weight 8, and each
+    power n^s is formed once per depth.
+    """
+    table = {}
+
+    def walk(suffix, prev, depth, M, powers):
+        room = max_weight - sum(suffix)
+        if len(suffix) == depth - 1:
+            for s1 in range(1, room + 1):
+                table[(s1,) + suffix] = _mpf_outer(prev, powers[s1], M)
+            return
+        # every part still to place, the outer one included, needs at least 1
+        for s in range(1, room - (depth - 1 - len(suffix)) + 1):
+            walk((s,) + suffix, _mpf_level(prev, powers[s], M), depth, M, powers)
+
+    for depth in range(1, max_weight + 1):
+        M, dps = _mpf_budget(depth, prec)
+        with mp.workdps(dps):
+            powers = {s: _mpf_powers(s, M) for s in range(1, max_weight - depth + 2)}
+            walk((), [mp.one] * (M + 1), depth, M, powers)
+    return table
 
 
 def closed_zeta_table(digits: int = 50):

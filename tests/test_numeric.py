@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -9,10 +10,12 @@ import random
 import pytest
 from mpmath import mp
 
+from assoclab import numeric
 from assoclab.numeric import (
     Precision,
     VerifyResult,
     _delta_cutoff,
+    _fixed_point_bits,
     _working_dps,
     eval_delta,
     eval_symexpr,
@@ -26,7 +29,14 @@ from assoclab.numeric import (
 from assoclab.relations import comparison_relations
 from assoclab.symring import LOG2, NotAdmissibleError, SymExpr, delta, zeta
 
-from oracle_utils import brute_delta, close_enough, closed_zeta_table, naive_zeta
+from oracle_utils import (
+    brute_delta,
+    close_enough,
+    closed_zeta_table,
+    delta_mpf,
+    delta_mpf_table,
+    naive_zeta,
+)
 
 
 def compositions_of_weight(w: int):
@@ -76,11 +86,78 @@ def _chain_tail(depth: int, M: int):
 
 @pytest.mark.parametrize("digits", [10, 40, 100, 300, 1000, 2000])
 def test_delta_cutoff_drops_less_than_the_target(digits):
+    # an in-bound eval --zeta 24 splits into d[1^23], so every depth to 24
     target = digits + Precision.guard
-    for depth in range(1, 13):
+    for depth in range(1, 25):
         M = _delta_cutoff(depth, target)
         tail = _chain_tail(depth, M)
         assert tail < mp.mpf(10) ** -target, (depth, M, mp.nstr(tail, 5))
+
+
+def _bound_compositions(depth: int):
+    """Compositions of one depth inside the eval bounds (weight <= 24): all
+    ones, the whole spare weight on the first part (the largest 2^E) or on
+    the last part, and a spread."""
+    spare = 24 - depth
+    out = {(1,) * depth, (1 + spare,) + (1,) * (depth - 1), (1,) * (depth - 1) + (1 + spare,)}
+    out.add(tuple(1 + spare // depth + (i < spare % depth) for i in range(depth)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("digits", [10, 11, 40, 100, 299, 300, 1000, 1999, 2000])
+def test_fixed_point_bits_cover_the_rounding_loss(digits):
+    # (M + k) * 2^-P < 2^-E * 10^-(digits+guard) in integers, with
+    # 2^-E = 2^-k / prod (k+1-i)^s_i the first chain's term
+    prec = Precision(digits)
+    for depth in range(1, 25):
+        M = _delta_cutoff(depth, digits + prec.guard)
+        dps = _working_dps(prec, M * depth)
+        for comp in _bound_compositions(depth):
+            first_chain = 2 ** depth * math.prod((depth - i) ** s for i, s in enumerate(comp))
+            P = _fixed_point_bits(comp, dps)
+            assert (M + depth) * first_chain * 10 ** (digits + prec.guard) < 2 ** P, (comp, P)
+
+
+@pytest.mark.parametrize("digits,max_weight", [(50, 8), (300, 8), (2000, 6)])
+def test_delta_matches_mpf_oracle_at_every_composition(digits, max_weight):
+    prec = Precision(digits)
+    oracle = delta_mpf_table(max_weight, prec)
+    assert len(oracle) == 2 ** max_weight - 1
+    for comp, want in oracle.items():
+        got = numeric._delta(comp, prec)
+        assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
+        with mp.workdps(digits + 40):
+            assert abs(got - want) < mp.mpf(10) ** -(digits + prec.guard), comp
+
+
+def _in_bound_sample(rng, count: int, admissible: bool):
+    """Random compositions with at most 12 parts and weight at most 24."""
+    out = []
+    while len(out) < count:
+        depth = rng.randint(1, 12)
+        weight = rng.randint(depth + admissible, 24)
+        cuts = sorted(rng.sample(range(1, weight), depth - 1))
+        comp = tuple(b - a for a, b in zip([0] + cuts, cuts + [weight]))
+        if not admissible or comp[0] >= 2:
+            out.append(comp)
+    return out
+
+
+@pytest.mark.parametrize("digits,count", [(10, 12), (40, 8), (300, 2)])
+def test_eval_delta_and_zeta_match_mpf_oracle_on_a_seeded_sample(monkeypatch, digits, count):
+    prec = Precision(digits)
+    rng = random.Random(1200 + digits)
+    for comp in _in_bound_sample(rng, count, admissible=False):
+        got, want = eval_delta(comp, prec), delta_mpf(comp, prec)
+        assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
+    zetas = _in_bound_sample(rng, count, admissible=True)
+    got = [eval_zeta(comp, prec) for comp in zetas]
+    # the same midpoint split, run over mpf-kernel delta values (cached, as
+    # the splits share factors such as d[1^j])
+    monkeypatch.setattr(numeric, "_delta", functools.lru_cache(maxsize=None)(delta_mpf))
+    for comp, value in zip(zetas, got):
+        want = numeric._zeta.__wrapped__(comp, prec)
+        assert mp.nstr(value, digits) == mp.nstr(want, digits), comp
 
 
 def test_eval_delta_spot_value():
