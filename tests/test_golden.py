@@ -51,6 +51,8 @@ OUTPUT_GOLDENS = [
      "5d1d523476cf2a2d723a2a89bd6661cef20392a19fa1e366d3a85c3bce0548d8"),
     (["relations", "--order", "8", "--aux", "all", "--reduce"],
      "dc95d669b5b496e51501fbdd24f7297c1faff611c5ca46ed77dc4c1470013b93"),
+    (["relations", "--order", "9", "--aux", "all", "--reduce"],
+     "ad700e212f9454ec5704a076a17dd30108a0a9ab7603ed5c87162045cf22834c"),
     (["relations", "--order", "6", "--aux", "shuffle", "--reduce"],
      "bab05eb5fad78d4a61cc297a3f379db8e9948c78f702f89810162f9d86ebd57c"),
     (["relations", "--order", "5", "--aux", "all", "--reduce", "--format", "text"],
@@ -100,8 +102,8 @@ VERIFY_GOLDENS = {
     ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_GOLDENS],
 )
 def test_output_golden(tmp_path, capsys, monkeypatch, argv, digest):
-    # the order-7 and order-8 cases run above the default order cap of 6
-    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "8")
+    # the order-7 to order-9 cases run above the default order cap of 6
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "9")
     target = tmp_path / "out"
     assert main(argv + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
