@@ -32,7 +32,7 @@ from .freealg import (
     nc_unit,
     series_to_json,
 )
-from .mzv_side import PQComposition, dual_composition, enumerate_pq, phi_mzv, zeta_composition
+from .mzv_side import dual_composition, enumerate_pq, phi_mzv, zeta_composition
 from .delta_side import iint_to_sym, index_words, phi_delta, xi_series
 from .relations import (
     Comparison,

@@ -27,7 +27,7 @@ import sys
 from mpmath import mp
 
 from . import _oracles
-from .symring import NotAdmissibleError, check_composition
+from .symring import NotAdmissibleError
 from .freealg import nc_mul, nc_swap, nc_unit, series_to_json
 from .mzv_side import phi_mzv
 from .delta_side import iint_to_sym, phi_delta
@@ -183,8 +183,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     composition = _parse_composition(getattr(args, kind))
     prec = _precision(args.digits)
     try:
-        comp = check_composition(composition)
-        value = (eval_zeta if kind == "zeta" else eval_delta)(comp, prec)
+        value = (eval_zeta if kind == "zeta" else eval_delta)(composition, prec)
     except (NotAdmissibleError, ValueError) as exc:
         raise UsageError(str(exc))
     text = mp.nstr(value, args.digits)
@@ -192,7 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         payload = {
             "command": "eval",
             "kind": kind,
-            "composition": list(comp),
+            "composition": list(composition),
             "digits": args.digits,
             "value": text,
         }

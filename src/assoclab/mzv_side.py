@@ -12,41 +12,14 @@ from the i-th B-run and prepended at the left end, weighted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 from .symring import SymExpr, zeta
 from .freealg import NCSeries, nc_word_sums
 
-
-@dataclass(frozen=True)
-class PQComposition:
-    """Tuple of (p_i, q_i) pairs, all entries >= 1."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("at least one pair required")
-        for p, q in self.pairs:
-            if p < 1 or q < 1:
-                raise ValueError("pair entries must be >= 1")
-
-    @property
-    def g(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def degree(self) -> int:
-        return sum(p + q for p, q in self.pairs)
-
-    def interleaved(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for p, q in self.pairs:
-            out.append(p)
-            out.append(q)
-        return tuple(out)
+# ((p1, q1), ..., (pg, qg)), all entries >= 1; only enumerate_pq builds one
+Pairs = tuple[tuple[int, int], ...]
 
 
 def _positive_compositions(total: int, parts: int):
@@ -61,40 +34,37 @@ def _positive_compositions(total: int, parts: int):
         yield tuple(comp)
 
 
-def enumerate_pq(r: int) -> list[PQComposition]:
-    """All pair compositions of r, grouped by g ascending.
+def enumerate_pq(r: int) -> list[Pairs]:
+    """All pair compositions ((p1,q1),...,(pg,qg)) of r, grouped by g ascending.
 
     Within each g the interleaved tuples (p1,q1,p2,q2,...) are listed in
     descending lexicographic order; total count is sum_g C(r-1, 2g-1).
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    out: list[PQComposition] = []
+    out: list[Pairs] = []
     for g in range(1, r // 2 + 1):
-        block = sorted(_positive_compositions(r, 2 * g), reverse=True)
-        for flat in block:
-            pairs = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(g))
-            out.append(PQComposition(pairs))
+        for flat in sorted(_positive_compositions(r, 2 * g), reverse=True):
+            out.append(tuple(zip(flat[::2], flat[1::2])))
     return out
 
 
-def zeta_composition(pq: PQComposition) -> tuple[int, ...]:
+def zeta_composition(pairs: Pairs) -> tuple[int, ...]:
     """Composition (p1+1, {1}^(q1-1), ..., pg+1, {1}^(qg-1)); always admissible."""
     parts: list[int] = []
-    for p, q in pq.pairs:
+    for p, q in pairs:
         parts.append(p + 1)
         parts.extend([1] * (q - 1))
     return tuple(parts)
 
 
-def dual_composition(pq: PQComposition) -> PQComposition:
+def dual_composition(pairs: Pairs) -> Pairs:
     """Reverse the pair list and swap p and q within each pair."""
-    return PQComposition(tuple((q, p) for p, q in reversed(pq.pairs)))
+    return tuple((q, p) for p, q in reversed(pairs))
 
 
-def _word_sum(pq: PQComposition) -> dict[str, int]:
+def _word_sum(pairs: Pairs) -> dict[str, int]:
     """Signed word multiset for one index, coefficients as plain integers."""
-    pairs = pq.pairs
     out: dict[str, int] = {}
     s_ranges = [range(p + 1) for p, _ in pairs]
     t_ranges = [range(q + 1) for _, q in pairs]
@@ -124,9 +94,9 @@ def phi_mzv(order: int) -> NCSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     terms = (
-        (SymExpr.gen(zeta(zeta_composition(pq)), coeff=(-1) ** sum(q for _, q in pq.pairs)),
-         _word_sum(pq))
+        (SymExpr.gen(zeta(zeta_composition(pairs)), coeff=(-1) ** sum(q for _, q in pairs)),
+         _word_sum(pairs))
         for r in range(2, order + 1)
-        for pq in enumerate_pq(r)
+        for pairs in enumerate_pq(r)
     )
     return nc_word_sums(order, terms)

@@ -20,9 +20,14 @@ value becomes an mpf once, at the working precision, and the midpoint
 split, ``eval_symexpr`` and the residuals are mpf arithmetic.  Results carry
 no error object; instead the working precision exceeds the requested digits
 by a guard margin plus a term-count allowance, and the summation cutoffs
-are chosen against an explicit tail bound.  Values are cached once, by
-``functools.lru_cache`` on the validated composition and the (frozen)
-Precision.
+are chosen against an explicit tail bound.
+
+There is one value cache, ``_value``, keyed by the ``Generator`` and the
+(frozen) Precision.  A composition is validated once, when its generator is
+built; ``eval_delta``, ``eval_zeta``, the midpoint split and
+``eval_symexpr`` all read values through that cache.  ``eval_symexpr`` sums
+an expression's terms in their stored order, which is deterministic, so
+this module does not depend on the monomial order.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .symring import Generator, NotAdmissibleError, SymExpr, check_composition
+from .symring import Generator, SymExpr, check_composition, delta, zeta
 
 K0 = "0"
 K1 = "1"
@@ -68,7 +73,7 @@ def eval_delta(comp, prec: Precision = Precision()) -> mpf:
 
     The first part may be 1; convergence is geometric regardless.
     """
-    return _delta(check_composition(comp), prec)
+    return _value(delta(comp), prec)
 
 
 def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
@@ -80,7 +85,6 @@ def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
     return int(math.ceil(dps * math.log2(10) + e))
 
 
-@lru_cache(maxsize=None)
 def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
     """Fixed-point nested sum: every value is an int scaled by 2^P.
 
@@ -157,44 +161,38 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
     lower half) times (value of the remaining suffix on the lower half);
     lower-half values are generalized delta values via block decomposition.
     """
-    comp = check_composition(comp)
-    if comp[0] < 2:
-        raise NotAdmissibleError("first part must be >= 2: %r" % (comp,))
-    return _zeta(comp, prec)
+    return _value(zeta(comp), prec)
 
 
 @lru_cache(maxsize=None)
-def _zeta(comp: tuple[int, ...], prec: Precision) -> mpf:
-    word = zeta_word(comp)
-    n = len(word)
-    with mp.workdps(_working_dps(prec, n + 1)):
-        total = mp.zero
-        for i in range(n + 1):
-            u, v = word[:i], word[i:]
-            part = mp.one
-            if u:
-                part *= eval_delta(word_to_composition(reverse_swap(u)), prec)
-            if v:
-                part *= eval_delta(word_to_composition(v), prec)
-            total += part
-    return total
-
-
-def _generator_value(g: Generator, prec: Precision) -> mpf:
-    # c is the delta value d[1]; its generator carries no parts
+def _value(g: Generator, prec: Precision) -> mpf:
     if g.kind == "zeta":
-        return eval_zeta(g.parts, prec)
-    return eval_delta(g.parts or (1,), prec)
+        word = zeta_word(g.parts)
+        n = len(word)
+        with mp.workdps(_working_dps(prec, n + 1)):
+            total = mp.zero
+            for i in range(n + 1):
+                u, v = word[:i], word[i:]
+                part = mp.one
+                if u:
+                    part *= _value(delta(word_to_composition(reverse_swap(u))), prec)
+                if v:
+                    part *= _value(delta(word_to_composition(v)), prec)
+                total += part
+        return total
+    # c is the delta value d[1]; its generator carries no parts
+    if g.kind == "log2":
+        return _value(delta((1,)), prec)
+    return _delta(g.parts, prec)
 
 
 def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
-    terms = e.sorted_terms()
-    with mp.workdps(_working_dps(prec, len(terms) + 1)):
+    with mp.workdps(_working_dps(prec, len(e) + 1)):
         total = mp.zero
-        for mono, q in terms:
+        for mono, q in e.items():
             v = mpf(q.numerator) / q.denominator
             for g, exp in mono.factors:
-                v *= _generator_value(g, prec) ** exp
+                v *= _value(g, prec) ** exp
             total += v
     return total
 

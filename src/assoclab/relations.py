@@ -217,9 +217,9 @@ def duality_relations(max_weight: int) -> list[Relation]:
         raise ValueError("max_weight must be >= 3")
     out: list[Relation] = []
     for r in range(2, max_weight + 1):
-        for pq in enumerate_pq(r):
-            comp = zeta_composition(pq)
-            dcomp = zeta_composition(dual_composition(pq))
+        for pairs in enumerate_pq(r):
+            comp = zeta_composition(pairs)
+            dcomp = zeta_composition(dual_composition(pairs))
             if comp >= dcomp:
                 continue
             expr = SymExpr.gen(zeta(comp)) - SymExpr.gen(zeta(dcomp))

@@ -19,7 +19,6 @@ from assoclab.freealg import (
     nc_unit,
 )
 from assoclab.mzv_side import (
-    PQComposition,
     dual_composition,
     enumerate_pq,
     phi_mzv,
@@ -27,19 +26,6 @@ from assoclab.mzv_side import (
 )
 from assoclab.numeric import word_dual
 from assoclab.symring import SymExpr, zeta
-
-
-def test_pq_validation():
-    pq = PQComposition(((2, 1), (1, 3)))
-    assert pq.g == 2
-    assert pq.degree == 7
-    assert pq.interleaved() == (2, 1, 1, 3)
-    with pytest.raises(ValueError):
-        PQComposition(())
-    with pytest.raises(ValueError):
-        PQComposition(((0, 1),))
-    with pytest.raises(ValueError):
-        PQComposition(((1, -2),))
 
 
 def test_enumerate_pq_requires_degree_two():
@@ -53,28 +39,26 @@ def test_enumerate_pq_counts():
         got = enumerate_pq(r)
         want = sum(comb(r - 1, 2 * g - 1) for g in range(1, r // 2 + 1))
         assert len(got) == want == 2 ** (r - 2)
-        assert all(pq.degree == r for pq in got)
+        assert all(sum(p + q for p, q in pairs) == r for pairs in got)
         assert len(set(got)) == len(got)
 
 
 def test_enumerate_pq_order_g_ascending_then_lex_descending():
-    r3 = [pq.pairs for pq in enumerate_pq(3)]
-    assert r3 == [((2, 1),), ((1, 2),)]
-    r4 = [pq.pairs for pq in enumerate_pq(4)]
-    assert r4 == [((3, 1),), ((2, 2),), ((1, 3),), ((1, 1), (1, 1))]
-    r5 = [pq.interleaved() for pq in enumerate_pq(5)]
+    assert enumerate_pq(3) == [((2, 1),), ((1, 2),)]
+    assert enumerate_pq(4) == [((3, 1),), ((2, 2),), ((1, 3),), ((1, 1), (1, 1))]
+    r5 = [tuple(x for pair in pairs for x in pair) for pairs in enumerate_pq(5)]
     assert r5[:4] == [(4, 1), (3, 2), (2, 3), (1, 4)]
-    gs = [pq.g for pq in enumerate_pq(6)]
+    gs = [len(pairs) for pairs in enumerate_pq(6)]
     assert gs == sorted(gs)
 
 
 def test_zeta_composition_examples():
-    assert zeta_composition(PQComposition(((2, 1),))) == (3,)
-    assert zeta_composition(PQComposition(((1, 2),))) == (2, 1)
-    assert zeta_composition(PQComposition(((1, 3),))) == (2, 1, 1)
-    assert zeta_composition(PQComposition(((1, 1), (1, 1)))) == (2, 2)
-    assert zeta_composition(PQComposition(((2, 1), (1, 1)))) == (3, 2)
-    assert zeta_composition(PQComposition(((1, 1), (2, 1)))) == (2, 3)
+    assert zeta_composition(((2, 1),)) == (3,)
+    assert zeta_composition(((1, 2),)) == (2, 1)
+    assert zeta_composition(((1, 3),)) == (2, 1, 1)
+    assert zeta_composition(((1, 1), (1, 1))) == (2, 2)
+    assert zeta_composition(((2, 1), (1, 1))) == (3, 2)
+    assert zeta_composition(((1, 1), (2, 1))) == (2, 3)
 
 
 def test_zeta_composition_weight_is_degree():
@@ -82,22 +66,19 @@ def test_zeta_composition_weight_is_degree():
     for _ in range(100):
         g = rng.randint(1, 3)
         pairs = tuple((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(g))
-        pq = PQComposition(pairs)
-        comp = zeta_composition(pq)
-        assert sum(comp) == pq.degree
+        comp = zeta_composition(pairs)
+        assert sum(comp) == sum(p + q for p, q in pairs)
         assert comp[0] >= 2
 
 
 def test_dual_composition_is_reverse_swap():
-    pq = PQComposition(((2, 1), (1, 3)))
-    assert dual_composition(pq).pairs == ((3, 1), (1, 2))
+    assert dual_composition(((2, 1), (1, 3))) == ((3, 1), (1, 2))
     rng = random.Random(61)
     for _ in range(100):
         pairs = tuple((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
-        pq = PQComposition(pairs)
-        assert dual_composition(dual_composition(pq)) == pq
+        assert dual_composition(dual_composition(pairs)) == pairs
         # matches the word-level duality used by the numeric module
-        assert zeta_composition(dual_composition(pq)) == word_dual(zeta_composition(pq))
+        assert zeta_composition(dual_composition(pairs)) == word_dual(zeta_composition(pairs))
 
 
 def test_phi_degree_two_is_zeta2_bracket():

@@ -152,11 +152,13 @@ def test_eval_delta_and_zeta_match_mpf_oracle_on_a_seeded_sample(monkeypatch, di
         assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
     zetas = _in_bound_sample(rng, count, admissible=True)
     got = [eval_zeta(comp, prec) for comp in zetas]
-    # the same midpoint split, run over mpf-kernel delta values (cached, as
-    # the splits share factors such as d[1^j])
-    monkeypatch.setattr(numeric, "_delta", functools.lru_cache(maxsize=None)(delta_mpf))
+    # the same midpoint split, run over mpf-kernel delta values; a fresh
+    # value cache, or the oracle side would read the production values
+    monkeypatch.setattr(numeric, "_delta", delta_mpf)
+    fresh = functools.lru_cache(maxsize=None)(numeric._value.__wrapped__)
+    monkeypatch.setattr(numeric, "_value", fresh)
     for comp, value in zip(zetas, got):
-        want = numeric._zeta.__wrapped__(comp, prec)
+        want = eval_zeta(comp, prec)
         assert mp.nstr(value, digits) == mp.nstr(want, digits), comp
 
 
@@ -235,6 +237,25 @@ def test_log_two_generator_is_delta_one(digits):
 def test_eval_delta_accepts_a_list_behind_the_cache():
     p = Precision(digits=30)
     assert eval_delta([2, 1], p) == eval_delta((2, 1), p)
+
+
+def test_one_value_cache_keyed_by_generator():
+    # a precision no other test uses, so every entry below is new here
+    prec = Precision(digits=37)
+    info = numeric._value.cache_info
+    eval_symexpr(SymExpr.gen(LOG2), prec)
+    misses = info().misses
+    eval_delta([1], prec)
+    assert info().misses == misses  # c is d[1]: one entry serves both
+    size = info().currsize
+    eval_delta([3, 1], prec)
+    eval_delta((3, 1), prec)
+    assert info().currsize == size + 1
+    with pytest.raises(NotAdmissibleError):
+        eval_zeta((1, 2), prec)
+    with pytest.raises(ValueError):
+        eval_delta((2, 0), prec)
+    assert info().currsize == size + 1
 
 
 def test_eval_zeta_precision_scaling():
