@@ -316,13 +316,14 @@ class Span:
     """Weight-sliced echelon form of the ideal span of a relation list.
 
     Rows of each weight-w slice are the base relations of weight w plus
-    every lower-weight base relation, converted when the slice is built,
-    multiplied by the monomials of the complementary weight.  A monomial
-    is a descending tuple of indices into the sorted generator list, so
-    tuple order is the fixed monomial order, and a slice keys each
-    monomial by its rank in the sorted ``_monomials(w)``.  Pivot rows are
-    primitive integer vectors ``{rank: int}``: the gcd of the entries is 1
-    and the lead (highest rank) entry is positive.  Elimination is fraction
+    every lower-weight base relation that did not reduce to zero in its own
+    slice, converted when the slice is built, multiplied by the monomials
+    of the complementary weight.  A monomial is a descending tuple of
+    indices into the sorted generator list, so tuple order is the fixed
+    monomial order, and a slice keys each monomial by its rank in the
+    sorted ``_monomials(w)``.  Pivot rows are primitive integer vectors
+    ``{rank: int}``: the gcd of the entries is 1 and the lead (highest
+    rank) entry is positive.  Elimination is fraction
     free: each step is vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead],
     L = piv[lead] and g = gcd(a, L), followed by division by the content.
     Slices are built lazily and kept fully reduced (echelon with
@@ -404,11 +405,14 @@ class Span:
         st = self._slices.get(w)
         if st is not None:
             return st
+        # a base row that reduced to zero in its own slice lies in the span
+        # of that slice, so its products add nothing: multiply live rows only
+        live = {p.origin for v in range(1, w) for p in self._slice(v).values()}
         st = {}
         self._slices[w] = st
         rank = self._ranks(w)
         for i, r in enumerate(self.base):
-            if r.weight < w:
+            if r.weight < w and i in live:
                 vec, _, _ = self._row(r.expr, r.weight)
                 monos = [self._monomials(r.weight)[k] for k in vec]
                 for m in self._monomials(w - r.weight):

@@ -21,9 +21,15 @@ weight delta generators (and among them the deeper ones) are the largest and
 get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
 
-Generators and monomials compute their hash once, monomial products are
-memoised (``monomial_product``), and every expression product runs through
-the one loop ``sum_of_products``.
+Every coefficient of a ``SymExpr`` is a ``Fraction``; ``_ints`` reads their
+numerators and denominators directly.  Generators compute their hash and
+sort key once, when built.  Monomials compute their hash once and their sort
+key, text and LaTeX once per object, on first use.  Monomial products are
+memoised and interned (``monomial_product``): equal products are one object,
+so each distinct monomial carries its cached key and text once.  Every
+expression product runs through the one loop ``sum_of_products``, which
+accumulates integer numerators over a common denominator and builds one
+``Fraction`` per output term.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional
 
 
@@ -78,6 +85,10 @@ class Generator:
                 )
         # ints only, so the hash is the same in every process
         object.__setattr__(self, "_hash", hash((_KIND_RANK[self.kind], self.parts or ())))
+        # larger key = eliminated earlier; see module docstring
+        object.__setattr__(
+            self, "_key", (self.weight, _KIND_RANK[self.kind], self.depth, self.parts or ())
+        )
 
     def __hash__(self):
         return self._hash
@@ -91,8 +102,7 @@ class Generator:
         return 0 if self.kind == "log2" else len(self.parts)
 
     def sort_key(self) -> tuple:
-        # larger key = eliminated earlier; see module docstring
-        return (self.weight, _KIND_RANK[self.kind], self.depth, self.parts or ())
+        return self._key
 
     def render(self) -> str:
         if self.kind == "log2":
@@ -123,7 +133,11 @@ def delta(parts: Iterable[int]) -> Generator:
 
 @dataclass(frozen=True)
 class SymMonomial:
-    """Product of generator powers, factors sorted by the generator order."""
+    """Product of generator powers, factors sorted by the generator order.
+
+    ``sort_key``, ``render`` and ``latex`` are computed on first use and
+    stored on the object; equality and hash read only ``factors``.
+    """
 
     factors: tuple[tuple[Generator, int], ...]
 
@@ -148,12 +162,18 @@ class SymMonomial:
         return sum(g.weight * e for g, e in self.factors)
 
     def sort_key(self) -> tuple:
+        try:
+            return self._key
+        except AttributeError:
+            pass
         # graded, then lex on the descending expansion of the factor list;
         # at equal weight no expansion is a proper prefix of another
         expanded = []
         for g, e in reversed(self.factors):
             expanded.extend([g.sort_key()] * e)
-        return (self.weight, tuple(expanded))
+        key = (self.weight, tuple(expanded))
+        object.__setattr__(self, "_key", key)
+        return key
 
     def mul(self, other: "SymMonomial") -> "SymMonomial":
         return monomial_product(self, other)
@@ -162,16 +182,22 @@ class SymMonomial:
         return not self.factors
 
     def render(self) -> str:
-        if not self.factors:
-            return "1"
+        try:
+            return self._text
+        except AttributeError:
+            pass
         bits = []
         for g, e in self.factors:
             bits.append(g.render() if e == 1 else "%s^%d" % (g.render(), e))
-        return "*".join(bits)
+        text = "*".join(bits) or "1"
+        object.__setattr__(self, "_text", text)
+        return text
 
     def latex(self) -> str:
-        if not self.factors:
-            return "1"
+        try:
+            return self._latex
+        except AttributeError:
+            pass
         bits = []
         for g, e in self.factors:
             base = g.latex()
@@ -181,7 +207,9 @@ class SymMonomial:
                 bits.append(base)
             else:
                 bits.append("%s^{%d}" % (base, e))
-        return " ".join(bits)
+        text = " ".join(bits) or "1"
+        object.__setattr__(self, "_latex", text)
+        return text
 
     def __repr__(self):
         return "SymMonomial(%s)" % self.render()
@@ -190,20 +218,28 @@ class SymMonomial:
 UNIT_MONOMIAL = SymMonomial(())
 
 
+_INTERNED: dict[SymMonomial, SymMonomial] = {}
+
+
 @lru_cache(maxsize=None)
 def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """m1 * m2, memoised: series products meet the same pairs many times."""
-    return SymMonomial(m1.factors + m2.factors)
+    """m1 * m2, memoised: series products meet the same pairs many times.
+
+    Interned: equal products reached from different pairs are one object."""
+    m = SymMonomial(m1.factors + m2.factors)
+    return _INTERNED.setdefault(m, m)
 
 
 def monomial(*factors: tuple[Generator, int]) -> SymMonomial:
     return SymMonomial(tuple(factors))
 
 
-def _latex_coeff(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return r"\tfrac{%d}{%d}" % (q.numerator, q.denominator)
+def _text_coeff(n: int, d: int) -> str:
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
+
+def _latex_coeff(n: int, d: int) -> str:
+    return str(n) if d == 1 else r"\tfrac{%d}{%d}" % (n, d)
 
 
 class SymExpr:
@@ -308,27 +344,30 @@ class SymExpr:
 
     def _format(self, coeff, mono, times: str) -> str:
         # shared by render and latex: they differ only in how a coefficient
-        # and a monomial print and in the product separator
+        # (given as |numerator|, denominator) and a monomial print and in
+        # the product separator
         if not self._terms:
             return "0"
         parts = []
         for i, (m, q) in enumerate(self.sorted_terms()):
-            sign = "-" if q < 0 else "+"
-            aq = abs(q)
+            n, d = q.numerator, q.denominator
+            negative = n < 0
+            if negative:
+                n = -n
             if m.is_unit():
-                body = coeff(aq)
-            elif aq == 1:
+                body = coeff(n, d)
+            elif n == 1 and d == 1:
                 body = mono(m)
             else:
-                body = coeff(aq) + times + mono(m)
+                body = coeff(n, d) + times + mono(m)
             if i == 0:
-                parts.append(body if q > 0 else "-" + body)
+                parts.append("-" + body if negative else body)
             else:
-                parts.append("%s %s" % (sign, body))
+                parts.append(("- " if negative else "+ ") + body)
         return " ".join(parts)
 
     def render(self) -> str:
-        return self._format(str, SymMonomial.render, "*")
+        return self._format(_text_coeff, SymMonomial.render, "*")
 
     def latex(self) -> str:
         return self._format(_latex_coeff, SymMonomial.latex, " ")
@@ -340,25 +379,41 @@ class SymExpr:
 # -- module-level operations ------------------------------------------------
 
 
+def _ints(e: SymExpr):
+    """e as (den, [(monomial, numerator)]): integer numerators over the lcm
+    of its coefficient denominators."""
+    terms = e._terms
+    den = lcm(*(q.denominator for q in terms.values()))
+    return den, [(m, q.numerator * (den // q.denominator)) for m, q in terms.items()]
+
+
 def sum_of_products(pairs) -> SymExpr:
     """Sum of a * b over (SymExpr a, SymExpr b) pairs, in one accumulator.
 
     The one product loop of the package: a series product collects every
     pair that meets at a word and sums them here, with no intermediate
-    expression per pair.
+    expression per pair.  Each operand becomes integer numerators over its
+    own denominator; each pair's products are scaled to den, the lcm of the
+    pair denominators, and summed as ints, and each output term becomes one
+    Fraction(n, den).  Terms keep the order in which they first appear.
     """
-    out: dict[SymMonomial, Fraction] = {}
-    get = out.get
+    conv = []
     for a, b in pairs:
-        right = b._terms.items()
-        for m1, q1 in a._terms.items():
-            for m2, q2 in right:
+        da, left = _ints(a)
+        db, right = _ints(b)
+        conv.append((da * db, left, right))
+    den = lcm(*(d for d, _, _ in conv))
+    out: dict[SymMonomial, int] = {}
+    get = out.get
+    for d, left, right in conv:
+        scale = den // d
+        for m1, n1 in left:
+            n1 *= scale
+            for m2, n2 in right:
                 m = monomial_product(m1, m2)
-                p = q1 * q2
-                s = get(m)
-                out[m] = p if s is None else s + p
+                out[m] = get(m, 0) + n1 * n2
     e = SymExpr.__new__(SymExpr)
-    e._terms = {m: q for m, q in out.items() if q}
+    e._terms = {m: Fraction(n, den) for m, n in out.items() if n}
     return e
 
 

@@ -7,8 +7,8 @@ integrator instead of any series conversion, and mpmath's own zeta for the
 depth-one comparisons.  Agreement between these and the package is evidence;
 shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
-elimination, the all-pairs product and geometric inverse): each checks the
-faster rewrite that replaced it.
+elimination, the Fraction product loop, the all-pairs product and geometric
+inverse): each checks the faster rewrite that replaced it.
 """
 
 from __future__ import annotations
@@ -447,6 +447,24 @@ def fraction_reduce(rels, aux=()) -> list:
 # solves the inverse degree by degree.  These oracles visit every (u, v) pair,
 # multiply coefficients term by term through the monomial constructor, and
 # invert by summing the powers of 1 - s.
+
+
+def sum_of_products_fraction(pairs):
+    """The package's former product loop: sum of a * b over (a, b) pairs in
+    one Fraction accumulator, terms in first-seen order."""
+    from assoclab.symring import SymExpr, monomial_product
+
+    out: dict = {}
+    for a, b in pairs:
+        for m1, q1 in a.items():
+            for m2, q2 in b.items():
+                m = monomial_product(m1, m2)
+                p = q1 * q2
+                s = out.get(m)
+                out[m] = p if s is None else s + p
+    e = SymExpr.__new__(SymExpr)
+    e._terms = {m: q for m, q in out.items() if q}
+    return e
 
 
 def expr_mul(a, b):

@@ -4,15 +4,15 @@ span membership (hypothesis)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
 from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit
 from assoclab.relations import AUX_NAMES, Span, aux_relations, comparison_relations, shuffle
-from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, zeta
+from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, sum_of_products, zeta
 
-from oracle_utils import nc_inverse_geometric, nc_mul_all_pairs
+from oracle_utils import nc_inverse_geometric, nc_mul_all_pairs, sum_of_products_fraction
 
 generators = st.one_of(
     st.just(LOG2),
@@ -27,6 +27,37 @@ factor_lists = st.lists(st.tuples(generators, st.integers(1, 2)), max_size=3)
 monomials = factor_lists.map(lambda fs: SymMonomial(tuple(fs)))
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 exprs = st.dictionaries(monomials, rationals, max_size=3).map(SymExpr)
+
+
+# the denominators the series meet: 1/k! from exponentials, 2^a·3^b from
+# the inverse and the ad-words, and small mixed ones
+mixed_rationals = st.one_of(
+    rationals,
+    st.builds(lambda n, k: Fraction(n, factorial(k)), st.integers(-9, 9), st.integers(0, 8)),
+    st.builds(
+        lambda n, a, b: Fraction(n, 2**a * 3**b),
+        st.integers(-9, 9), st.integers(0, 6), st.integers(0, 4),
+    ),
+)
+mixed_exprs = st.dictionaries(monomials, mixed_rationals, max_size=4).map(SymExpr)
+
+
+@given(st.lists(st.tuples(mixed_exprs, mixed_exprs), max_size=4))
+def test_integer_product_loop_matches_the_fraction_loop(pairs):
+    first = pairs[:1]
+    cases = [
+        pairs,
+        [],
+        pairs + [(SymExpr.zero(), b) for _, b in first],
+        pairs + [(-a, b) for a, b in first],  # the first pair cancels out
+        pairs + [(a, -b) for a, b in pairs],  # everything cancels out
+    ]
+    for case in cases:
+        got, want = sum_of_products(case), sum_of_products_fraction(case)
+        # same terms in the same order: eval_symexpr sums in stored order
+        assert list(got.items()) == list(want.items())
+        assert all(type(q) is Fraction for _, q in got.items())
+    assert not sum_of_products(cases[-1])
 
 
 @given(factor_lists, st.randoms(use_true_random=False))

@@ -17,6 +17,7 @@ from assoclab.symring import (
     check_composition,
     delta,
     monomial,
+    monomial_product,
     sym_weight,
     zeta,
 )
@@ -125,6 +126,45 @@ def test_monomial_order_is_multiplicative_total_order():
         m = monomial(*[(_random_generator(rng), 1) for _ in range(rng.randint(0, 2))])
         if a.sort_key() < b.sort_key():
             assert a.mul(m).sort_key() < b.mul(m).sort_key()
+
+
+def test_equal_products_from_different_pairs_are_one_object():
+    a, b, c = monomial((zeta([2]), 1)), monomial((LOG2, 2)), monomial((delta([3, 1]), 1))
+    ab_c = monomial_product(monomial_product(a, b), c)
+    a_bc = monomial_product(a, monomial_product(b, c))
+    ac_b = monomial_product(monomial_product(a, c), b)
+    assert ab_c is a_bc is ac_b
+    assert a.mul(b) is b.mul(a)
+    assert a.mul(a).mul(b) is monomial((zeta([2]), 2)).mul(b)
+
+
+def test_cached_key_and_text_match_a_fresh_monomial():
+    rng = random.Random(4242)
+    for _ in range(150):
+        fs1 = [(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        fs2 = [(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        m = monomial(*fs1).mul(monomial(*fs2))
+        cached = (m.sort_key(), m.render(), m.latex())
+        assert m.sort_key() is cached[0] and m.render() is cached[1] and m.latex() is cached[2]
+        fresh = SymMonomial(tuple(fs1 + fs2))
+        assert fresh is not m
+        assert (fresh.sort_key(), fresh.render(), fresh.latex()) == cached
+    g = delta([2, 1])
+    assert g.sort_key() is g.sort_key() == (3, 2, 2, (2, 1))
+
+
+def test_cached_attributes_do_not_enter_equality_or_hash():
+    m = monomial((zeta([3]), 1), (LOG2, 2))
+    m.sort_key(), m.render(), m.latex()
+    twin = monomial((LOG2, 2), (zeta([3]), 1))
+    assert "_key" in vars(m) and "_key" not in vars(twin)
+    assert m == twin and hash(m) == hash(twin)
+    assert {m: 1}[twin] == 1
+    # even a wrong cached value leaves equality and hash to the factors
+    for name in ("_key", "_text", "_latex"):
+        object.__setattr__(twin, name, None)
+    assert m == twin and hash(m) == hash(twin)
+    assert monomial((LOG2, 1)) != monomial((LOG2, 2))
 
 
 def test_expr_constructor_drops_zero_terms():
