@@ -71,6 +71,9 @@ OUTPUT_GOLDENS = [
      "32cf75b3b9f5552772644d7faaa6a34da0cf4b531126c293b69753871bbc4b9e"),
     (["expand", "--side", "delta", "--order", "8"],
      "760ad05aa702dbba29d56bc07042111ff85ab3fb851b0f790056f5b8edd0b9b6"),
+    # the highest practical order: word sums over the most terms
+    (["expand", "--side", "both", "--order", "10"],
+     "b134ebd43a05fe40103a289476fd11d3d5f33807b478538875f9c051c9fb6f5a"),
     (["eval", "--zeta", "3,2", "--digits", "50"],
      "23db2f8e3a2fd41f067834ba629a11f7e83e8c2b8481c1d9fe7785c2919c83ed"),
     (["eval", "--delta", "1,2,2", "--digits", "300"],
@@ -102,8 +105,9 @@ VERIFY_GOLDENS = {
     ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_GOLDENS],
 )
 def test_output_golden(tmp_path, capsys, monkeypatch, argv, digest):
-    # the order-7 to order-9 cases run above the default order cap of 6
-    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "9")
+    # the order-7 to order-9 cases run above the default order cap of 6;
+    # the cap rises to 10 only for the one order-10 case
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "10" if "10" in argv else "9")
     target = tmp_path / "out"
     assert main(argv + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
