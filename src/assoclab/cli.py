@@ -292,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     rl.add_argument(
         "--aux",
         default="none",
-        help="comma separated subset of {shuffle,duality,known}, or none/all",
+        help="comma separated subset of {shuffle,duality,known}, or none/all alone",
     )
     rl.add_argument("--reduce", action="store_true")
     rl.add_argument("--format", choices=("json", "latex", "text"), default="json")
@@ -325,6 +325,8 @@ def _parse_aux(raw: str) -> tuple[str, ...]:
         return ()
     if names == ("all",):
         return AUX_NAMES
+    if "all" in names or "none" in names:
+        raise UsageError("aux sets all and none must stand alone, got %r" % raw)
     bad = [n for n in names if n not in AUX_NAMES]
     if bad:
         raise UsageError("unknown aux set(s): %s" % ", ".join(bad))

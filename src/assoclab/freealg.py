@@ -15,7 +15,8 @@ Products are graded: the right factor's words are grouped by degree, so only
 pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
 word are summed in one accumulator (``symring.sum_of_products``).
 Quotients a * inverse(s) are solved degree by degree from the same pair
-sums (``nc_div``), and the inverse is the quotient of the unit.
+sums (``nc_div``), and the inverse is the quotient of the unit.  Word sums
+(``nc_word_sums``) sum all (coefficient, count) pairs of a word at once.
 """
 
 from __future__ import annotations
@@ -187,13 +188,11 @@ def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:
 
 def nc_word_sums(order: int, terms) -> NCSeries:
     """1 + sum of coeff * k * w over (SymExpr coeff, {word w: int k}) pairs."""
-    acc: dict[str, SymExpr] = {"": SymExpr.one()}
+    pairs: dict[str, list] = {"": [(SymExpr.one(), 1)]}
     for coeff, words in terms:
         for w, k in words.items():
-            term = coeff.scale(k)
-            prev = acc.get(w)
-            acc[w] = term if prev is None else prev + term
-    return NCSeries(order, acc)
+            pairs.setdefault(w, []).append((coeff, k))
+    return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 
 def ad_words(actor: str, argument: str, levels) -> dict[str, int]:

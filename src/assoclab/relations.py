@@ -34,9 +34,9 @@ of their certificate bits, and an expression is reduced at its own scale.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .symring import (
     LOG2,
@@ -44,6 +44,8 @@ from .symring import (
     SymExpr,
     SymMonomial,
     delta,
+    int_terms,
+    sum_of_products,
     sym_weight,
     zeta,
 )
@@ -57,57 +59,51 @@ from .mzv_side import (
 from .delta_side import iint_terms, iint_to_sym, index_weight, index_words, phi_delta
 
 
+class _Provenance:
+    """Where a relation comes from, rendered from its dataclass fields.
+
+    The label is KIND[LABEL % fields] and the JSON is ``kind`` and then the
+    fields, both in declaration order; a tuple field prints comma separated
+    in the label and as a list in JSON.
+    """
+
+    def _values(self) -> list:
+        return [(f.name, list(v) if type(v := getattr(self, f.name)) is tuple else v)
+                for f in fields(self)]
+
+    def label(self) -> str:
+        text = tuple(",".join(map(str, v)) if type(v) is list else v for _, v in self._values())
+        return "%s[%s]" % (self.KIND, self.LABEL % text)
+
+    def to_json(self) -> dict:
+        return dict([("kind", self.KIND)] + self._values())
+
+
 @dataclass(frozen=True)
-class Comparison:
+class Comparison(_Provenance):
+    KIND, LABEL = "comparison", "%s:%s"
     order: int
     word: str
 
-    def label(self) -> str:
-        return "comparison[%d:%s]" % (self.order, self.word or "1")
-
-    def to_json(self) -> dict:
-        return {"kind": "comparison", "order": self.order, "word": self.word or "1"}
-
 
 @dataclass(frozen=True)
-class Shuffle:
+class Shuffle(_Provenance):
+    KIND, LABEL = "shuffle", "%s:%s|%s"
+    kernel: str
     u: tuple[int, ...]
     v: tuple[int, ...]
-    kernel: str = "delta"
-
-    def label(self) -> str:
-        fmt = lambda w: ",".join(map(str, w))
-        return "shuffle[%s:%s|%s]" % (self.kernel, fmt(self.u), fmt(self.v))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "shuffle",
-            "kernel": self.kernel,
-            "u": list(self.u),
-            "v": list(self.v),
-        }
 
 
 @dataclass(frozen=True)
-class Duality:
+class Duality(_Provenance):
+    KIND, LABEL = "duality", "%s"
     composition: tuple[int, ...]
 
-    def label(self) -> str:
-        return "duality[%s]" % ",".join(map(str, self.composition))
-
-    def to_json(self) -> dict:
-        return {"kind": "duality", "composition": list(self.composition)}
-
 
 @dataclass(frozen=True)
-class KnownValue:
+class KnownValue(_Provenance):
+    KIND, LABEL = "known", "%s"
     name: str
-
-    def label(self) -> str:
-        return "known[%s]" % self.name
-
-    def to_json(self) -> dict:
-        return {"kind": "known", "name": self.name}
 
 
 class Relation:
@@ -199,11 +195,9 @@ def shuffle_relations(max_weight: int) -> list[Relation]:
             if min(u) >= 1 and min(v) >= 1:
                 kernels.append(("zeta", iint_to_zeta))
             for kernel, f in kernels:
-                lhs = f(u) * f(v)
-                for w, k in sh:
-                    lhs = lhs - f(w).scale(Fraction(k))
+                lhs = sum_of_products([(f(u), f(v))] + [(f(w), -k) for w, k in sh])
                 if lhs:
-                    out.append(Relation(lhs, Shuffle(u, v, kernel)))
+                    out.append(Relation(lhs, Shuffle(kernel, u, v)))
     return out
 
 
@@ -329,9 +323,9 @@ class Span:
     Slices are built lazily and kept fully reduced (echelon with
     back-substitution), so reducing an expression is a single elimination
     pass.  A pivot's certificate is a bitmask over base-row indices, and its
-    origin is the index of its base row (-1 for a product row).  Fractions
-    and provenances appear only at the boundary, in ``reduce_expr`` and
-    ``reduce``.
+    origin is the index of its base row (-1 for a product row).  ``_row``
+    reads a row with ``symring.int_terms``.  Fractions and provenances
+    appear only at the boundary, in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
@@ -356,15 +350,15 @@ class Span:
         denominator ``den`` of its coefficients, plus the terms ``rest`` in
         generators outside the base."""
         rank = self._ranks(w)
-        den = lcm(*(q.denominator for _, q in e.items()))
+        den, terms = int_terms(e)
         vec, rest = {}, {}
-        for m, q in e.items():
+        for m, n in terms:
             try:
                 t = self._indices(m)
             except KeyError:  # a generator outside the base
-                rest[m] = q
+                rest[m] = Fraction(n, den)
             else:
-                vec[rank[t]] = q.numerator * (den // q.denominator)
+                vec[rank[t]] = n
         return vec, den, rest
 
     def _expr(self, w: int, vec, den: int) -> SymExpr:

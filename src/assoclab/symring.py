@@ -21,15 +21,15 @@ weight delta generators (and among them the deeper ones) are the largest and
 get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
 
-Every coefficient of a ``SymExpr`` is a ``Fraction``; ``_ints`` reads their
-numerators and denominators directly.  Generators compute their hash and
-sort key once, when built.  Monomials compute their hash once and their sort
-key, text and LaTeX once per object, on first use.  Monomial products are
-memoised and interned (``monomial_product``): equal products are one object,
-so each distinct monomial carries its cached key and text once.  Every
-expression product runs through the one loop ``sum_of_products``, which
-accumulates integer numerators over a common denominator and builds one
-``Fraction`` per output term.
+Every coefficient of a ``SymExpr`` is a ``Fraction``; ``int_terms`` reads
+them as integer numerators over one denominator.  Generators compute their
+hash and sort key once, when built.  Monomials compute their hash once and
+their sort key, text and LaTeX once per object, on first use.  Monomial
+products are memoised and interned (``monomial_product``): equal products
+are one object, so each distinct monomial carries its cached key and text
+once.  Every sum of expressions, of products or of rational multiples, runs
+through the one loop ``sum_of_products``, which adds integer numerators
+over a common denominator and builds one ``Fraction`` per output term.
 """
 
 from __future__ import annotations
@@ -301,16 +301,7 @@ class SymExpr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "SymExpr") -> "SymExpr":
-        out = dict(self._terms)
-        for m, q in other._terms.items():
-            s = out.get(m, Fraction(0)) + q
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        e = SymExpr.__new__(SymExpr)
-        e._terms = out
-        return e
+        return sum_of_products(((self, 1), (other, 1)))
 
     def __neg__(self) -> "SymExpr":
         e = SymExpr.__new__(SymExpr)
@@ -318,7 +309,7 @@ class SymExpr:
         return e
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
-        return self + (-other)
+        return sum_of_products(((self, 1), (other, -1)))
 
     def __mul__(self, other: "SymExpr") -> "SymExpr":
         return sum_of_products(((self, other),))
@@ -379,34 +370,45 @@ class SymExpr:
 # -- module-level operations ------------------------------------------------
 
 
-def _ints(e: SymExpr):
-    """e as (den, [(monomial, numerator)]): integer numerators over the lcm
-    of its coefficient denominators."""
+def int_terms(e: SymExpr):
+    """e as (den, [(monomial, numerator)]) in stored term order: integer
+    numerators over den, the lcm of its coefficient denominators."""
     terms = e._terms
     den = lcm(*(q.denominator for q in terms.values()))
     return den, [(m, q.numerator * (den // q.denominator)) for m, q in terms.items()]
 
 
 def sum_of_products(pairs) -> SymExpr:
-    """Sum of a * b over (SymExpr a, SymExpr b) pairs, in one accumulator.
+    """Sum of a * b over pairs (SymExpr a, SymExpr or rational b).
 
-    The one product loop of the package: a series product collects every
-    pair that meets at a word and sums them here, with no intermediate
-    expression per pair.  Each operand becomes integer numerators over its
-    own denominator; each pair's products are scaled to den, the lcm of the
-    pair denominators, and summed as ints, and each output term becomes one
-    Fraction(n, den).  Terms keep the order in which they first appear.
+    The one summation loop of the package: a sum is pairs (e, 1), a
+    rational combination pairs (e, q), and a series product collects every
+    pair that meets at a word, with no intermediate expression per pair.
+    Each operand becomes integer numerators over its own denominator; each
+    pair's products are scaled to den, the lcm of the pair denominators,
+    and summed as ints (a scalar scales numerators, with no monomial
+    product), and each output term becomes one Fraction(n, den).  Terms
+    keep the order in which they first appear.
     """
     conv = []
     for a, b in pairs:
-        da, left = _ints(a)
-        db, right = _ints(b)
+        da, left = int_terms(a)
+        if isinstance(b, SymExpr):
+            db, right = int_terms(b)
+        else:
+            b = Fraction(b)
+            db, right = b.denominator, b.numerator
         conv.append((da * db, left, right))
     den = lcm(*(d for d, _, _ in conv))
     out: dict[SymMonomial, int] = {}
     get = out.get
     for d, left, right in conv:
         scale = den // d
+        if type(right) is int:
+            right *= scale
+            for m, n in left:
+                out[m] = get(m, 0) + n * right
+            continue
         for m1, n1 in left:
             n1 *= scale
             for m2, n2 in right:

@@ -7,8 +7,9 @@ integrator instead of any series conversion, and mpmath's own zeta for the
 depth-one comparisons.  Agreement between these and the package is evidence;
 shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
-elimination, the Fraction product loop, the all-pairs product and geometric
-inverse): each checks the faster rewrite that replaced it.
+elimination, the Fraction product and sum loops, the word-sum and shuffle-row
+loops, the all-pairs product and geometric inverse): each checks the faster
+rewrite that replaced it.
 """
 
 from __future__ import annotations
@@ -507,3 +508,90 @@ def nc_inverse_geometric(s):
             break
         acc = nc_add(acc, power)
     return acc
+
+
+# -- Fraction sums --------------------------------------------------------------
+#
+# The package sums every expression in symring.sum_of_products, over integer
+# numerators.  These are its former sum paths: a copied Fraction dict per
+# addition, word sums and shuffle rows built one addition at a time.
+
+
+def expr_add_fraction(a, b):
+    """The package's former SymExpr.__add__: a copy of a's Fraction dict with
+    b's terms added, zero sums dropped."""
+    from assoclab.symring import SymExpr
+
+    out = dict(a.items())
+    for m, q in b.items():
+        s = out.get(m, Fraction(0)) + q
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return SymExpr(out)
+
+
+def expr_sub_fraction(a, b):
+    """The package's former SymExpr.__sub__: a + (-b)."""
+    return expr_add_fraction(a, -b)
+
+
+def sum_of_terms_fraction(pairs):
+    """Sum of a * b over pairs (a, b), b a SymExpr or a rational scalar, one
+    Fraction addition per pair."""
+    from assoclab.symring import SymExpr
+
+    acc = SymExpr.zero()
+    for a, b in pairs:
+        acc = expr_add_fraction(acc, expr_mul(a, b) if isinstance(b, SymExpr) else a.scale(b))
+    return acc
+
+
+def nc_word_sums_fraction(order: int, terms):
+    """The package's former word-sum loop: coeff * k added to each word's
+    running sum one pair at a time."""
+    from assoclab.freealg import NCSeries
+    from assoclab.symring import SymExpr
+
+    acc = {"": SymExpr.one()}
+    for coeff, words in terms:
+        for w, k in words.items():
+            term = coeff.scale(k)
+            prev = acc.get(w)
+            acc[w] = term if prev is None else expr_add_fraction(prev, term)
+    return NCSeries(order, acc)
+
+
+def shuffle_rows_fraction(max_weight: int):
+    """The package's former shuffle-row loop, as (monic expression, label,
+    provenance JSON) per row, with the label and JSON written out by hand.
+
+    Each row is f(u)·f(v) minus f(w)·k for every shuffle w of multiplicity
+    k, subtracted one at a time."""
+    from assoclab.delta_side import iint_to_sym, index_weight, index_words
+    from assoclab.relations import iint_to_zeta, shuffle
+
+    fmt = lambda w: ",".join(map(str, w))
+    words = index_words(max_weight - 1)
+    rows = []
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            if index_weight(u) + index_weight(v) > max_weight:
+                continue
+            kernels = [("delta", iint_to_sym)]
+            if min(u) >= 1 and min(v) >= 1:
+                kernels.append(("zeta", iint_to_zeta))
+            for kernel, f in kernels:
+                lhs = expr_mul(f(u), f(v))
+                for w, k in sorted(shuffle(u, v).items()):
+                    lhs = expr_sub_fraction(lhs, f(w).scale(Fraction(k)))
+                if not lhs:
+                    continue
+                lead = max(lhs.monomials(), key=lambda m: m.sort_key())
+                rows.append((
+                    lhs.scale(1 / lhs.coeff(lead)),
+                    "shuffle[%s:%s|%s]" % (kernel, fmt(u), fmt(v)),
+                    {"kind": "shuffle", "kernel": kernel, "u": list(u), "v": list(v)},
+                ))
+    return rows

@@ -162,6 +162,8 @@ def test_eval_at_input_bounds(capsys, argv):
     (["eval", "--delta", ",".join(["1"] * 13)], "at most 12 parts"),
     (["eval", "--delta", "25"], "weight must be <= 24"),
     (["eval", "--zeta", "20,5"], "weight must be <= 24"),
+    (["relations", "--aux", "all,shuffle", "--reduce"], "all and none must stand alone"),
+    (["relations", "--aux", "none,shuffle", "--reduce"], "all and none must stand alone"),
 ])
 def test_input_past_bounds_is_usage_error(capsys, monkeypatch, argv, message):
     def no_evaluation(*args, **kwargs):

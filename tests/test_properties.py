@@ -8,11 +8,19 @@ from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
-from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit
+from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit, nc_word_sums
 from assoclab.relations import AUX_NAMES, Span, aux_relations, comparison_relations, shuffle
 from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, sum_of_products, zeta
 
-from oracle_utils import nc_inverse_geometric, nc_mul_all_pairs, sum_of_products_fraction
+from oracle_utils import (
+    expr_add_fraction,
+    expr_sub_fraction,
+    nc_inverse_geometric,
+    nc_mul_all_pairs,
+    nc_word_sums_fraction,
+    sum_of_products_fraction,
+    sum_of_terms_fraction,
+)
 
 generators = st.one_of(
     st.just(LOG2),
@@ -58,6 +66,55 @@ def test_integer_product_loop_matches_the_fraction_loop(pairs):
         assert list(got.items()) == list(want.items())
         assert all(type(q) is Fraction for _, q in got.items())
     assert not sum_of_products(cases[-1])
+
+
+scalars = st.one_of(mixed_rationals, st.integers(-4, 4), st.just(0))
+
+
+@given(mixed_exprs, mixed_exprs)
+def test_binary_sums_match_the_fraction_dict(a, b):
+    # a binary sum keeps a's terms, then b's new ones: the Fraction dict's order
+    for got, want in ((a + b, expr_add_fraction(a, b)), (a - b, expr_sub_fraction(a, b))):
+        assert list(got.items()) == list(want.items())
+    assert not a - a and not a + (-a)
+
+
+@given(st.lists(st.tuples(mixed_exprs, scalars), max_size=5), mixed_exprs, mixed_exprs)
+def test_scalar_pairs_match_the_fraction_sums(pairs, a, b):
+    first = pairs[:1]
+    cases = [
+        pairs,
+        pairs + [(e, 0) for e, _ in pairs],  # zero scalars add nothing
+        pairs + [(e, -q) for e, q in pairs],  # everything cancels out
+        # the first pair cancels out, then comes back
+        pairs + [(e, -q) for e, q in first] + first,
+        pairs + [(a, b), (a, Fraction(-1, 6))],  # products and scalars mixed
+    ]
+    for case in cases:
+        got = sum_of_products(case)
+        # equal as expressions: the kernel keeps each term where it first
+        # appeared, where repeated additions moved a cancelled term last
+        assert got == sum_of_terms_fraction(case)
+        assert all(type(q) is Fraction for _, q in got.items())
+    assert not sum_of_products(cases[2])
+
+
+word_counts = st.dictionaries(
+    st.lists(st.sampled_from("AB"), max_size=3).map("".join), st.integers(-3, 3), max_size=4
+)
+
+
+@given(st.lists(st.tuples(mixed_exprs, word_counts), max_size=5))
+def test_word_sums_match_the_fraction_loop(terms):
+    negated = [(c, {w: -k for w, k in words.items()}) for c, words in terms]
+    cases = [
+        terms,
+        terms + negated,  # every word but the unit cancels out
+        terms + negated[:1] + terms[:1],  # the first term cancels, then comes back
+    ]
+    for case in cases:
+        assert nc_word_sums(3, case) == nc_word_sums_fraction(3, case)
+    assert nc_word_sums(3, cases[1]) == nc_unit(3)
 
 
 @given(factor_lists, st.randoms(use_true_random=False))

@@ -33,7 +33,7 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, zeta
 
-from oracle_utils import FractionSpan, fraction_reduce, shuffle_brute
+from oracle_utils import FractionSpan, fraction_reduce, shuffle_brute, shuffle_rows_fraction
 
 C = SymExpr.gen(LOG2)
 
@@ -137,6 +137,31 @@ def test_shuffle_relations_zeta_twin_only_for_positive_words():
         if r.provenance.kernel == "zeta":
             assert min(r.provenance.u) >= 1
             assert min(r.provenance.v) >= 1
+
+
+def test_shuffle_rows_match_the_subtraction_loop():
+    rows = shuffle_relations(7)
+    want = shuffle_rows_fraction(7)
+    assert len(rows) == len(want)
+    for r, (expr, label, payload) in zip(rows, want):
+        assert r.expr == expr
+        assert r.provenance.label() == label
+        # same keys in the same order
+        assert list(r.provenance.to_json().items()) == list(payload.items())
+
+
+def test_provenance_labels_and_json():
+    cases = [
+        (Comparison(3, "ABA"), "comparison[3:ABA]",
+         {"kind": "comparison", "order": 3, "word": "ABA"}),
+        (Shuffle("delta", (0, 1), (2,)), "shuffle[delta:0,1|2]",
+         {"kind": "shuffle", "kernel": "delta", "u": [0, 1], "v": [2]}),
+        (Duality((3, 1, 1)), "duality[3,1,1]", {"kind": "duality", "composition": [3, 1, 1]}),
+        (KnownValue("zeta_4_1"), "known[zeta_4_1]", {"kind": "known", "name": "zeta_4_1"}),
+    ]
+    for prov, label, payload in cases:
+        assert prov.label() == label
+        assert list(prov.to_json().items()) == list(payload.items())
 
 
 def test_shuffle_relations_deterministic():
