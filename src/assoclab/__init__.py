@@ -11,7 +11,6 @@ from .symring import (
     SymExpr,
     SymMonomial,
     delta,
-    monomial,
     sym_weight,
     zeta,
 )
@@ -22,7 +21,6 @@ from .freealg import (
     NCSeries,
     NotUnitalError,
     OrderMismatchError,
-    ad_power,
     nc_coeff,
     nc_div,
     nc_exp_letter,
@@ -56,7 +54,6 @@ from .numeric import (
     eval_symexpr,
     eval_zeta,
     verify_relation,
-    word_dual,
 )
 
 __version__ = "0.1.0"

@@ -320,8 +320,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_aux(raw: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if names == ("none",) or not names:
+    names = tuple(s.strip() for s in raw.split(","))
+    if "" in names:
+        raise UsageError("aux set names must not be empty, got %r" % raw)
+    if names == ("none",):
         return ()
     if names == ("all",):
         return AUX_NAMES

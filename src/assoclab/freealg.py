@@ -8,8 +8,8 @@ product of mixed truncations can never silently lose terms.
 
 The series built by the expansion modules satisfy a weight grading: the
 coefficient of every degree-r word is weight homogeneous of weight r.  That is
-a checkable invariant (``check_grading``), not an enforced constructor
-constraint, because intermediate test expressions are free to violate it.
+an invariant the tests check, not an enforced constructor constraint, because
+intermediate test expressions are free to violate it.
 
 Products are graded: the right factor's words are grouped by degree, so only
 pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import comb, factorial
 from fractions import Fraction
 
-from .symring import SymExpr, LOG2, sum_of_products, sym_weight
+from .symring import SymExpr, LOG2, sum_of_products
 
 A = "A"
 B = "B"
@@ -92,26 +92,8 @@ def nc_unit(order: int) -> NCSeries:
     return NCSeries(order, {"": SymExpr.one()})
 
 
-def nc_add(a: NCSeries, b: NCSeries) -> NCSeries:
-    if a.order != b.order:
-        raise OrderMismatchError("orders %d != %d" % (a.order, b.order))
-    out = dict(a.coeffs)
-    for w, e in b.coeffs.items():
-        s = out.get(w)
-        out[w] = e if s is None else s + e
-    return NCSeries(a.order, out)
-
-
 def nc_neg(a: NCSeries) -> NCSeries:
     return NCSeries(a.order, {w: -e for w, e in a.coeffs.items()})
-
-
-def nc_sub(a: NCSeries, b: NCSeries) -> NCSeries:
-    return nc_add(a, nc_neg(b))
-
-
-def nc_scale(a: NCSeries, e: SymExpr) -> NCSeries:
-    return NCSeries(a.order, {w: e * c for w, c in a.coeffs.items()})
 
 
 def _by_degree(s: NCSeries) -> list[list[tuple[str, SymExpr]]]:
@@ -212,19 +194,6 @@ def ad_words(actor: str, argument: str, levels) -> dict[str, int]:
     return out
 
 
-def ad_power(actor: str, argument: str, m: int) -> NCSeries:
-    """The iterated commutator ad_actor^m(argument) expanded into words.
-
-    Returned at truncation order m + 1, its homogeneous degree.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if actor not in LETTERS or argument not in LETTERS:
-        raise ValueError("letters must be A or B")
-    words = ad_words(actor, argument, (m,))
-    return NCSeries(m + 1, {w: SymExpr.rational(k) for w, k in words.items()})
-
-
 def nc_swap(s: NCSeries) -> NCSeries:
     """Exchange the letters A and B in every word; coefficients unchanged."""
     return NCSeries(s.order, {w.translate(_SWAP): e for w, e in s.coeffs.items()})
@@ -235,23 +204,6 @@ def nc_coeff(s: NCSeries, w: str) -> SymExpr:
     if len(w) > s.order:
         raise DegreeTooLargeError("word degree %d > order %d" % (len(w), s.order))
     return s.coeffs.get(w, SymExpr.zero())
-
-
-def nc_graded_part(s: NCSeries, degree: int) -> NCSeries:
-    return NCSeries(s.order, {w: e for w, e in s.coeffs.items() if len(w) == degree})
-
-
-def check_grading(s: NCSeries) -> None:
-    """Assert the weight grading: coefficient of a degree-r word has weight r.
-
-    Raises NotHomogeneousError or ValueError when violated.
-    """
-    for w, e in s.coeffs.items():
-        wt = sym_weight(e)
-        if wt != len(w):
-            raise ValueError(
-                "word %r has degree %d but coefficient weight %d" % (w, len(w), wt)
-            )
 
 
 def series_to_json(s: NCSeries) -> dict:

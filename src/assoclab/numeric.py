@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .symring import Generator, SymExpr, check_composition, delta, zeta
+from .symring import Generator, SymExpr, delta, zeta
 
 K0 = "0"
 K1 = "1"
@@ -123,7 +123,6 @@ def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
 
 def zeta_word(comp) -> str:
     """Kernel word K0^(s1-1) K1 ... K0^(sk-1) K1, outermost letter first."""
-    comp = check_composition(comp)
     return "".join(K0 * (s - 1) + K1 for s in comp)
 
 
@@ -147,11 +146,6 @@ def word_to_composition(word: str) -> tuple[int, ...]:
 def reverse_swap(word: str) -> str:
     """Reverse the word and exchange the two kernel letters."""
     return "".join(K0 if ch == K1 else K1 for ch in reversed(word))
-
-
-def word_dual(comp) -> tuple[int, ...]:
-    """Dual composition: reverse-swap the integration word and read it back."""
-    return word_to_composition(reverse_swap(zeta_word(comp)))
 
 
 def eval_zeta(comp, prec: Precision = Precision()) -> mpf:

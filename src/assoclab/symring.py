@@ -175,9 +175,6 @@ class SymMonomial:
         object.__setattr__(self, "_key", key)
         return key
 
-    def mul(self, other: "SymMonomial") -> "SymMonomial":
-        return monomial_product(self, other)
-
     def is_unit(self) -> bool:
         return not self.factors
 
@@ -228,10 +225,6 @@ def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
     Interned: equal products reached from different pairs are one object."""
     m = SymMonomial(m1.factors + m2.factors)
     return _INTERNED.setdefault(m, m)
-
-
-def monomial(*factors: tuple[Generator, int]) -> SymMonomial:
-    return SymMonomial(tuple(factors))
 
 
 def _text_coeff(n: int, d: int) -> str:

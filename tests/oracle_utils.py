@@ -9,7 +9,9 @@ shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
 elimination, the Fraction product and sum loops, the word-sum and shuffle-row
 loops, the all-pairs product and geometric inverse): each checks the faster
-rewrite that replaced it.
+rewrite that replaced it.  The series helpers at the end (sums, scalings,
+graded parts, the grading check, ad-powers, word duality) are not oracles:
+the pipeline never runs them, so they live with the tests that use them.
 """
 
 from __future__ import annotations
@@ -357,6 +359,8 @@ class FractionSpan:
         return found
 
     def _slice(self, w: int) -> dict:
+        from assoclab.symring import monomial_product
+
         st = self._slices.get(w)
         if st is not None:
             return st
@@ -365,7 +369,7 @@ class FractionSpan:
         for r in self.base:
             if r.weight < w:
                 for m in self._monomials(w - r.weight):
-                    vec = {mono.mul(m): q for mono, q in r.expr.items()}
+                    vec = {monomial_product(mono, m): q for mono, q in r.expr.items()}
                     self._insert(st, vec, r.provenance, None)
         for i, r in enumerate(self.base):
             if r.weight == w:
@@ -498,7 +502,7 @@ def nc_mul_all_pairs(a, b):
 
 def nc_inverse_geometric(s):
     """1 + t + t^2 + ... with t = 1 - s, summed until the powers vanish."""
-    from assoclab.freealg import nc_add, nc_sub, nc_unit
+    from assoclab.freealg import nc_unit
 
     t = nc_sub(nc_unit(s.order), s)
     acc = power = nc_unit(s.order)
@@ -595,3 +599,75 @@ def shuffle_rows_fraction(max_weight: int):
                     {"kind": "shuffle", "kernel": kernel, "u": list(u), "v": list(v)},
                 ))
     return rows
+
+
+# -- test-only helpers -------------------------------------------------------
+#
+# No pipeline path runs these; the tests build expected values with them.
+
+
+def nc_add(a, b):
+    from assoclab.freealg import NCSeries, OrderMismatchError
+
+    if a.order != b.order:
+        raise OrderMismatchError("orders %d != %d" % (a.order, b.order))
+    out = dict(a.coeffs)
+    for w, e in b.coeffs.items():
+        s = out.get(w)
+        out[w] = e if s is None else s + e
+    return NCSeries(a.order, out)
+
+
+def nc_sub(a, b):
+    from assoclab.freealg import nc_neg
+
+    return nc_add(a, nc_neg(b))
+
+
+def nc_scale(a, e):
+    from assoclab.freealg import NCSeries
+
+    return NCSeries(a.order, {w: e * c for w, c in a.coeffs.items()})
+
+
+def nc_graded_part(s, degree: int):
+    from assoclab.freealg import NCSeries
+
+    return NCSeries(s.order, {w: e for w, e in s.coeffs.items() if len(w) == degree})
+
+
+def check_grading(s) -> None:
+    """Assert the weight grading: coefficient of a degree-r word has weight r.
+
+    Raises NotHomogeneousError or ValueError when violated.
+    """
+    from assoclab.symring import sym_weight
+
+    for w, e in s.coeffs.items():
+        wt = sym_weight(e)
+        if wt != len(w):
+            raise ValueError(
+                "word %r has degree %d but coefficient weight %d" % (w, len(w), wt)
+            )
+
+
+def monomial(*factors):
+    from assoclab.symring import SymMonomial
+
+    return SymMonomial(tuple(factors))
+
+
+def ad_series(actor: str, argument: str, m: int):
+    """ad_actor^m(argument) from the package's word counts, at order m + 1."""
+    from assoclab.freealg import NCSeries, ad_words
+    from assoclab.symring import SymExpr
+
+    words = ad_words(actor, argument, (m,))
+    return NCSeries(m + 1, {w: SymExpr.rational(k) for w, k in words.items()})
+
+
+def word_dual(comp) -> tuple:
+    """Dual composition: reverse-swap the integration word and read it back."""
+    from assoclab.numeric import reverse_swap, word_to_composition, zeta_word
+
+    return word_to_composition(reverse_swap(zeta_word(comp)))

@@ -18,7 +18,7 @@ from assoclab.cli import main as cli_main
 from assoclab.delta_side import iint_to_sym, phi_delta
 from assoclab.freealg import nc_mul, nc_swap, nc_unit
 from assoclab.mzv_side import phi_mzv
-from assoclab.numeric import Precision, eval_delta, eval_zeta, verify_relation, word_dual
+from assoclab.numeric import Precision, eval_delta, eval_zeta, verify_relation
 from assoclab.relations import (
     Comparison,
     Span,
@@ -30,7 +30,7 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, SymExpr, delta, zeta
 
-from oracle_utils import brute_delta, close_enough
+from oracle_utils import brute_delta, close_enough, word_dual
 
 
 def z(*parts):

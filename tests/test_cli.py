@@ -164,6 +164,8 @@ def test_eval_at_input_bounds(capsys, argv):
     (["eval", "--zeta", "20,5"], "weight must be <= 24"),
     (["relations", "--aux", "all,shuffle", "--reduce"], "all and none must stand alone"),
     (["relations", "--aux", "none,shuffle", "--reduce"], "all and none must stand alone"),
+    (["relations", "--aux", ",", "--reduce"], "aux set names must not be empty"),
+    (["relations", "--aux", "shuffle,,duality"], "aux set names must not be empty"),
 ])
 def test_input_past_bounds_is_usage_error(capsys, monkeypatch, argv, message):
     def no_evaluation(*args, **kwargs):

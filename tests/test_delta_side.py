@@ -16,20 +16,18 @@ from assoclab.delta_side import (
     phi_delta,
     xi_series,
 )
-from assoclab.freealg import (
-    NCSeries,
-    check_grading,
-    nc_add,
-    nc_graded_part,
-    nc_mul,
-    nc_scale,
-    nc_sub,
-    nc_swap,
-    nc_unit,
-)
+from assoclab.freealg import NCSeries, nc_mul, nc_swap, nc_unit
 from assoclab.symring import LOG2, SymExpr, delta
 
-from oracle_utils import close_enough, iint_numeric
+from oracle_utils import (
+    check_grading,
+    close_enough,
+    iint_numeric,
+    nc_add,
+    nc_graded_part,
+    nc_scale,
+    nc_sub,
+)
 
 
 def test_index_weight():

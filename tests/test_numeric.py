@@ -22,7 +22,6 @@ from assoclab.numeric import (
     eval_zeta,
     reverse_swap,
     verify_relation,
-    word_dual,
     word_to_composition,
     zeta_word,
 )
@@ -36,6 +35,7 @@ from oracle_utils import (
     delta_mpf,
     delta_mpf_table,
     naive_zeta,
+    word_dual,
 )
 
 

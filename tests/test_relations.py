@@ -428,3 +428,16 @@ def test_reduced_rows_all_true_numerically():
     prec = Precision(digits=40)
     for r in rows:
         assert verify_relation(r, prec).ok, r.expr.render()
+
+
+@pytest.mark.parametrize("order", [5, 6, 7])
+def test_reduce_certificates_suffice(order):
+    # each kept relation is derivable from the rows its certificate names
+    # plus its own row, without the rest of the base
+    rels = comparison_relations(order)
+    aux = aux_relations(AUX_NAMES, order)
+    kept = reduce(rels, aux)
+    assert kept
+    for r in kept:
+        named = r.certificate | {r.provenance}
+        assert Span([b for b in aux + rels if b.provenance in named]).contains(r.expr), r
