@@ -26,9 +26,9 @@ its rank in the fixed monomial order, converts the base rows it multiplies
 when it is built, and keeps each pivot as a primitive integer vector
 {rank: int}: the gcd of its entries is 1 and its lead (the entry of highest
 rank) is positive.  A pivot's certificate is a bitmask over the indices of
-the base rows it consumed.  Rationals and provenances appear only at the
-boundary: reduced relations are emitted as row / lead with the provenances
-of their certificate bits, and an expression is reduced at its own scale.
+the base rows it consumed.  A monic relation is stored as such a row over
+den = its lead, and a pivot is emitted as one; provenances appear only at
+the boundary, and an expression is reduced at its own scale.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .symring import (
     SymExpr,
     SymMonomial,
     delta,
-    int_terms,
     sum_of_products,
     sym_weight,
     zeta,
@@ -110,8 +109,9 @@ class Relation:
     """A weight-homogeneous expression asserted to vanish.
 
     Stored monic: the leading monomial under the fixed order has
-    coefficient 1.  ``certificate``, when present, lists the provenances
-    of the rows consumed while reducing this relation.
+    coefficient 1, so the expression is the primitive integer row with a
+    positive lead over den = that lead.  ``certificate``, when present,
+    lists the provenances of the rows consumed while reducing this relation.
     """
 
     __slots__ = ("expr", "weight", "provenance", "certificate")
@@ -120,11 +120,7 @@ class Relation:
         if not expr:
             raise ValueError("relation must be nonzero")
         self.weight = sym_weight(expr)
-        lead = expr.leading_monomial()
-        lc = expr.coeff(lead)
-        if lc != 1:
-            expr = expr.scale(Fraction(1) / lc)
-        self.expr = expr
+        self.expr = expr.monic()
         self.provenance = provenance
         self.certificate = certificate
 
@@ -324,8 +320,8 @@ class Span:
     back-substitution), so reducing an expression is a single elimination
     pass.  A pivot's certificate is a bitmask over base-row indices, and its
     origin is the index of its base row (-1 for a product row).  ``_row``
-    reads a row with ``symring.int_terms``.  Fractions and provenances
-    appear only at the boundary, in ``reduce_expr`` and ``reduce``.
+    reads an expression's numerators as stored.  Provenances appear only
+    at the boundary, in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
@@ -346,24 +342,23 @@ class Span:
         return SymMonomial(tuple(Counter(self._gens[i] for i in t).items()))
 
     def _row(self, e: SymExpr, w: int):
-        """e of weight w as an integer row ``{rank: int}`` over the common
-        denominator ``den`` of its coefficients, plus the terms ``rest`` in
-        generators outside the base."""
+        """e of weight w as its integer row ``{rank: int}`` over its ``den``,
+        plus the numerators ``rest`` of its terms in generators outside the
+        base."""
         rank = self._ranks(w)
-        den, terms = int_terms(e)
         vec, rest = {}, {}
-        for m, n in terms:
+        for m, n in e.nums.items():
             try:
                 t = self._indices(m)
             except KeyError:  # a generator outside the base
-                rest[m] = Fraction(n, den)
+                rest[m] = n
             else:
                 vec[rank[t]] = n
-        return vec, den, rest
+        return vec, e.den, rest
 
     def _expr(self, w: int, vec, den: int) -> SymExpr:
         """The row vec / den of weight w as an expression."""
-        return SymExpr({self._monomial(w, k): Fraction(v, den) for k, v in vec.items()})
+        return SymExpr.from_ints(den, {self._monomial(w, k): v for k, v in vec.items()})
 
     def _provenances(self, cert: int) -> frozenset:
         """The provenances of the base rows whose bits are set in cert."""
@@ -479,7 +474,7 @@ class Span:
         vec[_SCALE] = den
         cert = self._eliminate(st, vec, 0)
         scale = vec.pop(_SCALE)
-        return self._expr(w, vec, scale) + SymExpr(rest), self._provenances(cert)
+        return self._expr(w, vec, scale) + SymExpr.from_ints(den, rest), self._provenances(cert)
 
     def contains(self, e: SymExpr) -> bool:
         rem, _ = self.reduce_expr(e)

@@ -11,8 +11,7 @@ Polynomials over Q in three families of formally independent generators:
 
 Every generator carries a weight (1 for ``c``, sum of the exponent string
 otherwise) and expressions built by the expansion pipeline are weight
-homogeneous.  All arithmetic is exact (fractions.Fraction); nothing in this
-module touches floating point.
+homogeneous.  All arithmetic is exact, with no floating point.
 
 The fixed total order on generators drives canonical forms and, later, the
 elimination order during relation reduction: generators compare by
@@ -21,15 +20,16 @@ weight delta generators (and among them the deeper ones) are the largest and
 get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
 
-Every coefficient of a ``SymExpr`` is a ``Fraction``; ``int_terms`` reads
-them as integer numerators over one denominator.  Generators compute their
-hash and sort key once, when built.  Monomials compute their hash once and
-their sort key, text and LaTeX once per object, on first use.  Monomial
-products are memoised and interned (``monomial_product``): equal products
-are one object, so each distinct monomial carries its cached key and text
-once.  Every sum of expressions, of products or of rational multiples, runs
-through the one loop ``sum_of_products``, which adds integer numerators
-over a common denominator and builds one ``Fraction`` per output term.
+A ``SymExpr`` is integer numerators over one positive denominator, in
+lowest terms, so equal expressions have equal fields; ``items()`` is its
+rational view.  Generators compute their hash and sort key once, when
+built.  Monomials compute their hash once and their sort key, text and
+LaTeX once per object, on first use.  Monomial products are memoised and
+interned (``monomial_product``): equal products are one object, so each
+distinct monomial carries its cached key and text once.  Every sum of
+expressions, of products or of rational multiples, runs through the one
+loop ``sum_of_products``, which adds integer numerators over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -236,14 +236,29 @@ def _latex_coeff(n: int, d: int) -> str:
 
 
 class SymExpr:
-    """Finite Q-linear combination of monomials, kept in canonical form."""
+    """Finite Q-linear combination of monomials in canonical form: ``nums``
+    (monomial to nonzero int) over ``den`` > 0, with gcd(den, *nums) = 1."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: Optional[dict] = None):
-        self._terms = {m: q for m, c in (terms or {}).items() if (q := Fraction(c))}
+        qs = [(m, q) for m, c in (terms or {}).items() if (q := Fraction(c))]
+        # the lcm of reduced denominators leaves no common factor
+        self.den = den = lcm(*(q.denominator for _, q in qs))
+        self.nums = {m: q.numerator * (den // q.denominator) for m, q in qs}
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_ints(den: int, nums: dict) -> "SymExpr":
+        """nums / den in lowest terms, for den > 0 and nonzero numerators."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: n // g for m, n in nums.items()}
+        e = SymExpr.__new__(SymExpr)
+        e.den, e.nums = den, nums
+        return e
 
     @staticmethod
     def zero() -> "SymExpr":
@@ -263,33 +278,32 @@ class SymExpr:
 
     # -- inspection --------------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
-
-    def coeff(self, m: SymMonomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+    def items(self) -> list[tuple[SymMonomial, Fraction]]:
+        """The terms as (monomial, Fraction) pairs in stored order."""
+        den = self.den
+        return [(m, Fraction(n, den)) for m, n in self.nums.items()]
 
     def monomials(self) -> list[SymMonomial]:
-        return list(self._terms)
+        return list(self.nums)
 
     def leading_monomial(self) -> SymMonomial:
-        if not self._terms:
+        if not self.nums:
             raise ValueError("zero expression has no leading monomial")
-        return max(self._terms, key=lambda m: m.sort_key())
+        return max(self.nums, key=lambda m: m.sort_key())
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.nums)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, SymExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -297,9 +311,7 @@ class SymExpr:
         return sum_of_products(((self, 1), (other, 1)))
 
     def __neg__(self) -> "SymExpr":
-        e = SymExpr.__new__(SymExpr)
-        e._terms = {m: -q for m, q in self._terms.items()}
-        return e
+        return SymExpr.from_ints(self.den, {m: -n for m, n in self.nums.items()})
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
         return sum_of_products(((self, 1), (other, -1)))
@@ -309,9 +321,14 @@ class SymExpr:
 
     def scale(self, q) -> "SymExpr":
         q = Fraction(q)
-        e = SymExpr.__new__(SymExpr)
-        e._terms = {} if not q else {m: c * q for m, c in self._terms.items()}
-        return e
+        nums = {m: n * q.numerator for m, n in self.nums.items()} if q else {}
+        return SymExpr.from_ints(self.den * q.denominator, nums)
+
+    def monic(self) -> "SymExpr":
+        """self over its leading coefficient: primitive numerators over den =
+        the positive lead."""
+        lead = self.nums[self.leading_monomial()]
+        return SymExpr.from_ints(abs(lead), (self if lead > 0 else -self).nums)
 
     def __pow__(self, n: int) -> "SymExpr":
         if n < 0:
@@ -323,21 +340,21 @@ class SymExpr:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda mq: mq[0].sort_key(), reverse=True)
-
     def _format(self, coeff, mono, times: str) -> str:
         # shared by render and latex: they differ only in how a coefficient
-        # (given as |numerator|, denominator) and a monomial print and in
-        # the product separator
-        if not self._terms:
+        # (given as |numerator|, denominator in lowest terms) and a monomial
+        # print and in the product separator
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for i, (m, q) in enumerate(self.sorted_terms()):
-            n, d = q.numerator, q.denominator
+        terms = sorted(self.nums.items(), key=lambda mn: mn[0].sort_key(), reverse=True)
+        for i, (m, n) in enumerate(terms):
             negative = n < 0
             if negative:
                 n = -n
+            g = gcd(n, den)
+            n, d = n // g, den // g
             if m.is_unit():
                 body = coeff(n, d)
             elif n == 1 and d == 1:
@@ -363,35 +380,24 @@ class SymExpr:
 # -- module-level operations ------------------------------------------------
 
 
-def int_terms(e: SymExpr):
-    """e as (den, [(monomial, numerator)]) in stored term order: integer
-    numerators over den, the lcm of its coefficient denominators."""
-    terms = e._terms
-    den = lcm(*(q.denominator for q in terms.values()))
-    return den, [(m, q.numerator * (den // q.denominator)) for m, q in terms.items()]
-
-
 def sum_of_products(pairs) -> SymExpr:
     """Sum of a * b over pairs (SymExpr a, SymExpr or rational b).
 
     The one summation loop of the package: a sum is pairs (e, 1), a
     rational combination pairs (e, q), and a series product collects every
     pair that meets at a word, with no intermediate expression per pair.
-    Each operand becomes integer numerators over its own denominator; each
-    pair's products are scaled to den, the lcm of the pair denominators,
-    and summed as ints (a scalar scales numerators, with no monomial
-    product), and each output term becomes one Fraction(n, den).  Terms
+    Each pair's integer products are scaled to den, the lcm of the pair
+    denominators, and summed as ints (a scalar scales numerators, with no
+    monomial product); the result is reduced to lowest terms once.  Terms
     keep the order in which they first appear.
     """
     conv = []
     for a, b in pairs:
-        da, left = int_terms(a)
         if isinstance(b, SymExpr):
-            db, right = int_terms(b)
+            conv.append((a.den * b.den, a.nums, b.nums))
         else:
             b = Fraction(b)
-            db, right = b.denominator, b.numerator
-        conv.append((da * db, left, right))
+            conv.append((a.den * b.denominator, a.nums, b.numerator))
     den = lcm(*(d for d, _, _ in conv))
     out: dict[SymMonomial, int] = {}
     get = out.get
@@ -399,17 +405,15 @@ def sum_of_products(pairs) -> SymExpr:
         scale = den // d
         if type(right) is int:
             right *= scale
-            for m, n in left:
+            for m, n in left.items():
                 out[m] = get(m, 0) + n * right
             continue
-        for m1, n1 in left:
+        for m1, n1 in left.items():
             n1 *= scale
-            for m2, n2 in right:
+            for m2, n2 in right.items():
                 m = monomial_product(m1, m2)
                 out[m] = get(m, 0) + n1 * n2
-    e = SymExpr.__new__(SymExpr)
-    e._terms = {m: Fraction(n, den) for m, n in out.items() if n}
-    return e
+    return SymExpr.from_ints(den, {m: n for m, n in out.items() if n})
 
 
 def sym_weight(e: SymExpr) -> int:
@@ -417,7 +421,7 @@ def sym_weight(e: SymExpr) -> int:
 
     Raises NotHomogeneousError when monomials of different weights coexist.
     """
-    weights = {m.weight for m in e._terms}
+    weights = {m.weight for m in e.nums}
     if not weights:
         return 0
     if len(weights) > 1:

@@ -467,9 +467,7 @@ def sum_of_products_fraction(pairs):
                 p = q1 * q2
                 s = out.get(m)
                 out[m] = p if s is None else s + p
-    e = SymExpr.__new__(SymExpr)
-    e._terms = {m: q for m, q in out.items() if q}
-    return e
+    return SymExpr(out)
 
 
 def expr_mul(a, b):
@@ -594,7 +592,7 @@ def shuffle_rows_fraction(max_weight: int):
                     continue
                 lead = max(lhs.monomials(), key=lambda m: m.sort_key())
                 rows.append((
-                    lhs.scale(1 / lhs.coeff(lead)),
+                    lhs.scale(1 / dict(lhs.items())[lead]),
                     "shuffle[%s:%s|%s]" % (kernel, fmt(u), fmt(v)),
                     {"kind": "shuffle", "kernel": kernel, "u": list(u), "v": list(v)},
                 ))

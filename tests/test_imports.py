@@ -43,48 +43,58 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name a module reads, every attribute it reads and every name it imports."""
-    out: set[str] = set()
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """The names a module reads or imports, and the attributes it reads."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
-    return out
+            names.update(alias.name for alias in node.names)
+    return names, attributes
 
 
-def dead_definitions(source: str, referenced: set[str]) -> list[str]:
-    """Top-level functions and classes, and non-dunder methods, never referenced."""
+def dead_definitions(source: str, names: set[str], attributes: set[str]) -> list[str]:
+    """Top-level functions and classes never referenced, and non-dunder
+    methods never read as an attribute: a bare name of the same spelling,
+    such as a parameter, does not reach a method."""
     dead = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in names and node.name not in attributes):
             dead.append(node.name)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
-                        and item.name not in referenced):
+                        and item.name not in attributes):
                     dead.append("%s.%s" % (node.name, item.name))
     return dead
 
 
 def test_checker_flags_a_dead_definition():
-    source = ("def used():\n    return K().called()\n"
+    source = ("def used(shadowed):\n    return K().called(), shadowed()\n"
               "def unused():\n    pass\n"
               "class K:\n    def called(self):\n        pass\n"
               "    def idle(self):\n        pass\n"
+              "    def shadowed(self):\n        pass\n"
               "    def __repr__(self):\n        return ''\n"
-              "used()\n")
-    assert dead_definitions(source, referenced_names(source)) == ["unused", "K.idle"]
+              "used(print)\n")
+    assert dead_definitions(source, *referenced_names(source)) == [
+        "unused", "K.idle", "K.shadowed"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(path):
     # __init__ re-exports names, so its imports do not keep a definition alive
-    referenced = set().union(*(referenced_names(p.read_text()) for p in MODULES))
-    assert dead_definitions(path.read_text(), referenced) == []
+    names, attributes = set(), set()
+    for p in MODULES:
+        n, a = referenced_names(p.read_text())
+        names |= n
+        attributes |= a
+    assert dead_definitions(path.read_text(), names, attributes) == []
 
 
 SERIES = {"symring", "freealg", "mzv_side", "delta_side"}

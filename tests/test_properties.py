@@ -4,7 +4,7 @@ span membership (hypothesis)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -50,8 +50,17 @@ mixed_rationals = st.one_of(
 mixed_exprs = st.dictionaries(monomials, mixed_rationals, max_size=4).map(SymExpr)
 
 
-@given(st.lists(st.tuples(mixed_exprs, mixed_exprs), max_size=4))
-def test_integer_product_loop_matches_the_fraction_loop(pairs):
+def assert_canonical(e: SymExpr):
+    # lowest terms over a positive den: == and hash read the fields, and
+    # nc_div's unit check and extract_relations' dedupe rely on them
+    assert type(e.den) is int and e.den >= 1
+    assert gcd(e.den, *e.nums.values()) == 1
+    assert all(type(n) is int and n for n in e.nums.values())
+    assert e or (e.den, e.nums) == (1, {})
+
+
+@given(st.lists(st.tuples(mixed_exprs, mixed_exprs), max_size=4), mixed_rationals.filter(bool))
+def test_integer_product_loop_matches_the_fraction_loop(pairs, q):
     first = pairs[:1]
     cases = [
         pairs,
@@ -64,8 +73,23 @@ def test_integer_product_loop_matches_the_fraction_loop(pairs):
         got, want = sum_of_products(case), sum_of_products_fraction(case)
         # same terms in the same order: eval_symexpr sums in stored order
         assert list(got.items()) == list(want.items())
-        assert all(type(q) is Fraction for _, q in got.items())
+        assert all(type(c) is Fraction for _, c in got.items())
+        assert_canonical(got)
     assert not sum_of_products(cases[-1])
+    for a, b in first:
+        tripled = SymExpr.from_ints(3 * b.den, {m: 3 * n for m, n in b.nums.items()})
+        results = [a, b, tripled, a + b, a - b, a * b, -a, a - a,
+                   a.scale(0), a.scale(-3), a.scale(q), a.scale(q).scale(1 / q)]
+        if a:
+            lead = a.leading_monomial()
+            results.append(a.monic())
+            assert a.monic() == a.scale(1 / dict(a.items())[lead])
+            assert dict(a.monic().items())[lead] == 1
+        for e in results:
+            assert_canonical(e)
+        # one value reached by different routes is one canonical form
+        for x, y in (((a + b) - b, a), (a.scale(q).scale(1 / q), a), (tripled, b)):
+            assert x == y and hash(x) == hash(y)
 
 
 scalars = st.one_of(mixed_rationals, st.integers(-4, 4), st.just(0))

@@ -54,6 +54,10 @@ def exprs(rels):
     return {r.expr for r in rels}
 
 
+def is_monic(e: SymExpr) -> bool:
+    return e.nums[e.leading_monomial()] == e.den
+
+
 # -- shuffle product ---------------------------------------------------------
 
 
@@ -129,7 +133,7 @@ def test_shuffle_relations_homogeneous_and_capped():
         assert r.weight <= 5
         assert isinstance(r.provenance, Shuffle)
         assert r.provenance.kernel in ("delta", "zeta")
-        assert r.expr.coeff(r.expr.leading_monomial()) == 1
+        assert is_monic(r.expr)
 
 
 def test_shuffle_relations_zeta_twin_only_for_positive_words():
@@ -236,7 +240,7 @@ def test_order_two_comparison_is_the_dilogarithm_relation():
 def test_comparison_relations_homogeneous_weight_is_word_length():
     for r in comparison_relations(4):
         assert r.weight == len(r.provenance.word)
-        assert r.expr.coeff(r.expr.leading_monomial()) == 1
+        assert is_monic(r.expr)
 
 
 def test_comparison_relations_word_witness_order():
@@ -257,7 +261,20 @@ def test_comparison_relations_all_true_numerically():
 
 def test_relation_normalizes_to_monic():
     r = Relation(z(2).scale(Fraction(-3, 7)) + d(2).scale(Fraction(6, 7)), None)
-    assert r.expr.coeff(r.expr.leading_monomial()) == 1
+    assert is_monic(r.expr)
+
+
+def test_relation_rows_are_primitive_integer_rows():
+    # a monic relation is stored as the row Span eliminates: primitive
+    # numerators over den = the positive lead, read with no conversion
+    comp, aux = comparison_relations(6), aux_relations(AUX_NAMES, 6)
+    span = Span(aux + comp)
+    for r in comp + aux + reduce(comp, aux):
+        e = r.expr
+        assert e.den > 0 and is_monic(e) and gcd(*e.nums.values()) == 1
+        vec, den, rest = span._row(e, r.weight)
+        assert den == e.den and not rest
+        assert {span._monomial(r.weight, k): n for k, n in vec.items()} == e.nums
 
 
 def test_relation_rejects_zero_and_mixed_weight():
@@ -400,7 +417,7 @@ def test_reduce_rows_sorted_and_monic():
     weights = [r.weight for r in rows]
     assert weights == sorted(weights)
     for r in rows:
-        assert r.expr.coeff(r.expr.leading_monomial()) == 1
+        assert is_monic(r.expr)
 
 
 def test_reduce_certificates_exclude_own_provenance():
