@@ -21,11 +21,15 @@ the generators that occur in the input rows, which keeps slices finite and
 is sound because membership is only ever asserted, never refuted, by a
 larger multiplier set.
 
-Elimination is fraction free.  A slice keys each monomial of its weight by
-its rank in the fixed monomial order, converts the base rows it multiplies
-when it is built, and keeps each pivot as a primitive integer vector
-{rank: int}: the gcd of its entries is 1 and its lead (the entry of highest
-rank) is positive.  A pivot's certificate is a bitmask over the indices of
+Elimination is fraction free in Bareiss's sense: every row stays an
+integer vector.  A slice keys each monomial of its weight by its rank in
+the fixed monomial order, converts the base rows it multiplies when it is
+built, and keeps each pivot as a primitive integer vector {rank: int}: the
+gcd of its entries is 1 and its lead (the entry of highest rank) is
+positive.  A row swept by the pivots is divided by its content once, when
+the sweep ends; each step only scales it by a positive rational, so the
+pivots it meets, and the certificates, are those of a sweep that divides
+after every step.  A pivot's certificate is a bitmask over the indices of
 the base rows it consumed.  A monic relation is stored as such a row over
 den = its lead, and a pivot is emitted as one; provenances appear only at
 the boundary, and an expression is reduced at its own scale.
@@ -298,7 +302,8 @@ class _Pivot:
 
 
 # reduce_expr's extra coordinate: no pivot holds it, so it carries the
-# factor by which the row operations have scaled the expression
+# factor by which the row operations have scaled the expression.  Each step
+# multiplies it by L/g > 0 and nothing divides it, so it stays positive.
 _SCALE = -1
 
 
@@ -313,15 +318,22 @@ class Span:
     monomial order, and a slice keys each monomial by its rank in the
     sorted ``_monomials(w)``.  Pivot rows are primitive integer vectors
     ``{rank: int}``: the gcd of the entries is 1 and the lead (highest
-    rank) entry is positive.  Elimination is fraction
-    free: each step is vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead],
-    L = piv[lead] and g = gcd(a, L), followed by division by the content.
-    Slices are built lazily and kept fully reduced (echelon with
-    back-substitution), so reducing an expression is a single elimination
-    pass.  A pivot's certificate is a bitmask over base-row indices, and its
-    origin is the index of its base row (-1 for a product row).  ``_row``
-    reads an expression's numerators as stored.  Provenances appear only
-    at the boundary, in ``reduce_expr`` and ``reduce``.
+    rank) entry is positive.  Elimination is fraction free: each step is
+    vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
+    g = gcd(a, L).  A swept row is divided by its content once, after its
+    last step, in ``_insert``; ``reduce_expr`` reads its remainder over the
+    scale it carries and divides nothing.  Back-substituting a new pivot
+    into the stored ones divides after each step, so every stored pivot
+    stays primitive.  Certificates do not depend on where the division
+    falls: a step scales the row by a positive rational and no pivot holds
+    another pivot's lead, so a row meets exactly the pivots whose leads it
+    holds on entry.  Slices are built lazily and kept fully reduced
+    (echelon with back-substitution), so reducing an expression is a single
+    elimination pass.  A pivot's certificate is a bitmask over base-row
+    indices, and its origin is the index of its base row (-1 for a product
+    row).  ``_row`` reads an expression's numerators as stored, through
+    generator indices memoised per monomial.  Provenances appear only at
+    the boundary, in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
@@ -329,12 +341,25 @@ class Span:
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
         self._gen_index = {g: i for i, g in enumerate(self._gens)}
+        self._index_cache: dict[SymMonomial, tuple[int, ...] | None] = {}
         self._mono_cache: dict[int, list[tuple[int, ...]]] = {}
         self._rank_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._slices: dict[int, dict[int, _Pivot]] = {}
 
-    def _indices(self, m: SymMonomial) -> tuple[int, ...]:
-        return tuple(self._gen_index[g] for g, e in reversed(m.factors) for _ in range(e))
+    def _indices(self, m: SymMonomial) -> tuple[int, ...] | None:
+        """m as a descending tuple of generator indices, or None when it holds
+        a generator outside the base; memoised per monomial."""
+        try:
+            return self._index_cache[m]
+        except KeyError:
+            pass
+        index = self._gen_index
+        try:
+            t = tuple(index[g] for g, e in reversed(m.factors) for _ in range(e))
+        except KeyError:  # a generator outside the base
+            t = None
+        self._index_cache[m] = t
+        return t
 
     def _monomial(self, w: int, k: int) -> SymMonomial:
         """The monomial of rank k at weight w."""
@@ -348,9 +373,8 @@ class Span:
         rank = self._ranks(w)
         vec, rest = {}, {}
         for m, n in e.nums.items():
-            try:
-                t = self._indices(m)
-            except KeyError:  # a generator outside the base
+            t = self._indices(m)
+            if t is None:
                 rest[m] = n
             else:
                 vec[rank[t]] = n
@@ -400,12 +424,20 @@ class Span:
         st = {}
         self._slices[w] = st
         rank = self._ranks(w)
+        # rows of one weight share their monomials, so each product t·m is
+        # ranked once per slice
+        product_rank: dict[tuple, int] = {}
         for i, r in enumerate(self.base):
             if r.weight < w and i in live:
                 vec, _, _ = self._row(r.expr, r.weight)
                 monos = [self._monomials(r.weight)[k] for k in vec]
                 for m in self._monomials(w - r.weight):
-                    keys = [rank[tuple(sorted(t + m, reverse=True))] for t in monos]
+                    keys = []
+                    for t in monos:
+                        k = product_rank.get((t, m))
+                        if k is None:
+                            k = product_rank[t, m] = rank[tuple(sorted(t + m, reverse=True))]
+                        keys.append(k)
                     self._insert(st, dict(zip(keys, vec.values())), 1 << i, -1)
         for i, r in enumerate(self.base):
             if r.weight == w:
@@ -413,21 +445,29 @@ class Span:
         return st
 
     @staticmethod
-    def _combine(vec, piv, lead):
-        """vec <- ((L/g)·vec - (a/g)·piv) / content in place, where
-        a = vec[lead], L = piv[lead] > 0 and g = gcd(a, L)."""
+    def _step(vec, piv, lead):
+        """vec <- (L/g)·vec - (a/g)·piv in place, where a = vec[lead],
+        L = piv[lead] > 0 and g = gcd(a, L): vec is scaled by L/g > 0 only,
+        and loses its entry at lead."""
         a, L = vec[lead], piv[lead]
         g = gcd(a, L)
         f, q = L // g, a // g
         if f != 1:
             for k in vec:
                 vec[k] *= f
+        get = vec.get
         for k, v in piv.items():
-            nv = vec.get(k, 0) - q * v
+            nv = get(k, 0) - q * v
             if nv:
                 vec[k] = nv
             else:
                 del vec[k]
+
+    @staticmethod
+    def _combine(vec, piv, lead):
+        """``_step``, then vec divided by its content: keeps a stored pivot
+        primitive with a positive lead."""
+        Span._step(vec, piv, lead)
         content = gcd(*vec.values())
         if content > 1:
             for k in vec:
@@ -435,15 +475,27 @@ class Span:
 
     @staticmethod
     def _eliminate(st, vec, cert: int) -> int:
-        # pivot rows hold no foreign pivot monomials, so subtracting one pivot
-        # never changes another pivot's coefficient: any sweep order will do
+        """Sweep every pivot lead out of vec in place, with no division:
+        the caller normalises once.  Returns cert with the bits of the
+        pivots used.
+
+        Pivot rows hold no foreign pivot monomials, so subtracting one pivot
+        never changes another pivot's coefficient: any sweep order will do,
+        and the pivots used are the ones whose lead vec holds on entry.  Each
+        step scales vec by a positive rational, so that set, and with it
+        every certificate, does not depend on when the content is divided
+        out."""
+        step = Span._step
         for m in [m for m in vec if m in st]:
             piv = st[m]
             cert |= piv.cert
-            Span._combine(vec, piv.vec, m)
+            step(vec, piv.vec, m)
         return cert
 
     def _insert(self, st, vec, cert, origin):
+        """Sweep vec, divide it by its content once (sign included, so the
+        lead is positive) and store it as a pivot, back-substituted into
+        the stored ones."""
         cert = self._eliminate(st, vec, cert)
         if not vec:
             return

@@ -22,11 +22,12 @@ on their descending factor list.
 
 A ``SymExpr`` is integer numerators over one positive denominator, in
 lowest terms, so equal expressions have equal fields; ``items()`` is its
-rational view.  Generators compute their hash and sort key once, when
-built.  Monomials compute their hash once and their sort key, text and
-LaTeX once per object, on first use.  Monomial products are memoised and
-interned (``monomial_product``): equal products are one object, so each
-distinct monomial carries its cached key and text once.  Every sum of
+rational view.  Generators compute their hash, weight and sort key once,
+when built.  Monomials compute their hash and weight once, when built, and
+their sort key, text and LaTeX once per object, on first use.  Monomial
+products are memoised and interned (``monomial_product``): equal products
+are one object, so each distinct monomial carries its cached key and text
+once.  Every sum of
 expressions, of products or of rational multiples, runs through the one
 loop ``sum_of_products``, which adds integer numerators over a common
 denominator.
@@ -66,6 +67,8 @@ class Generator:
     """A single ring generator: kind in {'zeta', 'log2', 'delta'}.
 
     ``parts`` is the exponent string for zeta/delta and ``None`` for log2.
+    ``weight`` (1 for log2, the sum of the parts otherwise) is stored when
+    the generator is built.
     """
 
     kind: str
@@ -85,6 +88,7 @@ class Generator:
                 )
         # ints only, so the hash is the same in every process
         object.__setattr__(self, "_hash", hash((_KIND_RANK[self.kind], self.parts or ())))
+        object.__setattr__(self, "weight", 1 if self.kind == "log2" else sum(self.parts))
         # larger key = eliminated earlier; see module docstring
         object.__setattr__(
             self, "_key", (self.weight, _KIND_RANK[self.kind], self.depth, self.parts or ())
@@ -92,10 +96,6 @@ class Generator:
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def weight(self) -> int:
-        return 1 if self.kind == "log2" else sum(self.parts)
 
     @property
     def depth(self) -> int:
@@ -135,8 +135,9 @@ def delta(parts: Iterable[int]) -> Generator:
 class SymMonomial:
     """Product of generator powers, factors sorted by the generator order.
 
-    ``sort_key``, ``render`` and ``latex`` are computed on first use and
-    stored on the object; equality and hash read only ``factors``.
+    ``weight`` is stored when the monomial is built; ``sort_key``,
+    ``render`` and ``latex`` are computed on first use and stored on the
+    object.  Equality and hash read only ``factors``.
     """
 
     factors: tuple[tuple[Generator, int], ...]
@@ -153,13 +154,10 @@ class SymMonomial:
         canon = tuple(sorted(merged.items(), key=lambda fe: fe[0].sort_key()))
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "_hash", hash(canon))
+        object.__setattr__(self, "weight", sum(g.weight * e for g, e in canon))
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def weight(self) -> int:
-        return sum(g.weight * e for g, e in self.factors)
 
     def sort_key(self) -> tuple:
         try:
@@ -289,7 +287,7 @@ class SymExpr:
     def leading_monomial(self) -> SymMonomial:
         if not self.nums:
             raise ValueError("zero expression has no leading monomial")
-        return max(self.nums, key=lambda m: m.sort_key())
+        return max(self.nums, key=SymMonomial.sort_key)
 
     def __bool__(self):
         return bool(self.nums)

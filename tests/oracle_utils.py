@@ -7,11 +7,12 @@ integrator instead of any series conversion, and mpmath's own zeta for the
 depth-one comparisons.  Agreement between these and the package is evidence;
 shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
-elimination, the Fraction product and sum loops, the word-sum and shuffle-row
-loops, the all-pairs product and geometric inverse): each checks the faster
-rewrite that replaced it.  The series helpers at the end (sums, scalings,
-graded parts, the grading check, ad-powers, word duality) are not oracles:
-the pipeline never runs them, so they live with the tests that use them.
+elimination, the per-step normalised integer sweep, the Fraction product and
+sum loops, the word-sum and shuffle-row loops, the all-pairs product and
+geometric inverse): each checks the faster rewrite that replaced it.  The
+series helpers at the end (sums, scalings, graded parts, the grading check,
+ad-powers, word duality) are not oracles: the pipeline never runs them, so
+they live with the tests that use them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from mpmath import mp
+
+from assoclab.relations import Span
 
 
 def close_enough(a, b, digits: int) -> bool:
@@ -443,6 +446,50 @@ def fraction_reduce(rels, aux=()) -> list:
             prov = span.base[piv.origin].provenance
             out.append(Relation(SymExpr(piv.vec), prov, frozenset(piv.cert - {prov})))
     return out
+
+
+# -- per-step normalised sweep -------------------------------------------------
+#
+# The package's former integer elimination: the swept row is divided by its
+# content after every pivot subtraction.  The package divides once, when the
+# sweep ends; both must store the same pivots, certificates and origins, and
+# give the same remainders.
+
+
+def combine_normalised(vec, piv, lead):
+    """vec <- ((L/g)·vec - (a/g)·piv) / content in place, where
+    a = vec[lead], L = piv[lead] > 0 and g = gcd(a, L)."""
+    a, L = vec[lead], piv[lead]
+    g = gcd(a, L)
+    f, q = L // g, a // g
+    if f != 1:
+        for k in vec:
+            vec[k] *= f
+    for k, v in piv.items():
+        nv = vec.get(k, 0) - q * v
+        if nv:
+            vec[k] = nv
+        else:
+            del vec[k]
+    content = gcd(*vec.values())
+    if content > 1:
+        for k in vec:
+            vec[k] //= content
+
+
+def eliminate_normalised(st, vec, cert: int) -> int:
+    for m in [m for m in vec if m in st]:
+        piv = st[m]
+        cert |= piv.cert
+        combine_normalised(vec, piv.vec, m)
+    return cert
+
+
+class StepNormalisedSpan(Span):
+    """``Span`` with the former sweep, also in back-substitution."""
+
+    _combine = staticmethod(combine_normalised)
+    _eliminate = staticmethod(eliminate_normalised)
 
 
 # -- all-pairs series product and geometric-series inverse ---------------------

@@ -9,10 +9,19 @@ from math import comb, factorial, gcd
 from hypothesis import given, settings, strategies as st
 
 from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit, nc_word_sums
-from assoclab.relations import AUX_NAMES, Span, aux_relations, comparison_relations, shuffle
+from assoclab.relations import (
+    AUX_NAMES,
+    KnownValue,
+    Relation,
+    Span,
+    aux_relations,
+    comparison_relations,
+    shuffle,
+)
 from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, monomial_product, sum_of_products, zeta
 
 from oracle_utils import (
+    StepNormalisedSpan,
     expr_add_fraction,
     expr_sub_fraction,
     nc_inverse_geometric,
@@ -253,3 +262,58 @@ def test_span_membership_does_not_depend_on_row_order(base):
     assert [span.contains(e) for e in SAMPLES] == MEMBERS
     # the slices are fully reduced, so the normal form is unique too
     assert [span.reduce_expr(e)[0] for e in SAMPLES] == NORMAL_FORMS
+
+
+# -- one normalisation per swept row -------------------------------------------
+
+def _weight_four_monomials():
+    c, z2, d2 = LOG2, zeta((2,)), delta((2,))
+    return [SymMonomial(f) for f in (
+        ((c, 4),), ((c, 2), (z2, 1)), ((c, 2), (d2, 1)), ((z2, 2),), ((z2, 1), (d2, 1)),
+        ((d2, 2),), ((c, 1), (zeta((3,)), 1)), ((c, 1), (delta((3,)), 1)),
+        ((c, 1), (delta((2, 1)), 1)), ((zeta((4,)), 1),), ((delta((4,)), 1),),
+        ((zeta((3, 1)), 1),), ((delta((1, 1, 2)), 1),),
+    )]
+
+
+# the coordinates of one slice; a drawn base often leaves some generators
+# out, and a query's terms in them pass through reduce_expr unchanged
+SLICE_MONOMIALS = _weight_four_monomials()
+big = st.integers(-(2**40), 2**40).filter(bool)
+sparse_rows = st.dictionaries(st.integers(0, len(SLICE_MONOMIALS) - 1), big, min_size=1, max_size=6)
+
+
+@st.composite
+def integer_slices(draw):
+    """Sparse integer rows with shared content factors, scaled duplicates
+    and combinations of earlier rows, in a drawn order."""
+    factor = st.integers(-(2**20), 2**20).filter(bool)
+    drawn = draw(st.lists(st.tuples(sparse_rows, factor), min_size=1, max_size=8))
+    rows = [{k: v * f for k, v in r.items()} for r, f in drawn]
+    picks = st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(rows), factor, factor), max_size=4)
+    for r1, r2, f1, f2 in draw(picks):
+        rows.append({k: f1 * v for k, v in r1.items()})  # a duplicate up to scale
+        combo = {k: f1 * r1.get(k, 0) - f2 * r2.get(k, 0) for k in r1.keys() | r2.keys()}
+        rows.append({k: v for k, v in combo.items() if v})  # lies in the span of earlier rows
+    return draw(st.permutations([r for r in rows if r]))
+
+
+def _pivots(st_):
+    return {lead: (p.vec, p.cert, p.origin) for lead, p in st_.items()}
+
+
+@settings(max_examples=60)
+@given(integer_slices(), st.lists(st.tuples(sparse_rows, st.integers(1, 2**70)), max_size=4))
+def test_one_normalisation_per_row_matches_the_per_step_sweep(rows, queries):
+    got, want = {}, {}
+    for i, r in enumerate(rows):
+        Span([])._insert(got, dict(r), 1 << i, i)
+        StepNormalisedSpan([])._insert(want, dict(r), 1 << i, i)
+    assert _pivots(got) == _pivots(want)
+    base = [Relation(SymExpr.from_ints(1, {SLICE_MONOMIALS[k]: v for k, v in r.items()}),
+                     KnownValue("r%d" % i)) for i, r in enumerate(rows)]
+    span, oracle = Span(base), StepNormalisedSpan(base)
+    assert _pivots(span._slice(4)) == _pivots(oracle._slice(4))
+    for r, den in queries + [(r, 3) for r in rows[:2]]:
+        e = SymExpr.from_ints(den, {SLICE_MONOMIALS[k]: v for k, v in r.items()})
+        assert span.reduce_expr(e) == oracle.reduce_expr(e)

@@ -31,7 +31,7 @@ from assoclab.relations import (
     shuffle,
     shuffle_relations,
 )
-from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, zeta
+from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, sum_of_products, zeta
 
 from oracle_utils import FractionSpan, fraction_reduce, shuffle_brute, shuffle_rows_fraction
 
@@ -344,6 +344,19 @@ def test_reduce_expr_matches_fraction_oracle(order_rows):
         for r in comp:
             e = r.expr.scale(Fraction(-2, 3))
             assert span.reduce_expr(e) == oracle.reduce_expr(e), r.provenance.label()
+
+
+def test_reduce_expr_keeps_a_huge_scale_positive():
+    # the sweep scales the row, _SCALE coordinate included, by positive
+    # factors only and never divides it, so an input over a den far beyond a
+    # machine word still comes back as the exact rational remainder
+    comp, aux = comparison_relations(5), aux_relations(AUX_NAMES, 5)
+    rows = [r.expr.scale(k) for k, r in enumerate(comp, 1) if r.weight == 5]
+    e = sum_of_products((row, 1) for row in rows).scale(Fraction(-7, 3**40))
+    assert e.den > 2**60 and not is_monic(e)
+    rem, cert = Span(aux).reduce_expr(e)
+    assert rem and rem.den > 2**60
+    assert (rem, cert) == FractionSpan(aux).reduce_expr(e)
 
 
 def test_reduce_reports_no_aux_row_also_when_rels_repeat_it():
