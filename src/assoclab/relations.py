@@ -37,6 +37,7 @@ the boundary, and an expression is reduced at its own scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -136,11 +137,12 @@ class Relation:
         )
 
     def to_json(self) -> dict:
+        lhs, latex = self.expr.render_and_latex()
         out = {
             "weight": self.weight,
             "provenance": self.provenance.to_json(),
-            "lhs": self.expr.render(),
-            "latex": self.expr.latex() + " = 0",
+            "lhs": lhs,
+            "latex": latex + " = 0",
         }
         if self.certificate is not None:
             out["certificate"] = sorted(p.label() for p in self.certificate)
@@ -389,22 +391,15 @@ class Span:
         return frozenset(r.provenance for i, r in enumerate(self.base) if cert >> i & 1)
 
     def _monomials(self, w: int) -> list[tuple[int, ...]]:
-        if w in self._mono_cache:
-            return self._mono_cache[w]
-        found: list[tuple[int, ...]] = []
-        weights = [g.weight for g in self._gens]
-
-        def rec(i: int, rem: int, picked):
-            if rem == 0:
-                found.append(tuple(reversed(picked)))
-                return
-            for j in range(i, len(weights)):
-                if weights[j] <= rem:
-                    rec(j, rem - weights[j], picked + [j])
-
-        rec(0, w, [])
-        found.sort()
-        self._mono_cache[w] = found
+        """Descending index tuples of weight w, ascending: j heads the sorted
+        tails of weight w - weight(j) that start at most at j."""
+        found = self._mono_cache.get(w)
+        if found is None:
+            found = self._mono_cache[w] = [] if w else [()]
+            for j, g in enumerate(self._gens):
+                if g.weight <= w:
+                    tails = self._monomials(w - g.weight)
+                    found += [(j,) + t for t in tails[: bisect_left(tails, (j + 1,))]]
         return found
 
     def _ranks(self, w: int) -> dict[tuple[int, ...], int]:

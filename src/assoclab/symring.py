@@ -22,20 +22,19 @@ on their descending factor list.
 
 A ``SymExpr`` is integer numerators over one positive denominator, in
 lowest terms, so equal expressions have equal fields; ``items()`` is its
-rational view.  Generators compute their hash, weight and sort key once,
-when built.  Monomials compute their hash and weight once, when built, and
-their sort key, text and LaTeX once per object, on first use.  Monomial
-products are memoised and interned (``monomial_product``): equal products
-are one object, so each distinct monomial carries its cached key and text
-once.  Every sum of
-expressions, of products or of rational multiples, runs through the one
-loop ``sum_of_products``, which adds integer numerators over a common
-denominator.
+rational view.  Generators and monomials are hash-consed: the constructor
+looks its arguments up in a module table and validates, canonicalises and
+stores only an unseen value, so equal values are one immutable object and
+equality and hashing are ``object``'s identity versions.  A generator
+stores its weight and sort key when built; a monomial its weight, and its
+sort key, text and LaTeX on first use.  Monomial products are memoised
+(``monomial_product``).  Every sum of expressions, of products or of
+rational multiples, runs through the one loop ``sum_of_products``, which
+adds integer numerators over a common denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -60,46 +59,53 @@ def check_composition(parts: Iterable[int]) -> tuple[int, ...]:
 
 
 _KIND_RANK = {"zeta": 0, "log2": 1, "delta": 2}
+# intern tables: constructor arguments to the one object of their value
+_GENERATORS: dict[tuple, "Generator"] = {}
+_MONOMIALS: dict[tuple, "SymMonomial"] = {}
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args):
+    raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 class Generator:
     """A single ring generator: kind in {'zeta', 'log2', 'delta'}.
 
     ``parts`` is the exponent string for zeta/delta and ``None`` for log2.
-    ``weight`` (1 for log2, the sum of the parts otherwise) is stored when
-    the generator is built.
+    Interned, one object per value; ``weight`` (1 for log2, the sum of the
+    parts otherwise) and the sort key are stored when it is built.
     """
 
-    kind: str
-    parts: Optional[tuple[int, ...]]
+    __slots__ = ("kind", "parts", "weight", "_key")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError("unknown generator kind %r" % (self.kind,))
-        if self.kind == "log2":
-            if self.parts is not None:
+    def __new__(cls, kind: str, parts: Optional[Iterable[int]]):
+        try:
+            return _GENERATORS[kind, parts]
+        except (KeyError, TypeError):  # unseen, or unhashable parts
+            pass
+        if kind not in _KIND_RANK:
+            raise ValueError("unknown generator kind %r" % (kind,))
+        if kind == "log2":
+            if parts is not None:
                 raise ValueError("log2 carries no composition")
         else:
-            object.__setattr__(self, "parts", check_composition(self.parts))
-            if self.kind == "zeta" and self.parts[0] < 2:
+            parts = check_composition(parts)
+            if kind == "zeta" and parts[0] < 2:
                 raise NotAdmissibleError(
-                    "zeta generator needs first exponent >= 2, got %r" % (self.parts,)
+                    "zeta generator needs first exponent >= 2, got %r" % (parts,)
                 )
-        # ints only, so the hash is the same in every process
-        object.__setattr__(self, "_hash", hash((_KIND_RANK[self.kind], self.parts or ())))
-        object.__setattr__(self, "weight", 1 if self.kind == "log2" else sum(self.parts))
+        g = object.__new__(cls)
+        weight = 1 if kind == "log2" else sum(parts)
         # larger key = eliminated earlier; see module docstring
-        object.__setattr__(
-            self, "_key", (self.weight, _KIND_RANK[self.kind], self.depth, self.parts or ())
-        )
+        key = (weight, _KIND_RANK[kind], len(parts or ()), parts or ())
+        for name, value in zip(cls.__slots__, (kind, parts, weight, key)):
+            object.__setattr__(g, name, value)
+        return _GENERATORS.setdefault((kind, parts), g)
 
-    def __hash__(self):
-        return self._hash
+    __setattr__ = __delattr__ = _immutable
 
-    @property
-    def depth(self) -> int:
-        return 0 if self.kind == "log2" else len(self.parts)
+    def __reduce__(self):  # copies and pickles are this object
+        return Generator, (self.kind, self.parts)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -131,16 +137,27 @@ def delta(parts: Iterable[int]) -> Generator:
     return Generator("delta", tuple(parts))
 
 
-@dataclass(frozen=True)
 class SymMonomial:
     """Product of generator powers, factors sorted by the generator order.
 
-    ``weight`` is stored when the monomial is built; ``sort_key``,
-    ``render`` and ``latex`` are computed on first use and stored on the
-    object.  Equality and hash read only ``factors``.
+    Interned: ``__post_init__`` builds an unseen value once, and equal
+    products of any factor list are one object.  ``weight`` is stored when
+    built; ``sort_key``, ``render`` and ``latex`` on first use.
     """
 
-    factors: tuple[tuple[Generator, int], ...]
+    __slots__ = ("factors", "weight", "_key", "_text", "_latex")
+
+    def __new__(cls, factors):
+        try:
+            return _MONOMIALS[factors]
+        except (KeyError, TypeError):  # unseen, or unhashable factors
+            m = object.__new__(cls)
+        object.__setattr__(m, "factors", factors)
+        m.__post_init__()
+        m = _MONOMIALS.setdefault(m.factors, m)
+        if type(factors) is tuple:  # the argument as a second key
+            _MONOMIALS[factors] = m
+        return m
 
     def __post_init__(self):
         merged: dict[Generator, int] = {}
@@ -153,11 +170,12 @@ class SymMonomial:
             merged[g] = merged.get(g, 0) + e
         canon = tuple(sorted(merged.items(), key=lambda fe: fe[0].sort_key()))
         object.__setattr__(self, "factors", canon)
-        object.__setattr__(self, "_hash", hash(canon))
         object.__setattr__(self, "weight", sum(g.weight * e for g, e in canon))
 
-    def __hash__(self):
-        return self._hash
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return SymMonomial, (self.factors,)
 
     def sort_key(self) -> tuple:
         try:
@@ -213,16 +231,10 @@ class SymMonomial:
 UNIT_MONOMIAL = SymMonomial(())
 
 
-_INTERNED: dict[SymMonomial, SymMonomial] = {}
-
-
 @lru_cache(maxsize=None)
 def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """m1 * m2, memoised: series products meet the same pairs many times.
-
-    Interned: equal products reached from different pairs are one object."""
-    m = SymMonomial(m1.factors + m2.factors)
-    return _INTERNED.setdefault(m, m)
+    """m1 * m2, memoised: series products meet the same pairs many times."""
+    return SymMonomial(m1.factors + m2.factors)
 
 
 def _text_coeff(n: int, d: int) -> str:
@@ -338,15 +350,17 @@ class SymExpr:
 
     # -- rendering ---------------------------------------------------------
 
-    def _format(self, coeff, mono, times: str) -> str:
+    def _terms(self) -> list[tuple[SymMonomial, int]]:
+        return sorted(self.nums.items(), key=lambda mn: mn[0].sort_key(), reverse=True)
+
+    def _format(self, terms, coeff, mono, times: str) -> str:
         # shared by render and latex: they differ only in how a coefficient
         # (given as |numerator|, denominator in lowest terms) and a monomial
-        # print and in the product separator
-        if not self.nums:
+        # print and in the product separator; terms come from _terms
+        if not terms:
             return "0"
         den = self.den
         parts = []
-        terms = sorted(self.nums.items(), key=lambda mn: mn[0].sort_key(), reverse=True)
         for i, (m, n) in enumerate(terms):
             negative = n < 0
             if negative:
@@ -366,10 +380,16 @@ class SymExpr:
         return " ".join(parts)
 
     def render(self) -> str:
-        return self._format(_text_coeff, SymMonomial.render, "*")
+        return self._format(self._terms(), _text_coeff, SymMonomial.render, "*")
 
     def latex(self) -> str:
-        return self._format(_latex_coeff, SymMonomial.latex, " ")
+        return self._format(self._terms(), _latex_coeff, SymMonomial.latex, " ")
+
+    def render_and_latex(self) -> tuple[str, str]:
+        """``(render(), latex())``, sorting the terms once."""
+        terms = self._terms()
+        return (self._format(terms, _text_coeff, SymMonomial.render, "*"),
+                self._format(terms, _latex_coeff, SymMonomial.latex, " "))
 
     def __repr__(self):
         return "SymExpr(%s)" % self.render()

@@ -702,6 +702,68 @@ def monomial(*factors):
     return SymMonomial(tuple(factors))
 
 
+_KIND_RANK = {"zeta": 0, "log2": 1, "delta": 2}
+
+
+def monomial_views(factors) -> tuple:
+    """(sort_key, render, latex) of the product of (Generator, exponent)
+    factors, recomputed from each generator's kind and parts alone.
+
+    The monomial caches these on first use; this recomputes them, with the
+    order written out from the module docstring of ``symring``."""
+    power = Counter()
+    for g, e in factors:
+        power[g.kind, g.parts] += e
+
+    def key(kind_parts):
+        kind, parts = kind_parts
+        return (sum(parts) if parts else 1, _KIND_RANK[kind], len(parts or ()), parts or ())
+
+    order = sorted(power, key=key)
+    weight = sum(key(kp)[0] * power[kp] for kp in order)
+    descending = tuple(key(kp) for kp in reversed(order) for _ in range(power[kp]))
+    text, tex = [], []
+    for kind, parts in order:
+        e, joined = power[kind, parts], ",".join(map(str, parts or ()))
+        name = "c" if kind == "log2" else "%s[%s]" % (kind[0], joined)
+        text.append(name if e == 1 else "%s^%d" % (name, e))
+        if kind == "log2":
+            tex.append(r"\ln 2" if e == 1 else r"(\ln 2)^{%d}" % e)
+        else:
+            sym = r"\%s_{%s}" % (kind, joined)
+            tex.append(sym if e == 1 else "%s^{%d}" % (sym, e))
+    return (weight, descending), "*".join(text) or "1", " ".join(tex) or "1"
+
+
+def _partitions(w: int, largest: int):
+    """Partitions of w into parts <= largest, as non-increasing lists."""
+    if w == 0:
+        yield []
+    for p in range(min(w, largest), 0, -1):
+        for rest in _partitions(w - p, p):
+            yield [p] + rest
+
+
+def monomial_tuples_brute(weights, w: int) -> list:
+    """Every descending index tuple whose indices' weights sum to w, sorted.
+
+    Each partition of w fixes how many factors of each weight there are;
+    every choice of that many indices of each weight, with repetition,
+    gives one tuple.  ``relations.Span._monomials`` recurses on the weight
+    instead."""
+    by_weight: dict[int, list[int]] = {}
+    for i, wt in enumerate(weights):
+        by_weight.setdefault(wt, []).append(i)
+    out = []
+    for partition in _partitions(w, w):
+        counts = Counter(partition)
+        choices = [itertools.combinations_with_replacement(by_weight.get(wt, []), k)
+                   for wt, k in counts.items()]
+        for pick in itertools.product(*choices):
+            out.append(tuple(sorted(itertools.chain(*pick), reverse=True)))
+    return sorted(out)
+
+
 def ad_series(actor: str, argument: str, m: int):
     """ad_actor^m(argument) from the package's word counts, at order m + 1."""
     from assoclab.freealg import NCSeries, ad_words

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import assoclab
 from assoclab import cli
 from assoclab.cli import main
 
@@ -202,6 +207,26 @@ def test_json_outputs_are_deterministic(tmp_path, capsys):
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # generators and monomials hash by identity, so hashes follow memory
+    # addresses; the output must not follow them, nor string hash order
+    src = str(Path(assoclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for argv in (
+        ["relations", "--order", "6", "--aux", "all", "--reduce"],
+        ["expand", "--side", "both", "--order", "6"],
+    ):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path, ASSOCLAB_MAX_ORDER="6")
+            proc = subprocess.run(
+                [sys.executable, "-m", "assoclab.cli", *argv],
+                env=env, capture_output=True, timeout=600, check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1], argv
 
 
 @pytest.mark.parametrize("argv", [

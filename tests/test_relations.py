@@ -33,7 +33,13 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, sum_of_products, zeta
 
-from oracle_utils import FractionSpan, fraction_reduce, shuffle_brute, shuffle_rows_fraction
+from oracle_utils import (
+    FractionSpan,
+    fraction_reduce,
+    monomial_tuples_brute,
+    shuffle_brute,
+    shuffle_rows_fraction,
+)
 
 C = SymExpr.gen(LOG2)
 
@@ -210,7 +216,7 @@ def test_known_values_no_depth_one_delta_beyond_three():
     for r in known_values():
         for m in r.expr.monomials():
             for g, _ in m.factors:
-                if g.kind == "delta" and g.depth == 1:
+                if g.kind == "delta" and len(g.parts) == 1:
                     assert g.weight <= 3
 
 
@@ -381,6 +387,14 @@ def test_span_contains_euler_relation():
     span = Span(comparison_relations(2))
     assert span.contains(z(2) - d(2).scale(2) - SymExpr.gen(LOG2, exp=2))
     assert not span.contains(z(2) - d(2))
+
+
+def test_span_monomials_match_brute_force_enumeration():
+    span = Span(aux_relations(AUX_NAMES, 8) + comparison_relations(8))
+    weights = [g.weight for g in span._gens]
+    assert len(weights) > 300
+    for w in range(1, 9):
+        assert span._monomials(w) == monomial_tuples_brute(weights, w)
 
 
 def test_span_pivots_are_primitive_with_positive_lead():

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from assoclab import symring
 from assoclab.symring import (
     LOG2,
+    UNIT_MONOMIAL,
     Generator,
     NotAdmissibleError,
     NotHomogeneousError,
@@ -21,7 +25,7 @@ from assoclab.symring import (
     zeta,
 )
 
-from oracle_utils import monomial
+from oracle_utils import monomial, monomial_views
 
 
 def _random_generator(rng: random.Random) -> Generator:
@@ -66,7 +70,6 @@ def test_delta_allows_leading_one():
     g = delta([1, 2])
     assert g.parts == (1, 2)
     assert g.weight == 3
-    assert g.depth == 2
 
 
 def test_generator_render_and_latex():
@@ -139,7 +142,20 @@ def test_equal_products_from_different_pairs_are_one_object():
     assert monomial_product(monomial_product(a, a), b) is monomial_product(monomial((zeta([2]), 2)), b)
 
 
-def test_cached_key_and_text_match_a_fresh_monomial():
+def test_equal_values_are_one_object():
+    g = zeta([2])
+    assert delta([2, 1]) is Generator("delta", (2, 1)) is Generator("delta", [2, 1])
+    assert LOG2 is Generator("log2", None)
+    m = monomial((g, 1), (LOG2, 2))
+    assert monomial((LOG2, 2), (g, 1)) is m  # factor order
+    assert monomial((LOG2, 1), (g, 1), (LOG2, 1)) is m  # repeated factors merged
+    assert SymMonomial([(LOG2, 2), (g, 1)]) is m  # a list of factors
+    a, b = monomial((g, 1)), monomial((LOG2, 2))
+    assert monomial_product(a, b) is monomial_product(b, a) is m
+    assert m != monomial((g, 1), (LOG2, 1))
+
+
+def test_cached_key_and_text_match_the_oracle():
     rng = random.Random(4242)
     for _ in range(150):
         fs1 = [(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
@@ -147,25 +163,55 @@ def test_cached_key_and_text_match_a_fresh_monomial():
         m = monomial_product(monomial(*fs1), monomial(*fs2))
         cached = (m.sort_key(), m.render(), m.latex())
         assert m.sort_key() is cached[0] and m.render() is cached[1] and m.latex() is cached[2]
-        fresh = SymMonomial(tuple(fs1 + fs2))
-        assert fresh is not m
-        assert (fresh.sort_key(), fresh.render(), fresh.latex()) == cached
+        assert SymMonomial(tuple(fs2 + fs1)) is m
+        assert cached == monomial_views(fs1 + fs2)
     g = delta([2, 1])
     assert g.sort_key() is g.sort_key() == (3, 2, 2, (2, 1))
 
 
-def test_cached_attributes_do_not_enter_equality_or_hash():
-    m = monomial((zeta([3]), 1), (LOG2, 2))
-    m.sort_key(), m.render(), m.latex()
-    twin = monomial((LOG2, 2), (zeta([3]), 1))
-    assert "_key" in vars(m) and "_key" not in vars(twin)
-    assert m == twin and hash(m) == hash(twin)
-    assert {m: 1}[twin] == 1
-    # even a wrong cached value leaves equality and hash to the factors
-    for name in ("_key", "_text", "_latex"):
-        object.__setattr__(twin, name, None)
-    assert m == twin and hash(m) == hash(twin)
-    assert monomial((LOG2, 1)) != monomial((LOG2, 2))
+def test_invalid_input_raises_on_every_call_and_is_not_stored():
+    bad = [
+        (lambda: delta((2, 0)), ValueError),
+        (lambda: zeta((1, 2)), NotAdmissibleError),
+        (lambda: monomial((LOG2, 0)), ValueError),
+    ]
+    for _ in range(2):  # before and after the valid delta((2,))
+        sizes = len(symring._GENERATORS), len(symring._MONOMIALS)
+        for build, error in bad:
+            with pytest.raises(error):
+                build()
+        assert (len(symring._GENERATORS), len(symring._MONOMIALS)) == sizes
+        delta((2,))
+    assert ("delta", (2, 0)) not in symring._GENERATORS
+    assert ("zeta", (1, 2)) not in symring._GENERATORS
+    assert ((LOG2, 0),) not in symring._MONOMIALS
+
+
+def test_assigning_an_attribute_raises():
+    g, m = zeta([3]), monomial((zeta([3]), 1), (LOG2, 2))
+    m.sort_key(), m.render()
+    for obj, name in ((g, "parts"), (g, "weight"), (g, "extra"), (m, "factors"), (m, "_key"), (m, "_text")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert g.parts == (3,) and m.factors == ((LOG2, 2), (zeta([3]), 1))
+    assert m.sort_key() == monomial_views(m.factors)[0] and m.render() == "c^2*z[3]"
+
+
+def _pickle_round_trips(x, lowest=0):
+    return [pickle.loads(pickle.dumps(x, p)) for p in range(lowest, pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def test_copies_and_pickles_are_the_same_object():
+    m = monomial((zeta([3]), 1), (delta([1, 2]), 2), (LOG2, 1))
+    for obj in (LOG2, delta([1, 2]), m, UNIT_MONOMIAL):
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        assert all(y is obj for y in _pickle_round_trips(obj))
+    # identity equality: a second object would be unequal as a dict key
+    e = SymExpr({m: Fraction(1, 3), UNIT_MONOMIAL: 2})
+    # (SymExpr has __slots__ and no __getstate__, so it needs protocol 2)
+    assert copy.deepcopy(e) == e and all(y == e for y in _pickle_round_trips(e, 2))
 
 
 def test_expr_constructor_drops_zero_terms():
@@ -246,6 +292,9 @@ def test_render_examples():
     assert e.render() == "d[2] - 1/2*z[2] + 1/2*c^2"
     assert SymExpr.zero().render() == "0"
     assert SymExpr.rational(Fraction(-1, 3)).render() == "-1/3"
+    rng = random.Random(31)
+    for x in [e, SymExpr.zero()] + [_random_expr(rng) for _ in range(40)]:
+        assert x.render_and_latex() == (x.render(), x.latex())
 
 
 def test_latex_fractions():
