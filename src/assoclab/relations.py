@@ -22,22 +22,15 @@ is sound because membership is only ever asserted, never refuted, by a
 larger multiplier set.
 
 Elimination is fraction free in Bareiss's sense: every row stays an
-integer vector.  A slice keys each monomial of its weight by its rank in
-the fixed monomial order, converts the base rows it multiplies when it is
-built, and keeps each pivot as a primitive integer vector {rank: int}: the
-gcd of its entries is 1 and its lead (the entry of highest rank) is
-positive.  A row swept by the pivots is divided by its content once, when
-the sweep ends; each step only scales it by a positive rational, so the
-pivots it meets, and the certificates, are those of a sweep that divides
-after every step.  A pivot's certificate is a bitmask over the indices of
-the base rows it consumed.  A monic relation is stored as such a row over
-den = its lead, and a pivot is emitted as one; provenances appear only at
-the boundary, and an expression is reduced at its own scale.
+integer vector, keyed by the interned monomials as the numerators of a
+``SymExpr`` are, so a monic relation is its own row, and ordered by
+``SymMonomial.sort_key``.  ``Span`` gives the details.  Provenances appear
+only at the boundary, and an expression is reduced at its own scale.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -45,10 +38,12 @@ from math import gcd
 
 from .symring import (
     LOG2,
+    UNIT_MONOMIAL,
     Generator,
     SymExpr,
     SymMonomial,
     delta,
+    monomial_product,
     sum_of_products,
     sym_weight,
     zeta,
@@ -306,7 +301,7 @@ class _Pivot:
 # reduce_expr's extra coordinate: no pivot holds it, so it carries the
 # factor by which the row operations have scaled the expression.  Each step
 # multiplies it by L/g > 0 and nothing divides it, so it stays positive.
-_SCALE = -1
+_SCALE = None
 
 
 class Span:
@@ -314,13 +309,13 @@ class Span:
 
     Rows of each weight-w slice are the base relations of weight w plus
     every lower-weight base relation that did not reduce to zero in its own
-    slice, converted when the slice is built, multiplied by the monomials
-    of the complementary weight.  A monomial is a descending tuple of
-    indices into the sorted generator list, so tuple order is the fixed
-    monomial order, and a slice keys each monomial by its rank in the
-    sorted ``_monomials(w)``.  Pivot rows are primitive integer vectors
-    ``{rank: int}``: the gcd of the entries is 1 and the lead (highest
-    rank) entry is positive.  Elimination is fraction free: each step is
+    slice, multiplied by the monomials of the complementary weight in the
+    base generators.  A row is ``{SymMonomial: int}``, keyed as
+    ``SymExpr.nums`` is: a base row is a copy of a relation's numerators,
+    and a product row maps each term t to ``monomial_product(t, m)``.
+    Pivot rows are primitive integer vectors: the gcd of the entries is 1
+    and the lead (highest under ``SymMonomial.sort_key``) entry is
+    positive.  Elimination is fraction free: each step is
     vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
     g = gcd(a, L).  A swept row is divided by its content once, after its
     last step, in ``_insert``; ``reduce_expr`` reads its remainder over the
@@ -333,83 +328,38 @@ class Span:
     (echelon with back-substitution), so reducing an expression is a single
     elimination pass.  A pivot's certificate is a bitmask over base-row
     indices, and its origin is the index of its base row (-1 for a product
-    row).  ``_row`` reads an expression's numerators as stored, through
-    generator indices memoised per monomial.  Provenances appear only at
-    the boundary, in ``reduce_expr`` and ``reduce``.
+    row).  Provenances appear only at the boundary, in ``reduce_expr`` and
+    ``reduce``.
     """
 
     def __init__(self, base):
         self.base = list(base)
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
-        self._gen_index = {g: i for i, g in enumerate(self._gens)}
-        self._index_cache: dict[SymMonomial, tuple[int, ...] | None] = {}
-        self._mono_cache: dict[int, list[tuple[int, ...]]] = {}
-        self._rank_cache: dict[int, dict[tuple[int, ...], int]] = {}
-        self._slices: dict[int, dict[int, _Pivot]] = {}
-
-    def _indices(self, m: SymMonomial) -> tuple[int, ...] | None:
-        """m as a descending tuple of generator indices, or None when it holds
-        a generator outside the base; memoised per monomial."""
-        try:
-            return self._index_cache[m]
-        except KeyError:
-            pass
-        index = self._gen_index
-        try:
-            t = tuple(index[g] for g, e in reversed(m.factors) for _ in range(e))
-        except KeyError:  # a generator outside the base
-            t = None
-        self._index_cache[m] = t
-        return t
-
-    def _monomial(self, w: int, k: int) -> SymMonomial:
-        """The monomial of rank k at weight w."""
-        t = self._monomials(w)[k]
-        return SymMonomial(tuple(Counter(self._gens[i] for i in t).items()))
-
-    def _row(self, e: SymExpr, w: int):
-        """e of weight w as its integer row ``{rank: int}`` over its ``den``,
-        plus the numerators ``rest`` of its terms in generators outside the
-        base."""
-        rank = self._ranks(w)
-        vec, rest = {}, {}
-        for m, n in e.nums.items():
-            t = self._indices(m)
-            if t is None:
-                rest[m] = n
-            else:
-                vec[rank[t]] = n
-        return vec, e.den, rest
-
-    def _expr(self, w: int, vec, den: int) -> SymExpr:
-        """The row vec / den of weight w as an expression."""
-        return SymExpr.from_ints(den, {self._monomial(w, k): v for k, v in vec.items()})
+        self._mono_cache: dict[int, list[SymMonomial]] = {}
+        self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
 
     def _provenances(self, cert: int) -> frozenset:
         """The provenances of the base rows whose bits are set in cert."""
         return frozenset(r.provenance for i, r in enumerate(self.base) if cert >> i & 1)
 
-    def _monomials(self, w: int) -> list[tuple[int, ...]]:
-        """Descending index tuples of weight w, ascending: j heads the sorted
-        tails of weight w - weight(j) that start at most at j."""
+    def _monomials(self, w: int) -> list[SymMonomial]:
+        """The monomials of weight w in the base generators, ascending in
+        the monomial order: generator g heads the ascending tails of weight
+        w - weight(g) whose highest generator is at most g."""
         found = self._mono_cache.get(w)
         if found is None:
-            found = self._mono_cache[w] = [] if w else [()]
-            for j, g in enumerate(self._gens):
+            found = self._mono_cache[w] = [] if w else [UNIT_MONOMIAL]
+            for g in self._gens:
                 if g.weight <= w:
+                    head = SymMonomial(((g, 1),))
                     tails = self._monomials(w - g.weight)
-                    found += [(j,) + t for t in tails[: bisect_left(tails, (j + 1,))]]
+                    # a sort key's expansion opens with the highest generator
+                    top = bisect_right(tails, (g.sort_key(),), key=lambda t: t.sort_key()[1][:1])
+                    found += [monomial_product(head, t) for t in tails[:top]]
         return found
 
-    def _ranks(self, w: int) -> dict[tuple[int, ...], int]:
-        rank = self._rank_cache.get(w)
-        if rank is None:
-            rank = {t: k for k, t in enumerate(self._monomials(w))}
-            self._rank_cache[w] = rank
-        return rank
-
-    def _slice(self, w: int) -> dict[int, _Pivot]:
+    def _slice(self, w: int) -> dict[SymMonomial, _Pivot]:
         st = self._slices.get(w)
         if st is not None:
             return st
@@ -418,25 +368,14 @@ class Span:
         live = {p.origin for v in range(1, w) for p in self._slice(v).values()}
         st = {}
         self._slices[w] = st
-        rank = self._ranks(w)
-        # rows of one weight share their monomials, so each product t·m is
-        # ranked once per slice
-        product_rank: dict[tuple, int] = {}
         for i, r in enumerate(self.base):
             if r.weight < w and i in live:
-                vec, _, _ = self._row(r.expr, r.weight)
-                monos = [self._monomials(r.weight)[k] for k in vec]
+                nums = r.expr.nums
                 for m in self._monomials(w - r.weight):
-                    keys = []
-                    for t in monos:
-                        k = product_rank.get((t, m))
-                        if k is None:
-                            k = product_rank[t, m] = rank[tuple(sorted(t + m, reverse=True))]
-                        keys.append(k)
-                    self._insert(st, dict(zip(keys, vec.values())), 1 << i, -1)
+                    self._insert(st, {monomial_product(t, m): n for t, n in nums.items()}, 1 << i, -1)
         for i, r in enumerate(self.base):
             if r.weight == w:
-                self._insert(st, self._row(r.expr, w)[0], 1 << i, i)
+                self._insert(st, dict(r.expr.nums), 1 << i, i)
         return st
 
     @staticmethod
@@ -494,7 +433,7 @@ class Span:
         cert = self._eliminate(st, vec, cert)
         if not vec:
             return
-        lead = max(vec)
+        lead = max(vec, key=SymMonomial.sort_key)
         content = gcd(*vec.values())
         if vec[lead] < 0:
             content = -content
@@ -511,17 +450,16 @@ class Span:
         provenances of every row that took part in the elimination.
 
         The remainder is e minus a rational combination of pivot rows, at
-        the scale of e; monomials in generators the span does not know pass
-        through unchanged."""
+        the scale of e; monomials in generators the span does not know lie
+        in no pivot, so they pass through unchanged."""
         if not e:
             return e, frozenset()
-        w = sym_weight(e)
-        st = self._slice(w)
-        vec, den, rest = self._row(e, w)
-        vec[_SCALE] = den
+        st = self._slice(sym_weight(e))
+        vec = dict(e.nums)
+        vec[_SCALE] = e.den
         cert = self._eliminate(st, vec, 0)
         scale = vec.pop(_SCALE)
-        return self._expr(w, vec, scale) + SymExpr.from_ints(den, rest), self._provenances(cert)
+        return SymExpr.from_ints(scale, vec), self._provenances(cert)
 
     def contains(self, e: SymExpr) -> bool:
         rem, _ = self.reduce_expr(e)
@@ -541,11 +479,11 @@ def reduce(rels, aux=()) -> list[Relation]:
     out: list[Relation] = []
     for w in sorted({r.weight for r in rels}):
         st = span._slice(w)
-        for lead in sorted(st, reverse=True):
+        for lead in sorted(st, key=SymMonomial.sort_key, reverse=True):
             piv = st[lead]
             if piv.origin < len(aux):
                 continue
             prov = span.base[piv.origin].provenance
             cert = span._provenances(piv.cert) - {prov}
-            out.append(Relation(span._expr(w, piv.vec, piv.vec[lead]), prov, cert))
+            out.append(Relation(SymExpr.from_ints(piv.vec[lead], dict(piv.vec)), prov, cert))
     return out

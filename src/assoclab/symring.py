@@ -150,12 +150,15 @@ class SymMonomial:
     def __new__(cls, factors):
         try:
             return _MONOMIALS[factors]
-        except (KeyError, TypeError):  # unseen, or unhashable factors
-            m = object.__new__(cls)
+        except KeyError:  # unseen: a tuple argument becomes a second key
+            alias = type(factors) is tuple
+        except TypeError:  # unhashable factors
+            alias = False
+        m = object.__new__(cls)
         object.__setattr__(m, "factors", factors)
         m.__post_init__()
         m = _MONOMIALS.setdefault(m.factors, m)
-        if type(factors) is tuple:  # the argument as a second key
+        if alias:
             _MONOMIALS[factors] = m
         return m
 

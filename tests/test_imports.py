@@ -86,15 +86,26 @@ def test_checker_flags_a_dead_definition():
         "unused", "K.idle", "K.shadowed"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_dead_definitions(path):
-    # __init__ re-exports names, so its imports do not keep a definition alive
+def references(paths) -> tuple[set[str], set[str]]:
     names, attributes = set(), set()
-    for p in MODULES:
+    for p in paths:
         n, a = referenced_names(p.read_text())
         names |= n
         attributes |= a
-    assert dead_definitions(path.read_text(), names, attributes) == []
+    return names, attributes
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    # __init__ re-exports names, so its imports do not keep a definition alive
+    assert dead_definitions(path.read_text(), *references(MODULES)) == []
+
+
+def test_every_oracle_has_a_caller():
+    # an oracle no test reads any more checks nothing
+    tests = Path(__file__).resolve().parent
+    oracles = tests / "oracle_utils.py"
+    assert dead_definitions(oracles.read_text(), *references(tests.glob("*.py"))) == []
 
 
 SERIES = {"symring", "freealg", "mzv_side", "delta_side"}

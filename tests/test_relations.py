@@ -31,7 +31,15 @@ from assoclab.relations import (
     shuffle,
     shuffle_relations,
 )
-from assoclab.symring import LOG2, NotHomogeneousError, SymExpr, delta, sum_of_products, zeta
+from assoclab.symring import (
+    LOG2,
+    NotHomogeneousError,
+    SymExpr,
+    SymMonomial,
+    delta,
+    sum_of_products,
+    zeta,
+)
 
 from oracle_utils import (
     FractionSpan,
@@ -272,15 +280,11 @@ def test_relation_normalizes_to_monic():
 
 def test_relation_rows_are_primitive_integer_rows():
     # a monic relation is stored as the row Span eliminates: primitive
-    # numerators over den = the positive lead, read with no conversion
+    # numerators over den = the positive lead
     comp, aux = comparison_relations(6), aux_relations(AUX_NAMES, 6)
-    span = Span(aux + comp)
     for r in comp + aux + reduce(comp, aux):
         e = r.expr
         assert e.den > 0 and is_monic(e) and gcd(*e.nums.values()) == 1
-        vec, den, rest = span._row(e, r.weight)
-        assert den == e.den and not rest
-        assert {span._monomial(r.weight, k): n for k, n in vec.items()} == e.nums
 
 
 def test_relation_rejects_zero_and_mixed_weight():
@@ -392,9 +396,15 @@ def test_span_contains_euler_relation():
 def test_span_monomials_match_brute_force_enumeration():
     span = Span(aux_relations(AUX_NAMES, 8) + comparison_relations(8))
     weights = [g.weight for g in span._gens]
+    index = {g: i for i, g in enumerate(span._gens)}
     assert len(weights) > 300
     for w in range(1, 9):
-        assert span._monomials(w) == monomial_tuples_brute(weights, w)
+        monomials = span._monomials(w)
+        keys = [m.sort_key() for m in monomials]
+        assert keys == sorted(set(keys))  # strictly ascending in the monomial order
+        # each monomial as the descending tuple of its generators' indices
+        tuples = [tuple(index[g] for g, e in reversed(m.factors) for _ in range(e)) for m in monomials]
+        assert tuples == monomial_tuples_brute(weights, w)
 
 
 def test_span_pivots_are_primitive_with_positive_lead():
@@ -402,13 +412,35 @@ def test_span_pivots_are_primitive_with_positive_lead():
     span = Span(base)
     for w in range(1, 6):
         for lead, piv in span._slice(w).items():
-            assert lead == max(piv.vec) and piv.vec[lead] > 0
+            assert lead == max(piv.vec, key=SymMonomial.sort_key) and piv.vec[lead] > 0
             assert gcd(*piv.vec.values()) == 1
             # a pivot inserted from a base row carries that row's bit
             assert piv.origin == -1 or piv.cert >> piv.origin & 1
+    low, high = SymMonomial(((zeta((3,)), 1),)), SymMonomial(((delta((3,)), 1),))
+    assert low.sort_key() < high.sort_key()
     st = {}
-    span._insert(st, {0: 4, 2: -6}, 1, 0)
-    assert st[2].vec == {0: -2, 2: 3}
+    span._insert(st, {low: 4, high: -6}, 1, 0)
+    assert st[high].vec == {low: -2, high: 3}
+
+
+@pytest.mark.parametrize("order", [5, 6, 7, 8])
+def test_free_monomials_are_the_monomials_in_free_generators(order):
+    # the span behaves as a polynomial algebra on its free generators: at
+    # every weight, the monomials that lead no pivot are as many as the
+    # monomials in the generators that lead no pivot of their own weight
+    span = Span(aux_relations(AUX_NAMES, order) + comparison_relations(order))
+    free_gens = [g for g in span._gens if SymMonomial(((g, 1),)) not in span._slice(g.weight)]
+    # in_free[w]: the number of weight-w monomials in the free generators
+    in_free = [1] + [0] * order
+    for g in free_gens:
+        for w in range(g.weight, order + 1):
+            in_free[w] += in_free[w - g.weight]
+    weights = range(1, order + 1)
+    free = [sum(m not in span._slice(w) for m in span._monomials(w)) for w in weights]
+    assert free == in_free[1:]
+    if order == 8:
+        assert free == [1, 2, 3, 6, 10, 23, 47, 96]
+        assert [sum(g.weight == w for g in free_gens) for w in weights] == [1, 1, 1, 2, 3, 9, 18, 30]
 
 
 def test_span_certificates_point_at_base_rows():

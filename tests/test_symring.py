@@ -150,6 +150,7 @@ def test_equal_values_are_one_object():
     assert monomial((LOG2, 2), (g, 1)) is m  # factor order
     assert monomial((LOG2, 1), (g, 1), (LOG2, 1)) is m  # repeated factors merged
     assert SymMonomial([(LOG2, 2), (g, 1)]) is m  # a list of factors
+    assert SymMonomial(([LOG2, 2], [g, 1])) is m  # a tuple of unhashable pairs
     a, b = monomial((g, 1)), monomial((LOG2, 2))
     assert monomial_product(a, b) is monomial_product(b, a) is m
     assert m != monomial((g, 1), (LOG2, 1))
