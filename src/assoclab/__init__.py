@@ -11,8 +11,11 @@ from .symring import (
     SymExpr,
     SymMonomial,
     delta,
+    dual_word,
     sym_weight,
+    word_composition,
     zeta,
+    zeta_word,
 )
 from .freealg import (
     A,
@@ -30,7 +33,7 @@ from .freealg import (
     nc_unit,
     series_to_json,
 )
-from .mzv_side import dual_composition, enumerate_pq, phi_mzv, zeta_composition
+from .mzv_side import enumerate_pq, phi_mzv
 from .delta_side import iint_to_sym, index_words, phi_delta, xi_series
 from .relations import (
     Comparison,

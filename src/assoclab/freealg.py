@@ -24,13 +24,11 @@ from __future__ import annotations
 from math import comb, factorial
 from fractions import Fraction
 
-from .symring import SymExpr, LOG2, sum_of_products
+from .symring import LETTER_SWAP, SymExpr, LOG2, sum_of_products
 
 A = "A"
 B = "B"
 LETTERS = (A, B)
-
-_SWAP = str.maketrans("AB", "BA")
 
 
 class OrderMismatchError(ValueError):
@@ -196,7 +194,7 @@ def ad_words(actor: str, argument: str, levels) -> dict[str, int]:
 
 def nc_swap(s: NCSeries) -> NCSeries:
     """Exchange the letters A and B in every word; coefficients unchanged."""
-    return NCSeries(s.order, {w.translate(_SWAP): e for w, e in s.coeffs.items()})
+    return NCSeries(s.order, {w.translate(LETTER_SWAP): e for w, e in s.coeffs.items()})
 
 
 def nc_coeff(s: NCSeries, w: str) -> SymExpr:

@@ -1,13 +1,15 @@
 """Associator series whose coefficients are multiple zeta values.
 
 The degree-r part is indexed by tuples of positive integer pairs
-((p1,q1),...,(pg,qg)) with sum(p_i+q_i) = r.  Each index contributes the
-multiple zeta value of composition (p1+1, {1}^(q1-1), ..., pg+1, {1}^(qg-1))
-times a signed binomial sum of words: inside the template
-A^{p1} B^{q1} ... A^{pg} B^{qg}, a block of s_i letters A is clipped from the
-i-th A-run and appended at the right end, a block of t_i letters B is clipped
-from the i-th B-run and prepended at the left end, weighted by
-(-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is (-1)^{q1+...+qg}.
+((p1,q1),...,(pg,qg)) with sum(p_i+q_i) = r.  Each index has the template
+A^{p1} B^{q1} ... A^{pg} B^{qg} (``pq_word``), which is the zeta word of
+its coefficient: the multiple zeta value of composition
+(p1+1, {1}^(q1-1), ..., pg+1, {1}^(qg-1)).  That value multiplies a signed
+binomial sum of words: inside the template, a block of s_i letters A is
+clipped from the i-th A-run and appended at the right end, a block of t_i
+letters B is clipped from the i-th B-run and prepended at the left end,
+weighted by (-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is
+(-1)^{q1+...+qg}.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .symring import SymExpr, zeta
-from .freealg import NCSeries, nc_word_sums
+from .symring import SymExpr, word_composition, zeta
+from .freealg import A, B, NCSeries, nc_word_sums
 
 # ((p1, q1), ..., (pg, qg)), all entries >= 1; only enumerate_pq builds one
 Pairs = tuple[tuple[int, int], ...]
@@ -49,18 +51,9 @@ def enumerate_pq(r: int) -> list[Pairs]:
     return out
 
 
-def zeta_composition(pairs: Pairs) -> tuple[int, ...]:
-    """Composition (p1+1, {1}^(q1-1), ..., pg+1, {1}^(qg-1)); always admissible."""
-    parts: list[int] = []
-    for p, q in pairs:
-        parts.append(p + 1)
-        parts.extend([1] * (q - 1))
-    return tuple(parts)
-
-
-def dual_composition(pairs: Pairs) -> Pairs:
-    """Reverse the pair list and swap p and q within each pair."""
-    return tuple((q, p) for p, q in reversed(pairs))
+def pq_word(pairs: Pairs) -> str:
+    """The template A^{p1} B^{q1} ... A^{pg} B^{qg}, the index's zeta word."""
+    return "".join(A * p + B * q for p, q in pairs)
 
 
 def _word_sum(pairs: Pairs) -> dict[str, int]:
@@ -94,7 +87,7 @@ def phi_mzv(order: int) -> NCSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     terms = (
-        (SymExpr.gen(zeta(zeta_composition(pairs)), coeff=(-1) ** sum(q for _, q in pairs)),
+        (SymExpr.gen(zeta(word_composition(pq_word(pairs))), coeff=(-1) ** sum(q for _, q in pairs)),
          _word_sum(pairs))
         for r in range(2, order + 1)
         for pairs in enumerate_pq(r)

@@ -3,10 +3,11 @@
 Delta values converge geometrically (each summand carries 2^(-n1)), so a
 plain nested partial-sum recurrence with a certified cutoff reaches hundreds
 of digits cheaply.  Multiple zeta values are slowly convergent as sums, so
-they are evaluated instead by splitting their iterated-integral word at the
-midpoint: every split half is again a delta-type value.  The split of the
-depth-one word K0 K1 is Euler's dilogarithm identity zeta[2] = 2 d[2] + c^2;
-the general case is the same convolution at arbitrary depth.
+they are evaluated instead by splitting their zeta word at the midpoint:
+each suffix, and the ``dual_word`` of each prefix, is a delta value's word.
+The split of the depth-one word AB is Euler's dilogarithm identity
+zeta[2] = 2 d[2] + c^2; the general case is the same convolution at
+arbitrary depth.
 
 The constant c = log 2 is itself the delta value d[1] = Li_1(1/2), so it
 takes the same summation as every other delta generator.
@@ -39,10 +40,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .symring import Generator, SymExpr, delta, zeta
-
-K0 = "0"
-K1 = "1"
+from .symring import Generator, SymExpr, delta, dual_word, word_composition, zeta, zeta_word
 
 
 @dataclass(frozen=True)
@@ -121,37 +119,10 @@ def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
         return mpf((total, -P))
 
 
-def zeta_word(comp) -> str:
-    """Kernel word K0^(s1-1) K1 ... K0^(sk-1) K1, outermost letter first."""
-    return "".join(K0 * (s - 1) + K1 for s in comp)
-
-
-def word_to_composition(word: str) -> tuple[int, ...]:
-    """Inverse of zeta_word; the word must end with K1."""
-    if not word or word[-1] != K1:
-        raise ValueError("integration word must end with K1")
-    parts = []
-    run = 0
-    for ch in word:
-        if ch == K0:
-            run += 1
-        elif ch == K1:
-            parts.append(run + 1)
-            run = 0
-        else:
-            raise ValueError("letters must be K0/K1")
-    return tuple(parts)
-
-
-def reverse_swap(word: str) -> str:
-    """Reverse the word and exchange the two kernel letters."""
-    return "".join(K0 if ch == K1 else K1 for ch in reversed(word))
-
-
 def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
     """Midpoint-split evaluation of an admissible multiple zeta value.
 
-    Each prefix u of the word contributes (value of reverse_swap(u) on the
+    Each prefix u of the word contributes (value of dual_word(u) on the
     lower half) times (value of the remaining suffix on the lower half);
     lower-half values are generalized delta values via block decomposition.
     """
@@ -169,9 +140,9 @@ def _value(g: Generator, prec: Precision) -> mpf:
                 u, v = word[:i], word[i:]
                 part = mp.one
                 if u:
-                    part *= _value(delta(word_to_composition(reverse_swap(u))), prec)
+                    part *= _value(delta(word_composition(dual_word(u))), prec)
                 if v:
-                    part *= _value(delta(word_to_composition(v)), prec)
+                    part *= _value(delta(word_composition(v)), prec)
                 total += part
         return total
     # c is the delta value d[1]; its generator carries no parts

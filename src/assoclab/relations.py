@@ -43,18 +43,15 @@ from .symring import (
     SymExpr,
     SymMonomial,
     delta,
+    dual_word,
     monomial_product,
     sum_of_products,
     sym_weight,
+    word_composition,
     zeta,
 )
 from .freealg import NCSeries, OrderMismatchError, nc_coeff
-from .mzv_side import (
-    dual_composition,
-    enumerate_pq,
-    phi_mzv,
-    zeta_composition,
-)
+from .mzv_side import enumerate_pq, phi_mzv, pq_word
 from .delta_side import iint_terms, iint_to_sym, index_weight, index_words, phi_delta
 
 
@@ -199,7 +196,7 @@ def shuffle_relations(max_weight: int) -> list[Relation]:
 
 
 def duality_relations(max_weight: int) -> list[Relation]:
-    """Reverse-and-swap equalities between admissible zeta values.
+    """Duality z[w] = z[dual_word(w)] between admissible zeta values.
 
     Self-dual compositions are omitted; each dual pair appears once, keyed
     by its lexicographically smaller composition.
@@ -209,8 +206,8 @@ def duality_relations(max_weight: int) -> list[Relation]:
     out: list[Relation] = []
     for r in range(2, max_weight + 1):
         for pairs in enumerate_pq(r):
-            comp = zeta_composition(pairs)
-            dcomp = zeta_composition(dual_composition(pairs))
+            word = pq_word(pairs)
+            comp, dcomp = word_composition(word), word_composition(dual_word(word))
             if comp >= dcomp:
                 continue
             expr = SymExpr.gen(zeta(comp)) - SymExpr.gen(zeta(dcomp))

@@ -13,6 +13,12 @@ Every generator carries a weight (1 for ``c``, sum of the exponent string
 otherwise) and expressions built by the expansion pipeline are weight
 homogeneous.  All arithmetic is exact, with no floating point.
 
+A composition is also a zeta word, its iterated-integral word over the
+series letters A = dt/t and B = dt/(1-t), outermost letter first
+(``zeta_word``): the associator's coefficient at a word is the zeta value
+of that word.  This module alone converts between the two, and
+``dual_word`` is the duality z[w] = z[dual_word(w)].
+
 The fixed total order on generators drives canonical forms and, later, the
 elimination order during relation reduction: generators compare by
 (weight, kind, depth, parts) with kind ranked zeta < log2 < delta, so at equal
@@ -58,8 +64,30 @@ def check_composition(parts: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+# -- zeta words ---------------------------------------------------------------
+
+LETTER_SWAP = str.maketrans("AB", "BA")
+
+
+def zeta_word(comp) -> str:
+    """A^(s1-1) B ... A^(sk-1) B for the composition (s1, ..., sk)."""
+    return "".join("A" * (s - 1) + "B" for s in check_composition(comp))
+
+
+def word_composition(word: str) -> tuple[int, ...]:
+    """Inverse of zeta_word: a nonempty word over A/B that ends in B."""
+    if not word.endswith("B") or not set(word) <= {"A", "B"}:
+        raise ValueError("zeta word must be over A/B and end in B: %r" % (word,))
+    return tuple(len(run) + 1 for run in word[:-1].split("B"))
+
+
+def dual_word(word: str) -> str:
+    """Reverse the word and swap A and B (duality of zeta words)."""
+    return word[::-1].translate(LETTER_SWAP)
+
+
 _KIND_RANK = {"zeta": 0, "log2": 1, "delta": 2}
-# intern tables: constructor arguments to the one object of their value
+# intern tables: canonical constructor arguments to the one object of their value
 _GENERATORS: dict[tuple, "Generator"] = {}
 _MONOMIALS: dict[tuple, "SymMonomial"] = {}
 
@@ -140,9 +168,10 @@ def delta(parts: Iterable[int]) -> Generator:
 class SymMonomial:
     """Product of generator powers, factors sorted by the generator order.
 
-    Interned: ``__post_init__`` builds an unseen value once, and equal
-    products of any factor list are one object.  ``weight`` is stored when
-    built; ``sort_key``, ``render`` and ``latex`` on first use.
+    Interned under its canonical factors: an argument that is not that key
+    is canonicalised by ``__post_init__`` on every call, and equal products
+    of any factor list are one object.  ``weight`` is stored when built;
+    ``sort_key``, ``render`` and ``latex`` on first use.
     """
 
     __slots__ = ("factors", "weight", "_key", "_text", "_latex")
@@ -150,17 +179,12 @@ class SymMonomial:
     def __new__(cls, factors):
         try:
             return _MONOMIALS[factors]
-        except KeyError:  # unseen: a tuple argument becomes a second key
-            alias = type(factors) is tuple
-        except TypeError:  # unhashable factors
-            alias = False
+        except (KeyError, TypeError):  # not a canonical key, or unhashable
+            pass
         m = object.__new__(cls)
         object.__setattr__(m, "factors", factors)
         m.__post_init__()
-        m = _MONOMIALS.setdefault(m.factors, m)
-        if alias:
-            _MONOMIALS[factors] = m
-        return m
+        return _MONOMIALS.setdefault(m.factors, m)
 
     def __post_init__(self):
         merged: dict[Generator, int] = {}

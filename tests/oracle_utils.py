@@ -8,11 +8,11 @@ depth-one comparisons.  Agreement between these and the package is evidence;
 shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
 elimination, the per-step normalised integer sweep, the Fraction product and
-sum loops, the word-sum and shuffle-row loops, the all-pairs product and
-geometric inverse): each checks the faster rewrite that replaced it.  The
-series helpers at the end (sums, scalings, graded parts, the grading check,
-ad-powers, word duality) are not oracles: the pipeline never runs them, so
-they live with the tests that use them.
+sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
+the all-pairs product and geometric inverse): each checks the rewrite that
+replaced it.  The series helpers at the end (sums, scalings, graded parts,
+the grading check, ad-powers) are not oracles: the pipeline never runs them,
+so they live with the tests that use them.
 """
 
 from __future__ import annotations
@@ -646,9 +646,50 @@ def shuffle_rows_fraction(max_weight: int):
     return rows
 
 
+def zeta_composition(pairs) -> tuple[int, ...]:
+    """The package's former pair reading of an index's composition:
+    (p1+1, {1}^(q1-1), ..., pg+1, {1}^(qg-1))."""
+    parts: list[int] = []
+    for p, q in pairs:
+        parts.append(p + 1)
+        parts.extend([1] * (q - 1))
+    return tuple(parts)
+
+
+def dual_composition(pairs):
+    """The package's former pair duality: reverse the pair list and swap p
+    and q within each pair."""
+    return tuple((q, p) for p, q in reversed(pairs))
+
+
+def duality_rows_pairs(max_weight: int) -> list:
+    """The package's former duality rows, built from the pair functions
+    above, as (composition, monic expression) in enumeration order."""
+    from assoclab.mzv_side import enumerate_pq
+    from assoclab.symring import SymExpr, zeta
+
+    rows = []
+    for r in range(2, max_weight + 1):
+        for pairs in enumerate_pq(r):
+            comp = zeta_composition(pairs)
+            dcomp = zeta_composition(dual_composition(pairs))
+            if comp < dcomp:
+                expr = SymExpr.gen(zeta(comp)) - SymExpr.gen(zeta(dcomp))
+                rows.append((comp, expr.monic()))
+    return rows
+
+
 # -- test-only helpers -------------------------------------------------------
 #
 # No pipeline path runs these; the tests build expected values with them.
+
+
+def compositions_of_weight(w: int):
+    """All compositions of w, first part unrestricted."""
+    for k in range(1, w + 1):
+        for cuts in itertools.combinations(range(1, w), k - 1):
+            bounds = (0,) + cuts + (w,)
+            yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
 def nc_add(a, b):
@@ -771,10 +812,3 @@ def ad_series(actor: str, argument: str, m: int):
 
     words = ad_words(actor, argument, (m,))
     return NCSeries(m + 1, {w: SymExpr.rational(k) for w, k in words.items()})
-
-
-def word_dual(comp) -> tuple:
-    """Dual composition: reverse-swap the integration word and read it back."""
-    from assoclab.numeric import reverse_swap, word_to_composition, zeta_word
-
-    return word_to_composition(reverse_swap(zeta_word(comp)))

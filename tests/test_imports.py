@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and each
-module imports only the package modules of the layers below it.
+"""Every name a package module or test file imports is used in that file,
+and each package module imports only the package modules of the layers
+below it.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` is skipped: its
@@ -15,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "assoclab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +40,7 @@ def test_checker_flags_an_unused_name():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -103,9 +105,8 @@ def test_no_dead_definitions(path):
 
 def test_every_oracle_has_a_caller():
     # an oracle no test reads any more checks nothing
-    tests = Path(__file__).resolve().parent
-    oracles = tests / "oracle_utils.py"
-    assert dead_definitions(oracles.read_text(), *references(tests.glob("*.py"))) == []
+    oracles = Path(__file__).resolve().parent / "oracle_utils.py"
+    assert dead_definitions(oracles.read_text(), *references(TESTS)) == []
 
 
 SERIES = {"symring", "freealg", "mzv_side", "delta_side"}

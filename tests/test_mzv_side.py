@@ -8,22 +8,18 @@ from math import comb
 import pytest
 
 from assoclab.freealg import NCSeries, nc_mul, nc_unit
-from assoclab.mzv_side import (
-    dual_composition,
-    enumerate_pq,
-    phi_mzv,
-    zeta_composition,
-)
-from assoclab.symring import SymExpr, zeta
+from assoclab.mzv_side import enumerate_pq, phi_mzv, pq_word
+from assoclab.symring import SymExpr, dual_word, word_composition, zeta
 
 from oracle_utils import (
     ad_series,
     check_grading,
+    dual_composition,
     nc_add,
     nc_graded_part,
     nc_scale,
     nc_sub,
-    word_dual,
+    zeta_composition,
 )
 
 
@@ -52,12 +48,18 @@ def test_enumerate_pq_order_g_ascending_then_lex_descending():
 
 
 def test_zeta_composition_examples():
-    assert zeta_composition(((2, 1),)) == (3,)
-    assert zeta_composition(((1, 2),)) == (2, 1)
-    assert zeta_composition(((1, 3),)) == (2, 1, 1)
-    assert zeta_composition(((1, 1), (1, 1))) == (2, 2)
-    assert zeta_composition(((2, 1), (1, 1))) == (3, 2)
-    assert zeta_composition(((1, 1), (2, 1))) == (2, 3)
+    # the template is the zeta word; the pair oracle reads the same composition
+    examples = [
+        (((2, 1),), "AAB", (3,)),
+        (((1, 2),), "ABB", (2, 1)),
+        (((1, 3),), "ABBB", (2, 1, 1)),
+        (((1, 1), (1, 1)), "ABAB", (2, 2)),
+        (((2, 1), (1, 1)), "AABAB", (3, 2)),
+        (((1, 1), (2, 1)), "ABAAB", (2, 3)),
+    ]
+    for pairs, word, comp in examples:
+        assert pq_word(pairs) == word
+        assert word_composition(word) == zeta_composition(pairs) == comp
 
 
 def test_zeta_composition_weight_is_degree():
@@ -65,8 +67,9 @@ def test_zeta_composition_weight_is_degree():
     for _ in range(100):
         g = rng.randint(1, 3)
         pairs = tuple((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(g))
-        comp = zeta_composition(pairs)
-        assert sum(comp) == sum(p + q for p, q in pairs)
+        comp = word_composition(pq_word(pairs))
+        assert comp == zeta_composition(pairs)
+        assert sum(comp) == sum(p + q for p, q in pairs) == len(pq_word(pairs))
         assert comp[0] >= 2
 
 
@@ -76,8 +79,8 @@ def test_dual_composition_is_reverse_swap():
     for _ in range(100):
         pairs = tuple((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
         assert dual_composition(dual_composition(pairs)) == pairs
-        # matches the word-level duality used by the numeric module
-        assert zeta_composition(dual_composition(pairs)) == word_dual(zeta_composition(pairs))
+        # the pair duality is dual_word on the template
+        assert pq_word(dual_composition(pairs)) == dual_word(pq_word(pairs))
 
 
 def test_phi_degree_two_is_zeta2_bracket():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 
@@ -20,31 +19,29 @@ from assoclab.numeric import (
     eval_delta,
     eval_symexpr,
     eval_zeta,
-    reverse_swap,
     verify_relation,
-    word_to_composition,
-    zeta_word,
 )
 from assoclab.relations import comparison_relations
-from assoclab.symring import LOG2, NotAdmissibleError, SymExpr, delta, zeta
+from assoclab.symring import (
+    LOG2,
+    NotAdmissibleError,
+    SymExpr,
+    delta,
+    dual_word,
+    word_composition,
+    zeta,
+    zeta_word,
+)
 
 from oracle_utils import (
     brute_delta,
     close_enough,
     closed_zeta_table,
+    compositions_of_weight,
     delta_mpf,
     delta_mpf_table,
     naive_zeta,
-    word_dual,
 )
-
-
-def compositions_of_weight(w: int):
-    """All compositions of w, first part unrestricted."""
-    for k in range(1, w + 1):
-        for cuts in itertools.combinations(range(1, w), k - 1):
-            bounds = (0,) + cuts + (w,)
-            yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
 def test_precision_validation():
@@ -276,34 +273,8 @@ def test_eval_zeta_duality_weight_six():
             if comp[0] < 2:
                 continue
             a = eval_zeta(comp, prec)
-            b = eval_zeta(word_dual(comp), prec)
+            b = eval_zeta(word_composition(dual_word(zeta_word(comp))), prec)
             assert close_enough(a, b, 40), comp
-
-
-def test_word_helpers_roundtrip():
-    assert zeta_word((2, 1)) == "011"
-    assert word_to_composition("011") == (2, 1)
-    rng = random.Random(17)
-    for _ in range(100):
-        comp = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
-        w = zeta_word(comp)
-        assert word_to_composition(w) == comp
-        assert reverse_swap(reverse_swap(w)) == w
-        if comp[0] >= 2:
-            assert word_dual(word_dual(comp)) == comp
-    with pytest.raises(ValueError):
-        word_to_composition("010")
-    with pytest.raises(ValueError):
-        word_to_composition("")
-
-
-def test_word_dual_examples():
-    assert word_dual((3,)) == (2, 1)
-    assert word_dual((4,)) == (2, 1, 1)
-    assert word_dual((5,)) == (2, 1, 1, 1)
-    assert word_dual((2, 2)) == (2, 2)
-    assert word_dual((3, 1)) == (3, 1)
-    assert word_dual((4, 1)) == (3, 1, 1)
 
 
 def test_eval_symexpr_zero_and_composite():

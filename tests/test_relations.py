@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from assoclab.freealg import OrderMismatchError, nc_unit
+from assoclab.freealg import OrderMismatchError
 from assoclab.delta_side import phi_delta
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, verify_relation
@@ -43,6 +43,7 @@ from assoclab.symring import (
 
 from oracle_utils import (
     FractionSpan,
+    duality_rows_pairs,
     fraction_reduce,
     monomial_tuples_brute,
     shuffle_brute,
@@ -198,6 +199,14 @@ def test_duality_relations_examples():
         assert isinstance(r.provenance, Duality)
     leads = {r.expr.leading_monomial().render() for r in duality_relations(5)}
     assert "z[3,1]" not in leads and "z[2,2]" not in leads
+
+
+@pytest.mark.parametrize("max_weight", range(3, 11))
+def test_duality_relations_match_the_pair_oracle(max_weight):
+    # the word reading (pq_word, dual_word) gives the former pair reading's
+    # rows, in the same order
+    got = [(r.provenance.composition, r.expr) for r in duality_relations(max_weight)]
+    assert got == duality_rows_pairs(max_weight)
 
 
 def test_duality_relations_all_true_numerically():

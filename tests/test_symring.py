@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from assoclab import symring
+from assoclab.relations import AUX_NAMES, aux_relations, comparison_relations, reduce
 from assoclab.symring import (
     LOG2,
     UNIT_MONOMIAL,
@@ -20,12 +21,15 @@ from assoclab.symring import (
     SymMonomial,
     check_composition,
     delta,
+    dual_word,
     monomial_product,
     sym_weight,
+    word_composition,
     zeta,
+    zeta_word,
 )
 
-from oracle_utils import monomial, monomial_views
+from oracle_utils import compositions_of_weight, monomial, monomial_views
 
 
 def _random_generator(rng: random.Random) -> Generator:
@@ -58,6 +62,47 @@ def test_check_composition_rejects_bad_parts():
         check_composition([2, 0])
     with pytest.raises(ValueError):
         check_composition([2, -1])
+
+
+def test_word_helpers_roundtrip():
+    assert zeta_word((2, 1)) == "ABB"
+    assert word_composition("ABB") == (2, 1)
+    rng = random.Random(17)
+    for _ in range(100):
+        comp = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        w = zeta_word(comp)
+        assert word_composition(w) == comp
+        assert dual_word(dual_word(w)) == w
+    # the former K0/K1 form, empty, no final B, a foreign letter
+    for bad in ("011", "", "A", "BA", "ABA", "AxB"):
+        with pytest.raises(ValueError):
+            word_composition(bad)
+
+
+def test_word_dual_examples():
+    dual = lambda comp: word_composition(dual_word(zeta_word(comp)))
+    assert dual((3,)) == (2, 1)
+    assert dual((4,)) == (2, 1, 1)
+    assert dual((5,)) == (2, 1, 1, 1)
+    assert dual((2, 2)) == (2, 2)
+    assert dual((3, 1)) == (3, 1)
+    assert dual((4, 1)) == (3, 1, 1)
+    assert dual_word("AABAB") == "ABABB"
+
+
+def test_zeta_words_of_every_admissible_composition_through_weight_12():
+    count = 0
+    for weight in range(2, 13):
+        for comp in compositions_of_weight(weight):
+            if comp[0] < 2:
+                continue
+            count += 1
+            word = zeta_word(comp)
+            assert word_composition(word) == comp
+            assert dual_word(dual_word(word)) == word
+            dcomp = word_composition(dual_word(word))
+            assert sum(dcomp) == len(word) == weight and dcomp[0] >= 2
+    assert count == 2 ** 11 - 1
 
 
 def test_zeta_requires_admissible_first_part():
@@ -186,6 +231,15 @@ def test_invalid_input_raises_on_every_call_and_is_not_stored():
     assert ("delta", (2, 0)) not in symring._GENERATORS
     assert ("zeta", (1, 2)) not in symring._GENERATORS
     assert ((LOG2, 0),) not in symring._MONOMIALS
+
+
+def test_monomials_are_interned_under_their_canonical_factors_only():
+    g = zeta([2])
+    m = SymMonomial(((LOG2, 1), (g, 1), (LOG2, 1)))
+    assert m.factors == ((LOG2, 2), (g, 1))
+    assert ((LOG2, 1), (g, 1), (LOG2, 1)) not in symring._MONOMIALS
+    reduce(comparison_relations(6), aux_relations(AUX_NAMES, 6))
+    assert all(key == m.factors for key, m in symring._MONOMIALS.items())
 
 
 def test_assigning_an_attribute_raises():
