@@ -40,7 +40,7 @@ from .relations import (
     known_values,
     reduce as reduce_relations,
 )
-from .numeric import Precision, eval_delta, eval_zeta, verify_relation
+from .numeric import Precision, eval_delta, eval_symexpr, eval_zeta, verify_relation
 
 DEFAULT_ORDER = 5
 DEFAULT_DIGITS = 40
@@ -239,12 +239,8 @@ def _selftest_checks():
         return all(verify_relation(r, prec).ok for r in known_values())
 
     def numeric_duality():
-        prec = Precision(30)
-        a = eval_zeta((3, 1), prec)
-        b = eval_zeta((4,), prec)
-        # compare inside a wide context: ambient dps would round b/4
-        with mp.workdps(prec.digits + 10):
-            return bool(abs(a - b / 4) < mp.mpf(10) ** (-25))
+        row = SymExpr.gen(zeta((3, 1))) - SymExpr.gen(zeta((4,)), coeff=Fraction(1, 4))
+        return bool(abs(eval_symexpr(row, Precision(30))) < mp.mpf(10) ** (-25))
 
     return [
         ("order-2 comparison yields the dilogarithm relation", order2_comparison),

@@ -17,18 +17,22 @@ The nested sum is the one of Borwein, Bradley, Broadhurst and Lisonek
 argument 1/2, run in integer fixed point: every partial sum is a Python int
 scaled by 2^P, every step is a floor division, and ``_delta``'s docstring
 bounds what the floors lose.  mpmath is used only at the edges: each delta
-value becomes an mpf once, at the working precision, and the midpoint
-split, ``eval_symexpr`` and the residuals are mpf arithmetic.  Results carry
-no error object; instead the working precision exceeds the requested digits
-by a guard margin plus a term-count allowance, and the summation cutoffs
-are chosen against an explicit tail bound.
+value becomes an mpf once, at the working precision, and the midpoint split
+is mpf arithmetic.  Results carry no error object; instead the working
+precision exceeds the requested digits by a guard margin plus a term-count
+allowance, and the summation cutoffs are chosen against an explicit tail
+bound.
 
 There is one value cache, ``_value``, keyed by the ``Generator`` and the
 (frozen) Precision.  A composition is validated once, when its generator is
-built; ``eval_delta``, ``eval_zeta``, the midpoint split and
-``eval_symexpr`` all read values through that cache.  ``eval_symexpr`` sums
-an expression's terms in their stored order, which is deterministic, so
-this module does not depend on the monomial order.
+built; ``eval_delta``, ``eval_zeta``, the midpoint split and the monomial
+table ``_fixed`` all read values through that cache.  Rows are evaluated in
+integer fixed point: ``_fixed`` holds each monomial's value as an int scaled
+by 2^B (``_scale_bits``), ``eval_symexpr`` sums a row's integer numerators
+times those ints and divides by its one denominator once, and
+``verify_relation`` decides pass or fail on that integer sum exactly.
+Integer sums do not depend on the order of their terms, so this module does
+not depend on the monomial order.
 """
 
 from __future__ import annotations
@@ -39,8 +43,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
-from .symring import Generator, SymExpr, delta, dual_word, word_composition, zeta, zeta_word
+from .symring import (
+    Generator,
+    SymExpr,
+    SymMonomial,
+    delta,
+    dual_word,
+    word_composition,
+    zeta,
+    zeta_word,
+)
 
 
 @dataclass(frozen=True)
@@ -151,15 +165,57 @@ def _value(g: Generator, prec: Precision) -> mpf:
     return _delta(g.parts, prec)
 
 
+# guard bits of the row scale, above the requested and guard digits
+GUARD_BITS = 64
+
+
+def _scale_bits(prec: Precision) -> int:
+    """B, the scale 2^B of the fixed-point row values."""
+    return int(math.ceil((prec.digits + prec.guard) * math.log2(10))) + GUARD_BITS
+
+
+@lru_cache(maxsize=None)
+def _fixed(m: SymMonomial, prec: Precision) -> int:
+    """Floor-rounded value of a monomial, as an int scaled by 2^B.
+
+    Each factor enters as its cached mpf shifted to scale 2^B (``to_fixed``,
+    exact up to one floor), and each product shifts right by B once, which
+    floors again.  Every generator value lies in (0, 2), so after j factors
+    the value is below 2^j and the error e_j, in units of 2^-B, obeys
+    e_1 < 1 and e_(j+1) < 2*e_j + 2^j + 1: a monomial of degree k is off by
+    less than k*2^k units, far inside the GUARD_BITS.
+    """
+    B = _scale_bits(prec)
+    v = 1 << B
+    for g, exp in m.factors:
+        x = to_fixed(_value(g, prec)._mpf_, B)
+        for _ in range(exp):
+            v = (v * x) >> B
+    return v
+
+
+def _row_total(e: SymExpr, prec: Precision) -> int:
+    # sum of n * V(m) over the numerators: the row's value times den * 2^B
+    return sum(n * _fixed(m, prec) for m, n in e.nums.items())
+
+
+def _to_mpf(total: int, den: int, prec: Precision) -> mpf:
+    B = _scale_bits(prec)
+    with mp.workprec(B):
+        return mpf((total, -B)) / den
+
+
 def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
-    with mp.workdps(_working_dps(prec, len(e) + 1)):
-        total = mp.zero
-        for mono, q in e.items():
-            v = mpf(q.numerator) / q.denominator
-            for g, exp in mono.factors:
-                v *= _value(g, prec) ** exp
-            total += v
-    return total
+    """Value of an expression, Σ n·V(m) / den over its integer numerators.
+
+    Each V(m) is the fixed-point monomial value at scale 2^B, with
+    B = ``_scale_bits(prec)`` (the requested plus guard digits, in bits, plus
+    GUARD_BITS); the sum is an exact integer, divided by den once as an mpf
+    of B bits.  Against exact arithmetic on the cached generator values, the
+    sum is off by under Σ|n|·k·2^k / den units of 2^-B (``_fixed``), for
+    monomials of degree at most k, before that one rounding.
+    """
+    return _to_mpf(_row_total(e, prec), e.den, prec)
 
 
 VerifyResult = namedtuple("VerifyResult", ["residual", "ok", "threshold"])
@@ -168,9 +224,14 @@ VerifyResult = namedtuple("VerifyResult", ["residual", "ok", "threshold"])
 def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
     """Numeric certificate: residual below 10^-(digits-5) counts as Pass.
 
-    Accepts anything with an ``expr`` attribute, or a bare SymExpr.
+    The verdict is exact integer arithmetic on the fixed-point sum
+    T = Σ n·V(m) at scale 2^B (``eval_symexpr``): pass when
+    |T| * 10^(digits-5) < den * 2^B.  The mpf residual |T| / (den * 2^B) is
+    only what a report prints.  Accepts anything with an ``expr``
+    attribute, or a bare SymExpr.
     """
     expr = getattr(rel, "expr", rel)
-    residual = abs(eval_symexpr(expr, prec))
+    total = abs(_row_total(expr, prec))
+    ok = total * 10 ** (prec.digits - 5) < expr.den << _scale_bits(prec)
     threshold = mpf(10) ** (-(prec.digits - 5))
-    return VerifyResult(residual, bool(residual < threshold), threshold)
+    return VerifyResult(_to_mpf(total, expr.den, prec), ok, threshold)

@@ -27,16 +27,16 @@ get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
 
 A ``SymExpr`` is integer numerators over one positive denominator, in
-lowest terms, so equal expressions have equal fields; ``items()`` is its
-rational view.  Generators and monomials are hash-consed: the constructor
-looks its arguments up in a module table and validates, canonicalises and
-stores only an unseen value, so equal values are one immutable object and
-equality and hashing are ``object``'s identity versions.  A generator
-stores its weight and sort key when built; a monomial its weight, and its
-sort key, text and LaTeX on first use.  Monomial products are memoised
-(``monomial_product``).  Every sum of expressions, of products or of
-rational multiples, runs through the one loop ``sum_of_products``, which
-adds integer numerators over a common denominator.
+lowest terms, so equal expressions have equal fields.  Generators and
+monomials are hash-consed: the constructor looks its arguments up in a
+module table and validates, canonicalises and stores only an unseen value,
+so equal values are one immutable object and equality and hashing are
+``object``'s identity versions.  A generator stores its weight and sort key
+when built; a monomial its weight, and its sort key, text and LaTeX on
+first use.  Monomial products are memoised (``monomial_product``).  Every
+sum of expressions, of products or of rational multiples, runs through the
+one loop ``sum_of_products``, which adds integer numerators over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -314,11 +314,6 @@ class SymExpr:
         return SymExpr({SymMonomial(((g, exp),)): Fraction(coeff)})
 
     # -- inspection --------------------------------------------------------
-
-    def items(self) -> list[tuple[SymMonomial, Fraction]]:
-        """The terms as (monomial, Fraction) pairs in stored order."""
-        den = self.den
-        return [(m, Fraction(n, den)) for m, n in self.nums.items()]
 
     def monomials(self) -> list[SymMonomial]:
         return list(self.nums)

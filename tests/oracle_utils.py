@@ -192,6 +192,30 @@ def closed_zeta_table(digits: int = 50):
         return {k: +v for k, v in table.items()}
 
 
+# -- mpf row evaluation --------------------------------------------------------
+#
+# The package's former eval_symexpr: each term's monomial rebuilt from the
+# cached generator values with mpf ** and *, times its Fraction coefficient,
+# summed in mpf.  The package sums integer numerators times fixed-point
+# monomial values at scale 2^B instead.
+
+
+def eval_symexpr_mpf(e, prec):
+    """An expression's value in mpf arithmetic, at the working precision of
+    the package for ``prec`` and ``len(e) + 1`` terms, from the package's
+    generator values."""
+    from assoclab.numeric import _value, _working_dps
+
+    with mp.workdps(_working_dps(prec, len(e) + 1)):
+        total = mp.zero
+        for mono, q in fraction_terms(e):
+            v = mp.mpf(q.numerator) / q.denominator
+            for g, exp in mono.factors:
+                v *= _value(g, prec) ** exp
+            total += v
+    return total
+
+
 # -- kernel-integral oracle --------------------------------------------------
 #
 # The iterated integral with kernel 1/(2 e^t - 1) over t1 > t2 > ... > tr > 0,
@@ -372,11 +396,11 @@ class FractionSpan:
         for r in self.base:
             if r.weight < w:
                 for m in self._monomials(w - r.weight):
-                    vec = {monomial_product(mono, m): q for mono, q in r.expr.items()}
+                    vec = {monomial_product(mono, m): q for mono, q in fraction_terms(r.expr)}
                     self._insert(st, vec, r.provenance, None)
         for i, r in enumerate(self.base):
             if r.weight == w:
-                self._insert(st, dict(r.expr.items()), r.provenance, i)
+                self._insert(st, dict(fraction_terms(r.expr)), r.provenance, i)
         return st
 
     @staticmethod
@@ -421,7 +445,7 @@ class FractionSpan:
             return e, frozenset()
         st = self._slice(sym_weight(e))
         used: set = set()
-        vec = self._eliminate(st, dict(e.items()), used)
+        vec = self._eliminate(st, dict(fraction_terms(e)), used)
         return SymExpr(vec), frozenset(used)
 
 
@@ -508,8 +532,8 @@ def sum_of_products_fraction(pairs):
 
     out: dict = {}
     for a, b in pairs:
-        for m1, q1 in a.items():
-            for m2, q2 in b.items():
+        for m1, q1 in fraction_terms(a):
+            for m2, q2 in fraction_terms(b):
                 m = monomial_product(m1, m2)
                 p = q1 * q2
                 s = out.get(m)
@@ -522,8 +546,8 @@ def expr_mul(a, b):
     from assoclab.symring import SymExpr, SymMonomial
 
     out: dict = {}
-    for m1, q1 in a.items():
-        for m2, q2 in b.items():
+    for m1, q1 in fraction_terms(a):
+        for m2, q2 in fraction_terms(b):
             m = SymMonomial(m1.factors + m2.factors)
             out[m] = out.get(m, Fraction(0)) + q1 * q2
     return SymExpr(out)
@@ -571,8 +595,8 @@ def expr_add_fraction(a, b):
     b's terms added, zero sums dropped."""
     from assoclab.symring import SymExpr
 
-    out = dict(a.items())
-    for m, q in b.items():
+    out = dict(fraction_terms(a))
+    for m, q in fraction_terms(b):
         s = out.get(m, Fraction(0)) + q
         if s:
             out[m] = s
@@ -639,7 +663,7 @@ def shuffle_rows_fraction(max_weight: int):
                     continue
                 lead = max(lhs.monomials(), key=lambda m: m.sort_key())
                 rows.append((
-                    lhs.scale(1 / dict(lhs.items())[lead]),
+                    lhs.scale(1 / dict(fraction_terms(lhs))[lead]),
                     "shuffle[%s:%s|%s]" % (kernel, fmt(u), fmt(v)),
                     {"kind": "shuffle", "kernel": kernel, "u": list(u), "v": list(v)},
                 ))
@@ -682,6 +706,11 @@ def duality_rows_pairs(max_weight: int) -> list:
 # -- test-only helpers -------------------------------------------------------
 #
 # No pipeline path runs these; the tests build expected values with them.
+
+
+def fraction_terms(e) -> list:
+    """A SymExpr's terms as (monomial, Fraction) pairs, in stored order."""
+    return [(m, Fraction(n, e.den)) for m, n in e.nums.items()]
 
 
 def compositions_of_weight(w: int):

@@ -5,20 +5,24 @@ with its ``residual`` strings removed (last-digit noise is not part of the
 contract) and serialised with sorted keys, as the benchmark harness does.
 The benchmark's own output checks in ``perfbench/golden.json`` are read
 (never written) and run here too, so a moved digest fails a test rather
-than only the benchmark runs.
+than only the benchmark runs; the verify workload also goes through the
+harness's own ``check_output``, loaded from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from assoclab.cli import main
 
-BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_GOLDEN = BENCH / "golden.json"
 
 
 def _sha(data: bytes) -> str:
@@ -142,3 +146,21 @@ def test_benchmark_verify_o7_d300_golden(tmp_path, capsys, monkeypatch):
     payload = json.loads(report.read_text())
     assert (payload["count"], payload["failures"]) == (golden["count"], golden["failures"])
     assert _report_sha(payload) == golden["report_sha256_without_residual"]
+
+
+def test_benchmark_verify_o7_d300_passes_the_harness_check(tmp_path, capsys, monkeypatch):
+    # the harness's own check, on the harness's own invocation: a report the
+    # harness would reject or crash on fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    report = tmp_path / "report.json"
+    argv = [str(report) if a == run.REPORT else a for a in run.WORKLOADS["verify-o7-d300"]]
+    assert argv == ["verify", "--order", "7", "--digits", "300", "--report", str(report)]
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", run.MAX_ORDER)
+    code = main(argv)
+    stdout = capsys.readouterr().out.encode("utf-8")
+    golden = run.load_golden()["verify-o7-d300"]
+    written = report.read_bytes() if report.exists() else None
+    assert run.check_output(golden, code, stdout, written) is None

@@ -5,27 +5,34 @@ from __future__ import annotations
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from assoclab import numeric
 from assoclab.numeric import (
+    GUARD_BITS,
     Precision,
     VerifyResult,
     _delta_cutoff,
     _fixed_point_bits,
+    _scale_bits,
     _working_dps,
     eval_delta,
     eval_symexpr,
     eval_zeta,
     verify_relation,
 )
-from assoclab.relations import comparison_relations
+from assoclab.relations import AUX_NAMES, aux_relations, comparison_relations
 from assoclab.symring import (
     LOG2,
+    UNIT_MONOMIAL,
     NotAdmissibleError,
     SymExpr,
+    SymMonomial,
     delta,
     dual_word,
     word_composition,
@@ -40,6 +47,7 @@ from oracle_utils import (
     compositions_of_weight,
     delta_mpf,
     delta_mpf_table,
+    eval_symexpr_mpf,
     naive_zeta,
 )
 
@@ -312,3 +320,79 @@ def test_value_cache_stability():
     a = eval_delta((3, 1), prec)
     b = eval_delta((3, 1), prec)
     assert a is b  # cached mpf object comes back
+
+
+# -- fixed-point rows against the mpf oracle ------------------------------------
+
+
+def _abs_row(e: SymExpr) -> SymExpr:
+    return SymExpr.from_ints(e.den, {m: abs(n) for m, n in e.nums.items()})
+
+
+@pytest.mark.parametrize(
+    "order,digits",
+    [(5, 40), (6, 40), (7, 40), (8, 40), (5, 300), (6, 300), (7, 300), (8, 300), (5, 2000)],
+)
+def test_fixed_point_rows_match_the_mpf_oracle(order, digits):
+    # every row verify certifies: the same verdict as the former mpf path,
+    # and a value within 10^-(digits+guard) * (1 + sum |n| / den) of its sum
+    prec = Precision(digits)
+    rows = comparison_relations(order) + aux_relations(AUX_NAMES, order)
+    for r in rows:
+        e = r.expr
+        res = verify_relation(r, prec)
+        want = eval_symexpr_mpf(e, prec)
+        got = eval_symexpr(e, prec)
+        assert res.ok == bool(abs(want) < res.threshold), r.provenance.label()
+        with mp.workdps(digits + 40):
+            assert res.residual == abs(got)
+            weight = 1 + mp.mpf(sum(abs(n) for n in e.nums.values())) / e.den
+            bound = mp.mpf(10) ** -(digits + prec.guard) * weight
+            assert abs(got - want) <= bound, r.provenance.label()
+
+
+# generator values between 0.09 and 1.7, so a monomial of two factors with
+# exponents up to 7 stays above 10^-15; fixed point is absolute, and that
+# floor keeps its error relative to each term's size
+ROW_GENERATORS = [LOG2, delta((2,)), delta((1, 1)), delta((2, 1)), delta((1, 2)),
+                  zeta((2,)), zeta((3,)), zeta((2, 1)), zeta((3, 1))]
+row_monomials = st.lists(
+    st.tuples(st.sampled_from(ROW_GENERATORS), st.integers(1, 7)), max_size=2
+).map(lambda fs: SymMonomial(tuple(fs)))
+random_rows = st.builds(
+    SymExpr.from_ints,
+    st.integers(1, 2**100),
+    st.dictionaries(row_monomials, st.integers(-(2**200), 2**200).filter(bool), max_size=6),
+)
+
+
+@given(random_rows, st.sampled_from([10, 40, 300]))
+def test_random_row_matches_the_mpf_oracle(e, digits):
+    prec = Precision(digits)
+    got = eval_symexpr(e, prec)
+    want = eval_symexpr_mpf(e, prec)
+    with mp.workdps(digits + 80):
+        size = eval_symexpr_mpf(_abs_row(e), prec)  # sum of |n| V(m) / den
+        assert abs(got - want) <= mp.mpf(10) ** -digits * size
+        # the integer sum negates exactly
+        assert eval_symexpr(-e, prec) == -got
+
+
+def test_unit_monomial_is_the_exact_scale():
+    prec = Precision(40)
+    assert numeric._fixed(UNIT_MONOMIAL, prec) == 1 << _scale_bits(prec)
+    with mp.workprec(_scale_bits(prec)):
+        assert eval_symexpr(SymExpr.rational(Fraction(-3, 7)), prec) == mp.mpf(-3) / 7
+    # the floors of B bits stay below the requested and guard digits
+    assert 2 ** (_scale_bits(prec) - GUARD_BITS) >= 10 ** (prec.digits + prec.guard)
+
+
+@pytest.mark.parametrize("digits", [10, 40, 300])
+def test_verdict_threshold_is_exact(digits):
+    # |residual| < 10^-(digits-5) passes: the threshold itself fails, one
+    # part in 10^(digits-5) below it passes, for either sign
+    prec = Precision(digits)
+    at = 10 ** (digits - 5)
+    for sign in (1, -1):
+        assert not verify_relation(SymExpr.rational(Fraction(sign, at)), prec).ok
+        assert verify_relation(SymExpr.rational(Fraction(sign, at + 1)), prec).ok
