@@ -26,7 +26,6 @@ from .freealg import (
     OrderMismatchError,
     nc_coeff,
     nc_div,
-    nc_exp_letter,
     nc_inverse,
     nc_mul,
     nc_swap,
@@ -34,7 +33,7 @@ from .freealg import (
     series_to_json,
 )
 from .mzv_side import enumerate_pq, phi_mzv
-from .delta_side import iint_to_sym, index_words, phi_delta, xi_series
+from .delta_side import iint_to_sym, iint_to_zeta, index_words, phi_delta, xi_series
 from .relations import (
     Comparison,
     Duality,
@@ -45,7 +44,6 @@ from .relations import (
     comparison_relations,
     duality_relations,
     extract_relations,
-    iint_to_zeta,
     known_values,
     reduce,
     shuffle,

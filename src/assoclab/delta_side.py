@@ -1,6 +1,6 @@
 """Associator series whose coefficients are polylogarithms at one half.
 
-One factor is the series 1 + sum over index words (l1,...,lr) of
+One factor is the series Xi_B = 1 + sum over index words (l1,...,lr) of
 I[l1,...,lr] * ad_B^{l1}(A) ... ad_B^{lr}(A), where I[...] is an iterated
 kernel integral that collapses, via nested geometric summation, to an exact
 integer combination of delta values (the composition-indexed polylogarithms
@@ -10,7 +10,12 @@ at argument 1/2).  The full series is the product
 
 with c = log 2 and Xi_A the letter swap of Xi_B.  It is built from the one
 factor psi = exp(c B) * Xi_B, whose letter swap is exp(c A) * Xi_A, as the
-quotient Phi = psi / swap(psi): the series with Phi * swap(psi) = psi.
+quotient Phi = psi / swap(psi): the series with Phi * swap(psi) = psi.  So
+only Xi_B and exp(c B) are ever built.
+
+This module owns the kernel-integral expansion (``iint_terms``) and both of
+its readings: over delta generators (``iint_to_sym``) and, for the zeta
+kernel of the shuffle relations, over zeta generators (``iint_to_zeta``).
 """
 
 from __future__ import annotations
@@ -19,18 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .symring import SymExpr, SymMonomial, LOG2, delta
-from .freealg import (
-    B,
-    NCSeries,
-    ad_words,
-    nc_div,
-    nc_exp_letter,
-    nc_mul,
-    nc_swap,
-    nc_word_sums,
-    other_letter,
-)
+from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, zeta
+from .freealg import A, B, NCSeries, ad_words, nc_div, nc_mul, nc_swap, nc_word_sums
 
 
 def index_weight(ix) -> int:
@@ -48,22 +43,9 @@ def index_words(max_weight: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for d in range(1, max_weight + 1):
         for r in range(1, d + 1):
-            out.extend(_weak_compositions(d - r, r))
+            # the weak compositions of d - r into r parts, lex ascending
+            out.extend(tuple(p - 1 for p in comp) for comp in compositions(d, r))
     return out
-
-
-def _weak_compositions(total: int, parts: int):
-    # lex ascending; entries >= 0
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def _carry_vectors(levels: tuple[int, ...]):
@@ -99,6 +81,12 @@ def iint_terms(levels: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def _kernel_expr(levels: tuple[int, ...], gen) -> SymExpr:
+    """Sum of k * gen(parts) over the (k, parts) pairs of iint_terms(levels)."""
+    # distinct carry vectors give distinct compositions, so no key repeats
+    return SymExpr({SymMonomial(((gen(parts), 1),)): k for k, parts in iint_terms(levels)})
+
+
 @lru_cache(maxsize=None)
 def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
     """Exact value of I[levels] over the delta and log-2 generators.
@@ -116,29 +104,42 @@ def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
         return SymExpr.one()
     if all(l == 0 for l in levels):
         return SymExpr.gen(LOG2, r, Fraction(1, factorial(r)))
-    # distinct carry vectors give distinct compositions, so no key repeats
-    return SymExpr({SymMonomial(((delta(parts), 1),)): k for k, parts in iint_terms(levels)})
+    return _kernel_expr(levels, delta)
 
 
-def xi_series(actor: str, order: int) -> NCSeries:
-    """Sum of I[levels] times the matching adjoint-power word products.
+def iint_to_zeta(levels) -> SymExpr:
+    """Zeta-kernel analogue of iint_to_sym; needs every index >= 1.
 
-    ``actor`` is the letter carried by the adjoint action; the argument
-    letter is the other one.  Index words are cut off at total degree
-    ``order``.
+    Positivity of the first index makes the defining integral convergent,
+    positivity of the last one makes every emitted composition admissible.
+    """
+    levels = tuple(int(l) for l in levels)
+    if not levels or min(levels) < 1:
+        raise ValueError("all indices must be >= 1, got %r" % (levels,))
+    return _kernel_expr(levels, zeta)
+
+
+def xi_series(order: int) -> NCSeries:
+    """Xi_B: the sum of I[levels] times ad_B^l1(A) ... ad_B^lr(A).
+
+    Index words are cut off at total degree ``order``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    argument = other_letter(actor)
     return nc_word_sums(
         order,
-        ((iint_to_sym(levels), ad_words(actor, argument, levels)) for levels in index_words(order)),
+        ((iint_to_sym(levels), ad_words(B, A, levels)) for levels in index_words(order)),
     )
 
 
 def psi_series(order: int) -> NCSeries:
     """exp(cB) * Xi_B, the left half of the delta-side product."""
-    return nc_mul(nc_exp_letter(B, 1, order), xi_series(B, order))
+    # exp(cB) is the word sum 1 + sum of c^k/k! B^k
+    exp_cb = nc_word_sums(
+        order,
+        ((SymExpr.gen(LOG2, k, Fraction(1, factorial(k))), {B * k: 1}) for k in range(1, order + 1)),
+    )
+    return nc_mul(exp_cb, xi_series(order))
 
 
 def phi_delta(order: int) -> NCSeries:

@@ -16,19 +16,18 @@ pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
 word are summed in one accumulator (``symring.sum_of_products``).
 Quotients a * inverse(s) are solved degree by degree from the same pair
 sums (``nc_div``), and the inverse is the quotient of the unit.  Word sums
-(``nc_word_sums``) sum all (coefficient, count) pairs of a word at once.
+(``nc_word_sums``) sum all (coefficient, count) pairs of a word at once;
+there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-from fractions import Fraction
+from math import comb
 
-from .symring import LETTER_SWAP, SymExpr, LOG2, sum_of_products
+from .symring import LETTER_SWAP, SymExpr, sum_of_products
 
 A = "A"
 B = "B"
-LETTERS = (A, B)
 
 
 class OrderMismatchError(ValueError):
@@ -47,14 +46,6 @@ def _check_word(w: str) -> str:
     if any(ch not in "AB" for ch in w):
         raise ValueError("word must use letters A and B only: %r" % (w,))
     return w
-
-
-def other_letter(letter: str) -> str:
-    if letter == A:
-        return B
-    if letter == B:
-        return A
-    raise ValueError("letter must be A or B")
 
 
 class NCSeries:
@@ -151,19 +142,6 @@ def nc_div(a: NCSeries, s: NCSeries) -> NCSeries:
 def nc_inverse(s: NCSeries) -> NCSeries:
     """Multiplicative inverse: the quotient of the unit by s."""
     return nc_div(nc_unit(s.order), s)
-
-
-def nc_exp_letter(letter: str, sign: int, order: int) -> NCSeries:
-    """exp(sign * c * letter) truncated at ``order``; sign is +1 or -1."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if letter not in LETTERS:
-        raise ValueError("letter must be A or B")
-    coeffs = {"": SymExpr.one()}
-    for k in range(1, order + 1):
-        q = Fraction(sign**k, factorial(k))
-        coeffs[letter * k] = SymExpr.gen(LOG2, k, q)
-    return NCSeries(order, coeffs)
 
 
 def nc_word_sums(order: int, terms) -> NCSeries:

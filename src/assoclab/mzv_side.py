@@ -14,26 +14,14 @@ weighted by (-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
-from .symring import SymExpr, word_composition, zeta
+from .symring import SymExpr, compositions, word_composition, zeta
 from .freealg import A, B, NCSeries, nc_word_sums
 
 # ((p1, q1), ..., (pg, qg)), all entries >= 1; only enumerate_pq builds one
 Pairs = tuple[tuple[int, int], ...]
-
-
-def _positive_compositions(total: int, parts: int):
-    # stars and bars; cut positions chosen among total-1 gaps
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        comp = []
-        for c in cuts:
-            comp.append(c - prev)
-            prev = c
-        comp.append(total - prev)
-        yield tuple(comp)
 
 
 def enumerate_pq(r: int) -> list[Pairs]:
@@ -46,7 +34,7 @@ def enumerate_pq(r: int) -> list[Pairs]:
         raise ValueError("r must be >= 2")
     out: list[Pairs] = []
     for g in range(1, r // 2 + 1):
-        for flat in sorted(_positive_compositions(r, 2 * g), reverse=True):
+        for flat in reversed(list(compositions(r, 2 * g))):
             out.append(tuple(zip(flat[::2], flat[1::2])))
     return out
 

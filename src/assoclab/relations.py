@@ -8,7 +8,8 @@ Sources of relations:
     shuffles of u and v; pushed through the integral-to-delta conversion
     this yields quadratic delta identities.  For index words with all
     indices positive the same combinatorics applies verbatim to the
-    zeta-kernel integrals, giving quadratic zeta identities,
+    zeta-kernel integrals, giving quadratic zeta identities; both kernel
+    expansions (``iint_to_sym``, ``iint_to_zeta``) live in ``delta_side``,
   * duality: reverse-and-swap symmetry of the zeta integration words,
   * known values: a fixed table of classical closed forms, each written out
     as a literal over the generators.
@@ -52,7 +53,7 @@ from .symring import (
 )
 from .freealg import NCSeries, OrderMismatchError, nc_coeff
 from .mzv_side import enumerate_pq, phi_mzv, pq_word
-from .delta_side import iint_terms, iint_to_sym, index_weight, index_words, phi_delta
+from .delta_side import iint_to_sym, iint_to_zeta, index_weight, index_words, phi_delta
 
 
 class _Provenance:
@@ -156,18 +157,6 @@ def shuffle(u, v) -> Counter:
     return out
 
 
-def iint_to_zeta(levels) -> SymExpr:
-    """Zeta-kernel analogue of iint_to_sym; needs every index >= 1.
-
-    Positivity of the first index makes the defining integral convergent,
-    positivity of the last one makes every emitted composition admissible.
-    """
-    levels = tuple(int(l) for l in levels)
-    if not levels or min(levels) < 1:
-        raise ValueError("all indices must be >= 1, got %r" % (levels,))
-    return SymExpr({SymMonomial(((zeta(parts), 1),)): k for k, parts in iint_terms(levels)})
-
-
 def shuffle_relations(max_weight: int) -> list[Relation]:
     """Quadratic relations from I[u]·I[v] = sum of I over shuffles.
 
@@ -175,8 +164,6 @@ def shuffle_relations(max_weight: int) -> list[Relation]:
     with combined weight <= max_weight (identically-zero ones dropped);
     zeta-kernel twins additionally for pairs with all indices positive.
     """
-    if max_weight < 2:
-        raise ValueError("max_weight must be >= 2")
     words = index_words(max_weight - 1)
     out: list[Relation] = []
     for i, u in enumerate(words):
@@ -201,8 +188,6 @@ def duality_relations(max_weight: int) -> list[Relation]:
     Self-dual compositions are omitted; each dual pair appears once, keyed
     by its lexicographically smaller composition.
     """
-    if max_weight < 3:
-        raise ValueError("max_weight must be >= 3")
     out: list[Relation] = []
     for r in range(2, max_weight + 1):
         for pairs in enumerate_pq(r):
@@ -247,9 +232,9 @@ AUX_NAMES = ("shuffle", "duality", "known")
 def aux_relations(names, order: int) -> list[Relation]:
     """The named aux sets (a subset of AUX_NAMES) up to weight ``order``."""
     out: list[Relation] = []
-    if "shuffle" in names and order >= 2:
+    if "shuffle" in names:
         out.extend(shuffle_relations(order))
-    if "duality" in names and order >= 3:
+    if "duality" in names:
         out.extend(duality_relations(order))
     if "known" in names:
         out.extend(r for r in known_values() if r.weight <= order)

@@ -13,7 +13,9 @@ Every generator carries a weight (1 for ``c``, sum of the exponent string
 otherwise) and expressions built by the expansion pipeline are weight
 homogeneous.  All arithmetic is exact, with no floating point.
 
-A composition is also a zeta word, its iterated-integral word over the
+This module owns compositions: their checks (``check_composition``) and
+their one enumerator (``compositions``), which both series sides read.  A
+composition is also a zeta word, its iterated-integral word over the
 series letters A = dt/t and B = dt/(1-t), outermost letter first
 (``zeta_word``): the associator's coefficient at a word is the zeta value
 of that word.  This module alone converts between the two, and
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional
 
@@ -62,6 +65,13 @@ def check_composition(parts: Iterable[int]) -> tuple[int, ...]:
     if any(p < 1 for p in t):
         raise ValueError("composition parts must be >= 1: %r" % (t,))
     return t
+
+
+def compositions(total: int, parts: int):
+    """The compositions of total into ``parts`` >= 1 positive parts, in
+    ascending lex order: stars and bars, cuts chosen among the total - 1 gaps."""
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 # -- zeta words ---------------------------------------------------------------

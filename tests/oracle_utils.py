@@ -642,8 +642,8 @@ def shuffle_rows_fraction(max_weight: int):
 
     Each row is f(u)·f(v) minus f(w)·k for every shuffle w of multiplicity
     k, subtracted one at a time."""
-    from assoclab.delta_side import iint_to_sym, index_weight, index_words
-    from assoclab.relations import iint_to_zeta, shuffle
+    from assoclab.delta_side import iint_to_sym, iint_to_zeta, index_weight, index_words
+    from assoclab.relations import shuffle
 
     fmt = lambda w: ",".join(map(str, w))
     words = index_words(max_weight - 1)

@@ -75,6 +75,15 @@ def test_relations_aux_and_reduce(capsys):
         assert rel["certificate"] is not None
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_relations_reduce_below_the_aux_weights(capsys, order):
+    # shuffle rows start at weight 2 and duality rows at weight 3
+    code, out = run_capture(capsys, ["relations", "--order", str(order),
+                                     "--aux", "all", "--reduce"])
+    assert code == 0
+    assert json.loads(out)["order"] == order
+
+
 def test_relations_latex_and_text(capsys):
     code, out = run_capture(capsys, ["relations", "--order", "2",
                                      "--format", "latex"])

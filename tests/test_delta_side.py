@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -14,6 +15,7 @@ from assoclab.delta_side import (
     iint_terms,
     iint_to_sym,
     phi_delta,
+    psi_series,
     xi_series,
 )
 from assoclab.freealg import NCSeries, nc_mul, nc_swap, nc_unit
@@ -51,6 +53,13 @@ def test_index_words_sorted_weight_length_lex():
     assert keys == sorted(keys)
     assert words[0] == (0,)
     assert (1,) in words and (0, 0) in words
+
+
+def test_index_words_equal_a_brute_force_list():
+    # every word of length r has entries <= 10 - r; sort by (weight, length, lex)
+    brute = [w for r in range(1, 11) for w in product(range(11 - r), repeat=r)
+             if index_weight(w) <= 10]
+    assert index_words(10) == sorted(brute, key=lambda w: (index_weight(w), len(w), w))
 
 
 def test_iint_terms_composition_weights():
@@ -130,26 +139,25 @@ def test_iint_matches_kernel_integral_numerically():
 
 
 def test_xi_series_order_one():
-    xi = xi_series("B", 1)
+    xi = xi_series(1)
     assert xi.coeffs == {"": SymExpr.one(), "A": SymExpr.gen(LOG2)}
 
 
 @pytest.mark.parametrize("order", [4, 6])
 def test_xi_series_actor_grading_and_argument_letter(order):
-    xi = xi_series("B", order)
+    xi = xi_series(order)
     check_grading(xi)
     # every non-unit word contains at least one A: the argument letter
     for w in xi.coeffs:
         if w:
             assert "A" in w
-    swapped = xi_series("A", order)
-    assert nc_swap(xi) == swapped
 
 
 @pytest.mark.parametrize("actor", ["A", "B"])
 def test_xi_series_matches_its_definition(actor):
     # 1 + sum of I[levels] F_l1 ... F_lr with F_l = ad_actor^l(argument),
-    # each F_l built by iterating x -> actor x - x actor
+    # each F_l built by iterating x -> actor x - x actor; Xi_A is the letter
+    # swap of Xi_B
     argument = "B" if actor == "A" else "A"
     for order in range(1, 7):
         act = NCSeries(order, {actor: SymExpr.one()})
@@ -162,7 +170,17 @@ def test_xi_series_matches_its_definition(actor):
             for l in levels:
                 word = nc_mul(word, f[l])
             want = nc_add(want, nc_scale(word, iint_to_sym(levels)))
-        assert xi_series(actor, order) == want, order
+        xi = xi_series(order)
+        assert (xi if actor == "B" else nc_swap(xi)) == want, order
+
+
+def test_psi_pure_b_coefficients_are_exp_cb():
+    # psi = exp(cB) * Xi_B, and Xi_B has no pure-B word but the unit
+    order = 6
+    psi = psi_series(order)
+    for k in range(order + 1):
+        want = SymExpr.gen(LOG2, exp=k, coeff=Fraction(1, factorial(k))) if k else SymExpr.one()
+        assert psi.coeffs["B" * k] == want
 
 
 def test_phi_delta_degree_two_closed_form():

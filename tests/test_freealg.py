@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -17,13 +16,11 @@ from assoclab.freealg import (
     OrderMismatchError,
     nc_coeff,
     nc_div,
-    nc_exp_letter,
     nc_inverse,
     nc_mul,
     nc_neg,
     nc_swap,
     nc_unit,
-    other_letter,
     series_to_json,
 )
 from assoclab.symring import LOG2, SymExpr, delta, zeta
@@ -84,9 +81,6 @@ def test_constructor_truncates_and_drops_zeros():
 def test_word_validation():
     with pytest.raises(ValueError):
         NCSeries(3, {"AXB": SymExpr.one()})
-    assert other_letter(A) == B and other_letter(B) == A
-    with pytest.raises(ValueError):
-        other_letter("C")
 
 
 def test_order_mismatch_raises():
@@ -175,7 +169,7 @@ def test_inverse_matches_geometric_oracle(order):
 def test_inverse_of_swapped_xi_matches_geometric_oracle():
     from assoclab.delta_side import xi_series
 
-    xi_a = nc_swap(xi_series(B, 6))
+    xi_a = nc_swap(xi_series(6))
     assert nc_inverse(xi_a) == nc_inverse_geometric(xi_a)
 
 
@@ -214,22 +208,6 @@ def _rand_series_nonconst(rng: random.Random, order: int) -> NCSeries:
     coeffs = dict(s.coeffs)
     coeffs.pop("", None)
     return NCSeries(order, coeffs)
-
-
-def test_exp_letter_coefficients():
-    e = nc_exp_letter(B, +1, 4)
-    for k in range(5):
-        want = SymExpr.gen(LOG2, exp=k, coeff=Fraction(1, factorial(k))) if k else SymExpr.one()
-        assert e.coeffs.get("B" * k, SymExpr.zero()) == want
-    m = nc_exp_letter(A, -1, 3)
-    assert m.coeffs["AA"] == SymExpr.gen(LOG2, exp=2, coeff=Fraction(1, 2))
-    assert m.coeffs["A"] == SymExpr.gen(LOG2, coeff=-1)
-
-
-def test_exp_letter_inverse_is_opposite_sign():
-    e = nc_exp_letter(A, +1, 5)
-    m = nc_exp_letter(A, -1, 5)
-    assert nc_mul(e, m) == nc_unit(5)
 
 
 def test_ad_power_matches_binomial_expansion():

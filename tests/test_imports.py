@@ -46,11 +46,11 @@ def test_no_unused_imports(path):
 
 
 def referenced_names(source: str) -> tuple[set[str], set[str]]:
-    """The names a module reads or imports, and the attributes it reads."""
+    """The names a module loads or imports, and the attributes it reads."""
     names: set[str] = set()
     attributes: set[str] = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
@@ -60,14 +60,18 @@ def referenced_names(source: str) -> tuple[set[str], set[str]]:
 
 
 def dead_definitions(source: str, names: set[str], attributes: set[str]) -> list[str]:
-    """Top-level functions and classes never referenced, and non-dunder
-    methods never read as an attribute: a bare name of the same spelling,
-    such as a parameter, does not reach a method."""
+    """Top-level functions and classes never referenced, module-level
+    constants never loaded, and non-dunder methods never read as an
+    attribute: a bare name of the same spelling, such as a parameter, does
+    not reach a method."""
     dead = []
     for node in ast.parse(source).body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and node.name not in names and node.name not in attributes):
             dead.append(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            dead += [t.id for t in targets if isinstance(t, ast.Name) and t.id not in names]
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
@@ -77,7 +81,8 @@ def dead_definitions(source: str, names: set[str], attributes: set[str]) -> list
 
 
 def test_checker_flags_a_dead_definition():
-    source = ("def used(shadowed):\n    return K().called(), shadowed()\n"
+    source = ("LIMIT = 3\nSPARE = 4\nIDLE: int = 5\n"
+              "def used(shadowed):\n    return K().called(), shadowed(LIMIT)\n"
               "def unused():\n    pass\n"
               "class K:\n    def called(self):\n        pass\n"
               "    def idle(self):\n        pass\n"
@@ -85,7 +90,7 @@ def test_checker_flags_a_dead_definition():
               "    def __repr__(self):\n        return ''\n"
               "used(print)\n")
     assert dead_definitions(source, *referenced_names(source)) == [
-        "unused", "K.idle", "K.shadowed"]
+        "SPARE", "IDLE", "unused", "K.idle", "K.shadowed"]
 
 
 def references(paths) -> tuple[set[str], set[str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -45,6 +46,16 @@ def test_enumerate_pq_order_g_ascending_then_lex_descending():
     assert r5[:4] == [(4, 1), (3, 2), (2, 3), (1, 4)]
     gs = [len(pairs) for pairs in enumerate_pq(6)]
     assert gs == sorted(gs)
+
+
+def test_enumerate_pq_equals_a_brute_force_list():
+    for r in range(2, 11):
+        brute = []
+        for g in range(1, r // 2 + 1):
+            # 2g positive parts summing to r, each at most r - 2g + 1
+            flats = [f for f in product(range(1, r - 2 * g + 2), repeat=2 * g) if sum(f) == r]
+            brute += [tuple(zip(f[::2], f[1::2])) for f in sorted(flats, reverse=True)]
+        assert enumerate_pq(r) == brute, r
 
 
 def test_zeta_composition_examples():

@@ -10,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from assoclab.freealg import OrderMismatchError
-from assoclab.delta_side import phi_delta
+from assoclab.delta_side import iint_to_zeta, phi_delta
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, verify_relation
 from assoclab.relations import (
@@ -25,7 +25,6 @@ from assoclab.relations import (
     comparison_relations,
     duality_relations,
     extract_relations,
-    iint_to_zeta,
     known_values,
     reduce,
     shuffle,
@@ -213,6 +212,14 @@ def test_duality_relations_all_true_numerically():
     prec = Precision(digits=40)
     for r in duality_relations(6):
         assert verify_relation(r, prec).ok, r.expr.render()
+
+
+def test_aux_families_are_empty_below_their_first_weight():
+    # no index word below weight 1, and the only weight-2 zeta word is self-dual
+    for w in range(2):
+        assert shuffle_relations(w) == []
+    for w in range(3):
+        assert duality_relations(w) == []
 
 
 def test_known_values_table():

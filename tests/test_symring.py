@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from assoclab.symring import (
     SymExpr,
     SymMonomial,
     check_composition,
+    compositions,
     delta,
     dual_word,
     monomial_product,
@@ -62,6 +64,14 @@ def test_check_composition_rejects_bad_parts():
         check_composition([2, 0])
     with pytest.raises(ValueError):
         check_composition([2, -1])
+
+
+def test_compositions_equal_a_brute_force_list():
+    # each of p positive parts summing to t is at most t - p + 1
+    for t in range(1, 13):
+        for p in range(1, t + 1):
+            brute = [c for c in product(range(1, t - p + 2), repeat=p) if sum(c) == t]
+            assert list(compositions(t, p)) == sorted(brute), (t, p)
 
 
 def test_word_helpers_roundtrip():
