@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
 (including an --output or --report path that cannot be written, which is
-checked before any work).
+checked before any work).  A run that does not finish, interrupted or
+failed, removes each of those files that it created.
 Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
 parts and weight at most 24.
@@ -358,10 +359,12 @@ def main(argv=None) -> int:
                 if not existed:
                     created.append(path)
         return args.handler(args)
-    except UsageError as exc:
-        # a usage error leaves no empty file behind, only what was there before
+    except BaseException as exc:
+        # an unfinished run leaves no file it created, only what was there before
         for path in created:
             os.remove(path)
+        if not isinstance(exc, UsageError):
+            raise
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

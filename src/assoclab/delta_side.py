@@ -48,37 +48,23 @@ def index_words(max_weight: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _carry_vectors(levels: tuple[int, ...]):
-    """All (m0=0, m1, ..., m_{r-1}, m_r=0) with 0 <= m_j <= l_j + m_{j-1}."""
-    r = len(levels)
-
-    def rec(j: int, prefix: tuple[int, ...]):
-        if j == r:
-            yield prefix + (0,)
-            return
-        hi = levels[j - 1] + prefix[j - 1]
-        for m in range(hi + 1):
-            yield from rec(j + 1, prefix + (m,))
-
-    yield from rec(1, (0,))
-
-
 def iint_terms(levels: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """(binomial coefficient, composition) pairs of the kernel-integral expansion.
 
-    The composition is read off back to front: part j of the output comes from
-    index r+1-j, so the last index of the word fixes the leading part.
+    A left fold over the indices with state (carry, parts, coefficient): index
+    j multiplies the coefficient by C(l_j + m_{j-1}, l_j), then branches on
+    each carry m_j in 0..l_j + m_{j-1} (0 alone at the last index) and prepends
+    the part l_j + m_{j-1} - m_j + 1.  Terms come lex in the carry vector.
     """
     levels = tuple(levels)
-    r = len(levels)
-    out = []
-    for m in _carry_vectors(levels):
-        coeff = 1
-        for j in range(2, r + 1):
-            coeff *= comb(levels[j - 1] + m[j - 1], levels[j - 1])
-        parts = tuple(levels[j - 1] + m[j - 1] - m[j] + 1 for j in range(r, 0, -1))
-        out.append((coeff, parts))
-    return out
+    states = [(0, (), 1)]
+    for j, l in enumerate(levels, 1):
+        states = [
+            (m, (l + carry - m + 1,) + parts, coeff * comb(l + carry, l))
+            for carry, parts, coeff in states
+            for m in range(l + carry + 1 if j < len(levels) else 1)
+        ]
+    return [(coeff, parts) for _, parts, coeff in states]
 
 
 def _kernel_expr(levels: tuple[int, ...], gen) -> SymExpr:

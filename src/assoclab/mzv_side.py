@@ -9,13 +9,13 @@ binomial sum of words: inside the template, a block of s_i letters A is
 clipped from the i-th A-run and appended at the right end, a block of t_i
 letters B is clipped from the i-th B-run and prepended at the left end,
 weighted by (-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is
-(-1)^{q1+...+qg}.
+(-1)^{q1+...+qg}.  ``_word_sum`` computes the sum as a deletion fold over
+the template, in which the binomials and signs arrive as merged counts.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb
+from collections import defaultdict
 
 from .symring import SymExpr, compositions, word_composition, zeta
 from .freealg import A, B, NCSeries, nc_word_sums
@@ -44,25 +44,21 @@ def pq_word(pairs: Pairs) -> str:
     return "".join(A * p + B * q for p, q in pairs)
 
 
-def _word_sum(pairs: Pairs) -> dict[str, int]:
-    """Signed word multiset for one index, coefficients as plain integers."""
-    out: dict[str, int] = {}
-    s_ranges = [range(p + 1) for p, _ in pairs]
-    t_ranges = [range(q + 1) for _, q in pairs]
-    for svec in product(*s_ranges):
-        for tvec in product(*t_ranges):
-            count = 1
-            for (p, q), s, t in zip(pairs, svec, tvec):
-                count *= comb(p, s) * comb(q, t)
-            if (sum(svec) + sum(tvec)) % 2:
-                count = -count
-            chunks = ["B" * sum(tvec)]
-            for (p, q), s, t in zip(pairs, svec, tvec):
-                chunks.append("A" * (p - s))
-                chunks.append("B" * (q - t))
-            chunks.append("A" * sum(svec))
-            w = "".join(chunks)
-            out[w] = out.get(w, 0) + count
+def _word_sum(word: str) -> dict[str, int]:
+    """Signed word multiset of one template, as plain integers: a left fold
+    over its letters, each kept or deleted with a sign flip, from the state
+    (kept prefix, #A deleted, #B deleted) to the word B^#B kept A^#A.  Any s
+    deleted letters of a run of p reach one state, so C(p, s) is a count."""
+    states = {("", 0, 0): 1}
+    for letter in word:
+        nxt = defaultdict(int)
+        for (kept, a, b), c in states.items():
+            nxt[kept + letter, a, b] += c
+            nxt[kept, a + (letter == A), b + (letter == B)] -= c
+        states = nxt
+    out = defaultdict(int)
+    for (kept, a, b), c in states.items():
+        out[B * b + kept + A * a] += c
     return {w: c for w, c in out.items() if c}
 
 
@@ -75,9 +71,8 @@ def phi_mzv(order: int) -> NCSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     terms = (
-        (SymExpr.gen(zeta(word_composition(pq_word(pairs))), coeff=(-1) ** sum(q for _, q in pairs)),
-         _word_sum(pairs))
+        (SymExpr.gen(zeta(word_composition(word)), coeff=(-1) ** word.count(B)), _word_sum(word))
         for r in range(2, order + 1)
-        for pairs in enumerate_pq(r)
+        for word in map(pq_word, enumerate_pq(r))
     )
     return nc_word_sums(order, terms)

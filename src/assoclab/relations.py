@@ -31,7 +31,6 @@ only at the boundary, and an expression is reduced at its own scale.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -318,7 +317,7 @@ class Span:
         self.base = list(base)
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
-        self._mono_cache: dict[int, list[SymMonomial]] = {}
+        self._mono_cache: dict[int, list[SymMonomial]] = {0: [UNIT_MONOMIAL]}
         self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
 
     def _provenances(self, cert: int) -> frozenset:
@@ -327,18 +326,14 @@ class Span:
 
     def _monomials(self, w: int) -> list[SymMonomial]:
         """The monomials of weight w in the base generators, ascending in
-        the monomial order: generator g heads the ascending tails of weight
-        w - weight(g) whose highest generator is at most g."""
+        the monomial order: each base generator times each monomial of the
+        remaining weight, deduplicated and sorted once."""
         found = self._mono_cache.get(w)
         if found is None:
-            found = self._mono_cache[w] = [] if w else [UNIT_MONOMIAL]
-            for g in self._gens:
-                if g.weight <= w:
-                    head = SymMonomial(((g, 1),))
-                    tails = self._monomials(w - g.weight)
-                    # a sort key's expansion opens with the highest generator
-                    top = bisect_right(tails, (g.sort_key(),), key=lambda t: t.sort_key()[1][:1])
-                    found += [monomial_product(head, t) for t in tails[:top]]
+            found = self._mono_cache[w] = sorted(
+                {monomial_product(SymMonomial(((g, 1),)), t)
+                 for g in self._gens if g.weight <= w for t in self._monomials(w - g.weight)},
+                key=SymMonomial.sort_key)
         return found
 
     def _slice(self, w: int) -> dict[SymMonomial, _Pivot]:

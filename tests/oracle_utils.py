@@ -9,7 +9,8 @@ shared code would be none.  The exceptions are the package's former
 production paths kept here as references (the mpf delta kernel, the rational
 elimination, the per-step normalised integer sweep, the Fraction product and
 sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
-the all-pairs product and geometric inverse): each checks the rewrite that
+the all-pairs product and geometric inverse, the closed-form template word
+sum and the carry-vector kernel expansion): each checks the rewrite that
 replaced it.  The series helpers at the end (sums, scalings, graded parts,
 the grading check, ad-powers) are not oracles: the pipeline never runs them,
 so they live with the tests that use them.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from mpmath import mp
 
@@ -701,6 +702,49 @@ def duality_rows_pairs(max_weight: int) -> list:
                 expr = SymExpr.gen(zeta(comp)) - SymExpr.gen(zeta(dcomp))
                 rows.append((comp, expr.monic()))
     return rows
+
+
+def word_sum_closed_form(pairs) -> dict[str, int]:
+    """The package's former template word sum, Le and Murakami's closed
+    formula: sum over s_i <= p_i, t_i <= q_i of
+    (-1)^{sum s + sum t} prod C(p_i,s_i) C(q_i,t_i) times the word
+    B^{sum t} A^{p1-s1} B^{q1-t1} ... A^{pg-sg} B^{qg-tg} A^{sum s}."""
+    out: dict[str, int] = {}
+    for svec in itertools.product(*(range(p + 1) for p, _ in pairs)):
+        for tvec in itertools.product(*(range(q + 1) for _, q in pairs)):
+            count = (-1) ** (sum(svec) + sum(tvec))
+            for (p, q), s, t in zip(pairs, svec, tvec):
+                count *= comb(p, s) * comb(q, t)
+            middle = "".join("A" * (p - s) + "B" * (q - t) for (p, q), s, t in zip(pairs, svec, tvec))
+            w = "B" * sum(tvec) + middle + "A" * sum(svec)
+            out[w] = out.get(w, 0) + count
+    return {w: c for w, c in out.items() if c}
+
+
+def iint_terms_by_carry_vectors(levels) -> list:
+    """The package's former kernel expansion: one (coefficient, composition)
+    term per carry vector (m0=0, m1, ..., m_{r-1}, m_r=0) with
+    0 <= m_j <= l_j + m_{j-1}, enumerated lex by recursion, with coefficient
+    prod_{j>=2} C(l_j + m_{j-1}, l_j) and part r+1-j equal to
+    l_j + m_{j-1} - m_j + 1."""
+    levels = tuple(levels)
+    r = len(levels)
+
+    def carry_vectors(j: int, prefix: tuple):
+        if j == r:
+            yield prefix + (0,)
+            return
+        for m in range(levels[j - 1] + prefix[j - 1] + 1):
+            yield from carry_vectors(j + 1, prefix + (m,))
+
+    out = []
+    for m in carry_vectors(1, (0,)):
+        coeff = 1
+        for j in range(2, r + 1):
+            coeff *= comb(levels[j - 1] + m[j - 1], levels[j - 1])
+        parts = tuple(levels[j - 1] + m[j - 1] - m[j] + 1 for j in range(r, 0, -1))
+        out.append((coeff, parts))
+    return out
 
 
 # -- test-only helpers -------------------------------------------------------

@@ -293,6 +293,20 @@ def test_usage_error_leaves_no_new_file(tmp_path, capsys, argv, flag):
     assert not target.exists()
 
 
+def test_interrupted_run_leaves_no_new_file(tmp_path, monkeypatch):
+    def interrupted(order):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "comparison_relations", interrupted)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("earlier result\n")
+    for target in (new, old):
+        with pytest.raises(KeyboardInterrupt):
+            main(["relations", "--order", "3", "--output", str(target)])
+    assert not new.exists()
+    assert old.read_text() == "earlier result\n"
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 

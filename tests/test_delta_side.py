@@ -25,6 +25,7 @@ from oracle_utils import (
     check_grading,
     close_enough,
     iint_numeric,
+    iint_terms_by_carry_vectors,
     nc_add,
     nc_graded_part,
     nc_scale,
@@ -72,6 +73,14 @@ def test_iint_terms_composition_weights():
             assert coeff > 0
             assert sum(comp) == total
             assert len(comp) == r
+
+
+def test_iint_terms_fold_matches_the_carry_vector_expansion():
+    words = index_words(10)
+    assert len(words) == 2 ** 10 - 1
+    for levels in words:
+        # as lists: the order, lex in the carry vector, is part of the contract
+        assert iint_terms(levels) == iint_terms_by_carry_vectors(levels), levels
 
 
 def test_iint_special_cases_exact():

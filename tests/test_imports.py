@@ -114,6 +114,25 @@ def test_every_oracle_has_a_caller():
     assert dead_definitions(oracles.read_text(), *references(TESTS)) == []
 
 
+def sort_key_subscripts(source: str) -> list[int]:
+    """Lines that index into the result of a ``sort_key()`` call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "sort_key")
+
+
+def test_checker_flags_a_sort_key_subscript():
+    source = ("lead = m.sort_key()[1][:1]\nkey = m.sort_key()\nfirst = key[0]\n"
+              "top = sorted(ms, key=lambda t: t.sort_key()[0])\n")
+    assert sort_key_subscripts(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "symring"], ids=lambda p: p.name)
+def test_only_symring_reads_the_layout_of_a_sort_key(path):
+    # the monomial order's tuple layout is symring's to change
+    assert sort_key_subscripts(path.read_text()) == []
+
+
 SERIES = {"symring", "freealg", "mzv_side", "delta_side"}
 
 # allowed assoclab imports per module; None means unrestricted

@@ -8,8 +8,8 @@ from math import comb
 
 import pytest
 
-from assoclab.freealg import NCSeries, nc_mul, nc_unit
-from assoclab.mzv_side import enumerate_pq, phi_mzv, pq_word
+from assoclab.freealg import A, B, NCSeries, nc_mul, nc_unit
+from assoclab.mzv_side import _word_sum, enumerate_pq, phi_mzv, pq_word
 from assoclab.symring import SymExpr, dual_word, word_composition, zeta
 
 from oracle_utils import (
@@ -20,6 +20,7 @@ from oracle_utils import (
     nc_graded_part,
     nc_scale,
     nc_sub,
+    word_sum_closed_form,
     zeta_composition,
 )
 
@@ -92,6 +93,28 @@ def test_dual_composition_is_reverse_swap():
         assert dual_composition(dual_composition(pairs)) == pairs
         # the pair duality is dual_word on the template
         assert pq_word(dual_composition(pairs)) == dual_word(pq_word(pairs))
+
+
+def test_word_sum_fold_matches_the_closed_formula():
+    templates = [pairs for r in range(2, 11) for pairs in enumerate_pq(r)]
+    assert len(templates) == 511
+    for pairs in templates:
+        assert _word_sum(pq_word(pairs)) == word_sum_closed_form(pairs), pairs
+
+
+def test_word_sum_is_the_sum_over_deleted_letter_sets():
+    # each set of deleted positions contributes (-1)^#deleted times the word
+    # B^(#B deleted) + kept letters + A^(#A deleted)
+    for r in range(2, 9):
+        for pairs in enumerate_pq(r):
+            word = pq_word(pairs)
+            want: dict[str, int] = {}
+            for mask in product((False, True), repeat=len(word)):
+                gone = [x for x, d in zip(word, mask) if d]
+                kept = "".join(x for x, d in zip(word, mask) if not d)
+                w = B * gone.count(B) + kept + A * gone.count(A)
+                want[w] = want.get(w, 0) + (-1) ** len(gone)
+            assert _word_sum(word) == {w: c for w, c in want.items() if c}, word
 
 
 def test_phi_degree_two_is_zeta2_bracket():
