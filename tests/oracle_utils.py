@@ -747,6 +747,40 @@ def iint_terms_by_carry_vectors(levels) -> list:
     return out
 
 
+def _half_value(word: str):
+    """D(word), the [0, 1/2] value of an A/B word: 1 for the empty word,
+    c^k/k! for B^k, and d[word_composition(word)] otherwise."""
+    from assoclab.symring import LOG2, SymExpr, delta, word_composition
+
+    if not word:
+        return SymExpr.one()
+    if "A" not in word:
+        return SymExpr.gen(LOG2, len(word), Fraction(1, factorial(len(word))))
+    return SymExpr.gen(delta(word_composition(word)))
+
+
+def midpoint_rows(max_weight: int) -> list:
+    """The Hoelder convolution at p = 2 as relations, one per admissible
+    composition s of weight 2..max_weight: with w = zeta_word(s), the row
+    z[s] - sum over w = uv of D(dual_word(u)) D(v).
+
+    Splitting the path [0, 1] at 1/2 gives this identity; it reads no
+    series, no quotient and no fold, only the word functions of symring."""
+    from assoclab.relations import KnownValue, Relation
+    from assoclab.symring import SymExpr, dual_word, zeta, zeta_word
+
+    rows = []
+    for weight in range(2, max_weight + 1):
+        for s in compositions_of_weight(weight):
+            if s[0] < 2:
+                continue
+            w = zeta_word(s)
+            halves = [(_half_value(dual_word(w[:i])), _half_value(w[i:])) for i in range(len(w) + 1)]
+            expr = SymExpr.gen(zeta(s)) - sum_of_terms_fraction(halves)
+            rows.append(Relation(expr, KnownValue("midpoint:" + ",".join(map(str, s)))))
+    return rows
+
+
 # -- test-only helpers -------------------------------------------------------
 #
 # No pipeline path runs these; the tests build expected values with them.

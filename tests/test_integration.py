@@ -23,7 +23,7 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, SymExpr, delta, zeta
 
-from oracle_utils import close_enough, iint_numeric
+from oracle_utils import close_enough, iint_numeric, midpoint_rows
 
 
 def z(*parts):
@@ -329,3 +329,15 @@ def test_kernel_integrals_match_quadrature():
         want = iint_numeric(levels, 30)
         got = eval_symexpr(iint_to_sym(levels), prec)
         assert close_enough(got, want, 25), levels
+
+
+@pytest.mark.parametrize("order", [5, 6, 7, 8])
+def test_comparison_rows_are_the_midpoint_rows_modulo_shuffle(order):
+    # modulo the shuffle rows, comparing the two series says exactly the
+    # Hoelder convolution at p = 2; the midpoint rows read neither series
+    shuffles = shuffle_relations(order)
+    comparisons, midpoints = comparison_relations(order), midpoint_rows(order)
+    span = Span(shuffles + comparisons)
+    assert [r for r in midpoints if not span.contains(r.expr)] == []
+    span = Span(shuffles + midpoints)
+    assert [r for r in comparisons if not span.contains(r.expr)] == []
