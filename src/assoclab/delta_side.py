@@ -1,21 +1,22 @@
 """Associator series whose coefficients are polylogarithms at one half.
 
-One factor is the series Xi_B = 1 + sum over index words (l1,...,lr) of
-I[l1,...,lr] * ad_B^{l1}(A) ... ad_B^{lr}(A), where I[...] is an iterated
-kernel integral that collapses, via nested geometric summation, to an exact
-integer combination of delta values (the composition-indexed polylogarithms
-at argument 1/2).  The full series is the product
+The series is exp(c B) * Xi_B * inverse(Xi_A) * exp(-c A), with c = log 2
+and Xi_A the letter swap of Xi_B.  It is the quotient psi / swap(psi) of the
+one factor psi = exp(c B) * Xi_B, so only Xi_B and exp(c B) are ever built.
 
-    exp(c B) * Xi_B * inverse(Xi_A) * exp(-c A),
+Xi_B is the zeta side's deletion fold with only B deletable: the
+regularisation of Ihara, Kaneko and Zagier on [0, 1/2], read through
+``dual_word``.  Over the words x that start with A,
 
-with c = log 2 and Xi_A the letter swap of Xi_B.  It is built from the one
-factor psi = exp(c B) * Xi_B, whose letter swap is exp(c A) * Xi_A, as the
-quotient Phi = psi / swap(psi): the series with Phi * swap(psi) = psi.  So
-only Xi_B and exp(c B) are ever built.
+    Xi_B = 1 + sum of (-1)^#B(x) D(x) deletion_fold(x, B),
 
-This module owns the kernel-integral expansion (``iint_terms``) and both of
-its readings: over delta generators (``iint_to_sym``) and, for the zeta
-kernel of the shuffle relations, over zeta generators (``iint_to_zeta``).
+with D(x) = d[word_composition(dual_word(x))] and D(A^k) = c^k/k!.  The
+paper's formula, kernel integrals I[l1,...,lr] times ad_B^{l1}(A) ...
+ad_B^{lr}(A), is kept as the test oracle ``xi_series_by_kernels``.
+
+The kernel-integral expansion (``iint_terms``) has two readings: over delta
+generators (``iint_to_sym``, read by the shuffle rows, the acceptance gate
+and ``selftest``) and over zeta generators (``iint_to_zeta``).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, zeta
-from .freealg import A, B, NCSeries, ad_words, nc_div, nc_mul, nc_swap, nc_word_sums
+from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, dual_word, zeta, zeta_word
+from .freealg import B, NCSeries, deletion_fold, nc_div, nc_mul, nc_swap, nc_word_sums
 
 
 def index_weight(ix) -> int:
@@ -106,16 +107,17 @@ def iint_to_zeta(levels) -> SymExpr:
 
 
 def xi_series(order: int) -> NCSeries:
-    """Xi_B: the sum of I[levels] times ad_B^l1(A) ... ad_B^lr(A).
-
-    Index words are cut off at total degree ``order``.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return nc_word_sums(
-        order,
-        ((iint_to_sym(levels), ad_words(B, A, levels)) for levels in index_words(order)),
+    """Xi_B, summed over x = dual_word(zeta_word(s)) for the compositions s
+    of 1..order: #B(x) = r - len(s), and D(A^r) = c^r/r! as in iint_to_sym."""
+    terms = (
+        (SymExpr.gen(LOG2, r, Fraction(1, factorial(r))) if k == r
+         else SymExpr.gen(delta(s), coeff=(-1) ** (r - k)),
+         deletion_fold(dual_word(zeta_word(s)), B))
+        for r in range(1, order + 1)
+        for k in range(1, r + 1)
+        for s in compositions(r, k)
     )
+    return nc_word_sums(order, terms)
 
 
 def psi_series(order: int) -> NCSeries:
@@ -130,7 +132,5 @@ def psi_series(order: int) -> NCSeries:
 
 def phi_delta(order: int) -> NCSeries:
     """exp(cB) * Xi_B * inverse(Xi_A) * exp(-cA) at the given order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     psi = psi_series(order)
     return nc_div(psi, nc_swap(psi))

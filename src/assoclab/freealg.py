@@ -18,11 +18,14 @@ Quotients a * inverse(s) are solved degree by degree from the same pair
 sums (``nc_div``), and the inverse is the quotient of the unit.  Word sums
 (``nc_word_sums``) sum all (coefficient, count) pairs of a word at once;
 there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
+
+Both sides' word counts come from one fold (``deletion_fold``): a deletable
+letter may be deleted with a sign flip, B to the left end, A to the right.
 """
 
 from __future__ import annotations
 
-from math import comb
+from collections import defaultdict
 
 from .symring import LETTER_SWAP, SymExpr, sum_of_products
 
@@ -153,21 +156,23 @@ def nc_word_sums(order: int, terms) -> NCSeries:
     return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 
-def ad_words(actor: str, argument: str, levels) -> dict[str, int]:
-    """Integer word counts of ad_actor^l1(argument) ... ad_actor^lr(argument).
-
-    Each factor is sum_i (-1)^i C(l, i) actor^(l-i) argument actor^i; words
-    that coincide are added and zero counts dropped, so ad_X^m(X) = 0, m >= 1.
-    """
-    out = {"": 1}
-    for l in levels:
-        nxt: dict[str, int] = {}
-        for i in range(l + 1):
-            piece = actor * (l - i) + argument + actor * i
-            for w, c in out.items():
-                nxt[w + piece] = nxt.get(w + piece, 0) + (-1) ** i * comb(l, i) * c
-        out = {w: c for w, c in nxt.items() if c}
-    return out
+def deletion_fold(word: str, deletable: str) -> dict[str, int]:
+    """Signed word counts of a left fold over the letters of word, each kept
+    or, if in ``deletable``, deleted with a sign flip, from the state (kept
+    prefix, #A deleted, #B deleted) to the word B^#B kept A^#A.  Any s
+    deleted letters of a run of p reach one state, so C(p, s) is a count."""
+    states = {("", 0, 0): 1}
+    for letter in word:
+        nxt = defaultdict(int)
+        for (kept, a, b), c in states.items():
+            nxt[kept + letter, a, b] += c
+            if letter in deletable:
+                nxt[kept, a + (letter == A), b + (letter == B)] -= c
+        states = nxt
+    out = defaultdict(int)
+    for (kept, a, b), c in states.items():
+        out[B * b + kept + A * a] += c
+    return {w: c for w, c in out.items() if c}
 
 
 def nc_swap(s: NCSeries) -> NCSeries:

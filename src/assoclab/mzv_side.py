@@ -9,16 +9,15 @@ binomial sum of words: inside the template, a block of s_i letters A is
 clipped from the i-th A-run and appended at the right end, a block of t_i
 letters B is clipped from the i-th B-run and prepended at the left end,
 weighted by (-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is
-(-1)^{q1+...+qg}.  ``_word_sum`` computes the sum as a deletion fold over
-the template, in which the binomials and signs arrive as merged counts.
+(-1)^{q1+...+qg}.  The sum is ``freealg.deletion_fold`` over the template
+with both letters deletable, in which the binomials and signs arrive as
+merged counts.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .symring import SymExpr, compositions, word_composition, zeta
-from .freealg import A, B, NCSeries, nc_word_sums
+from .freealg import A, B, NCSeries, deletion_fold, nc_word_sums
 
 # ((p1, q1), ..., (pg, qg)), all entries >= 1; only enumerate_pq builds one
 Pairs = tuple[tuple[int, int], ...]
@@ -44,34 +43,15 @@ def pq_word(pairs: Pairs) -> str:
     return "".join(A * p + B * q for p, q in pairs)
 
 
-def _word_sum(word: str) -> dict[str, int]:
-    """Signed word multiset of one template, as plain integers: a left fold
-    over its letters, each kept or deleted with a sign flip, from the state
-    (kept prefix, #A deleted, #B deleted) to the word B^#B kept A^#A.  Any s
-    deleted letters of a run of p reach one state, so C(p, s) is a count."""
-    states = {("", 0, 0): 1}
-    for letter in word:
-        nxt = defaultdict(int)
-        for (kept, a, b), c in states.items():
-            nxt[kept + letter, a, b] += c
-            nxt[kept, a + (letter == A), b + (letter == B)] -= c
-        states = nxt
-    out = defaultdict(int)
-    for (kept, a, b), c in states.items():
-        out[B * b + kept + A * a] += c
-    return {w: c for w, c in out.items() if c}
-
-
 def phi_mzv(order: int) -> NCSeries:
     """Unit plus the degree 2..order contributions of the closed formula.
 
     Coefficients are emitted raw: both zeta[3] and zeta[2,1] occur, and no
     known relation between generators is applied here.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     terms = (
-        (SymExpr.gen(zeta(word_composition(word)), coeff=(-1) ** word.count(B)), _word_sum(word))
+        (SymExpr.gen(zeta(word_composition(word)), coeff=(-1) ** word.count(B)),
+         deletion_fold(word, A + B))
         for r in range(2, order + 1)
         for word in map(pq_word, enumerate_pq(r))
     )

@@ -317,6 +317,7 @@ class Span:
         self.base = list(base)
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
+        self._rank = {g: i for i, g in enumerate(self._gens)}
         self._mono_cache: dict[int, list[SymMonomial]] = {0: [UNIT_MONOMIAL]}
         self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
 
@@ -326,13 +327,15 @@ class Span:
 
     def _monomials(self, w: int) -> list[SymMonomial]:
         """The monomials of weight w in the base generators, ascending in
-        the monomial order: each base generator times each monomial of the
-        remaining weight, deduplicated and sorted once."""
+        the monomial order: each g in ``_gens`` times each monomial of the
+        remaining weight with no factor above g, so each is built once."""
         found = self._mono_cache.get(w)
         if found is None:
             found = self._mono_cache[w] = sorted(
-                {monomial_product(SymMonomial(((g, 1),)), t)
-                 for g in self._gens if g.weight <= w for t in self._monomials(w - g.weight)},
+                (monomial_product(SymMonomial(((g, 1),)), t)
+                 for i, g in enumerate(self._gens) if g.weight <= w
+                 for t in self._monomials(w - g.weight)
+                 if not t.factors or self._rank[t.factors[-1][0]] <= i),
                 key=SymMonomial.sort_key)
         return found
 

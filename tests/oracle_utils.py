@@ -10,8 +10,10 @@ production paths kept here as references (the mpf delta kernel, the rational
 elimination, the per-step normalised integer sweep, the Fraction product and
 sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
 the all-pairs product and geometric inverse, the closed-form template word
-sum and the carry-vector kernel expansion): each checks the rewrite that
-replaced it.  The series helpers at the end (sums, scalings, graded parts,
+sum, the carry-vector kernel expansion, and the paper's kernel formula for
+Xi_B with its ad-word counts): each checks the rewrite that replaced it.
+The midpoint rows (the Hoelder convolution) read no series at all.  The
+series helpers at the end (sums, scalings, graded parts,
 the grading check, ad-powers) are not oracles: the pipeline never runs them,
 so they live with the tests that use them.
 """
@@ -781,6 +783,36 @@ def midpoint_rows(max_weight: int) -> list:
     return rows
 
 
+def ad_words(actor: str, argument: str, levels) -> dict[str, int]:
+    """Integer word counts of ad_actor^l1(argument) ... ad_actor^lr(argument).
+
+    Each factor is sum_i (-1)^i C(l, i) actor^(l-i) argument actor^i; words
+    that coincide are added and zero counts dropped, so ad_X^m(X) = 0, m >= 1.
+    """
+    out = {"": 1}
+    for l in levels:
+        nxt: dict[str, int] = {}
+        for i in range(l + 1):
+            piece = actor * (l - i) + argument + actor * i
+            for w, c in out.items():
+                nxt[w + piece] = nxt.get(w + piece, 0) + (-1) ** i * comb(l, i) * c
+        out = {w: c for w, c in nxt.items() if c}
+    return out
+
+
+def xi_series_by_kernels(order: int):
+    """The package's former Xi_B, the paper's kernel formula: 1 plus the sum
+    over index words of I[levels] times ad_B^l1(A) ... ad_B^lr(A), index
+    words cut off at total degree ``order``."""
+    from assoclab.delta_side import iint_to_sym, index_words
+    from assoclab.freealg import nc_word_sums
+
+    return nc_word_sums(
+        order,
+        ((iint_to_sym(levels), ad_words("B", "A", levels)) for levels in index_words(order)),
+    )
+
+
 # -- test-only helpers -------------------------------------------------------
 #
 # No pipeline path runs these; the tests build expected values with them.
@@ -913,8 +945,8 @@ def monomial_tuples_brute(weights, w: int) -> list:
 
 
 def ad_series(actor: str, argument: str, m: int):
-    """ad_actor^m(argument) from the package's word counts, at order m + 1."""
-    from assoclab.freealg import NCSeries, ad_words
+    """ad_actor^m(argument) from the word counts of ``ad_words``, at order m + 1."""
+    from assoclab.freealg import NCSeries
     from assoclab.symring import SymExpr
 
     words = ad_words(actor, argument, (m,))

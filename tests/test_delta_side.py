@@ -30,6 +30,7 @@ from oracle_utils import (
     nc_graded_part,
     nc_scale,
     nc_sub,
+    xi_series_by_kernels,
 )
 
 
@@ -181,6 +182,13 @@ def test_xi_series_matches_its_definition(actor):
             want = nc_add(want, nc_scale(word, iint_to_sym(levels)))
         xi = xi_series(order)
         assert (xi if actor == "B" else nc_swap(xi)) == want, order
+
+
+def test_xi_series_fold_equals_the_kernel_formula():
+    # the B-deletable fold over the words that start with A, against the
+    # paper's sum of kernel integrals times ad_B powers of A
+    for order in range(11):
+        assert xi_series(order) == xi_series_by_kernels(order), order
 
 
 def test_psi_pure_b_coefficients_are_exp_cb():

@@ -12,7 +12,8 @@ import pytest
 from mpmath import mp
 
 from assoclab import _oracles
-from assoclab.delta_side import iint_to_sym
+from assoclab.delta_side import iint_to_sym, phi_delta, psi_series, xi_series
+from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, eval_symexpr
 from assoclab.relations import (
     Span,
@@ -329,6 +330,12 @@ def test_kernel_integrals_match_quadrature():
         want = iint_numeric(levels, 30)
         got = eval_symexpr(iint_to_sym(levels), prec)
         assert close_enough(got, want, 25), levels
+
+
+def test_series_builders_reject_a_negative_order():
+    for build in (phi_mzv, xi_series, psi_series, phi_delta):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            build(-1)
 
 
 @pytest.mark.parametrize("order", [5, 6, 7, 8])

@@ -8,8 +8,8 @@ from math import comb
 
 import pytest
 
-from assoclab.freealg import A, B, NCSeries, nc_mul, nc_unit
-from assoclab.mzv_side import _word_sum, enumerate_pq, phi_mzv, pq_word
+from assoclab.freealg import A, B, NCSeries, deletion_fold, nc_mul, nc_unit
+from assoclab.mzv_side import enumerate_pq, phi_mzv, pq_word
 from assoclab.symring import SymExpr, dual_word, word_composition, zeta
 
 from oracle_utils import (
@@ -99,22 +99,26 @@ def test_word_sum_fold_matches_the_closed_formula():
     templates = [pairs for r in range(2, 11) for pairs in enumerate_pq(r)]
     assert len(templates) == 511
     for pairs in templates:
-        assert _word_sum(pq_word(pairs)) == word_sum_closed_form(pairs), pairs
+        assert deletion_fold(pq_word(pairs), A + B) == word_sum_closed_form(pairs), pairs
 
 
 def test_word_sum_is_the_sum_over_deleted_letter_sets():
-    # each set of deleted positions contributes (-1)^#deleted times the word
-    # B^(#B deleted) + kept letters + A^(#A deleted)
-    for r in range(2, 9):
-        for pairs in enumerate_pq(r):
-            word = pq_word(pairs)
-            want: dict[str, int] = {}
-            for mask in product((False, True), repeat=len(word)):
-                gone = [x for x, d in zip(word, mask) if d]
-                kept = "".join(x for x, d in zip(word, mask) if not d)
-                w = B * gone.count(B) + kept + A * gone.count(A)
-                want[w] = want.get(w, 0) + (-1) ** len(gone)
-            assert _word_sum(word) == {w: c for w, c in want.items() if c}, word
+    # each set of deleted positions, deletable letters only, contributes
+    # (-1)^#deleted times the word B^(#B deleted) + kept letters + A^(#A deleted)
+    for deletable in ("AB", "A", "B"):
+        for r in range(2, 9):
+            for pairs in enumerate_pq(r):
+                word = pq_word(pairs)
+                want: dict[str, int] = {}
+                for mask in product((False, True), repeat=len(word)):
+                    gone = [x for x, d in zip(word, mask) if d]
+                    if not set(gone) <= set(deletable):
+                        continue
+                    kept = "".join(x for x, d in zip(word, mask) if not d)
+                    w = B * gone.count(B) + kept + A * gone.count(A)
+                    want[w] = want.get(w, 0) + (-1) ** len(gone)
+                got = deletion_fold(word, deletable)
+                assert got == {w: c for w, c in want.items() if c}, (word, deletable)
 
 
 def test_phi_degree_two_is_zeta2_bracket():
