@@ -68,6 +68,11 @@ def iint_terms(levels: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return [(coeff, parts) for _, parts, coeff in states]
 
 
+def _log_power(k: int) -> SymExpr:
+    """c^k/k!, the value of the all-ones polylogarithm d[1^k]."""
+    return SymExpr.gen(LOG2, k, Fraction(1, factorial(k)))
+
+
 def _kernel_expr(levels: tuple[int, ...], gen) -> SymExpr:
     """Sum of k * gen(parts) over the (k, parts) pairs of iint_terms(levels)."""
     # distinct carry vectors give distinct compositions, so no key repeats
@@ -90,7 +95,7 @@ def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
     if r == 0:
         return SymExpr.one()
     if all(l == 0 for l in levels):
-        return SymExpr.gen(LOG2, r, Fraction(1, factorial(r)))
+        return _log_power(r)
     return _kernel_expr(levels, delta)
 
 
@@ -107,11 +112,10 @@ def iint_to_zeta(levels) -> SymExpr:
 
 
 def xi_series(order: int) -> NCSeries:
-    """Xi_B, summed over x = dual_word(zeta_word(s)) for the compositions s
-    of 1..order: #B(x) = r - len(s), and D(A^r) = c^r/r! as in iint_to_sym."""
+    """Xi_B, with x = dual_word(zeta_word(s)) for each composition s of
+    r = 1..order: #B(x) = r - len(s), and x = A^r when len(s) = r."""
     terms = (
-        (SymExpr.gen(LOG2, r, Fraction(1, factorial(r))) if k == r
-         else SymExpr.gen(delta(s), coeff=(-1) ** (r - k)),
+        (_log_power(r) if k == r else SymExpr.gen(delta(s), coeff=(-1) ** (r - k)),
          deletion_fold(dual_word(zeta_word(s)), B))
         for r in range(1, order + 1)
         for k in range(1, r + 1)
@@ -122,11 +126,7 @@ def xi_series(order: int) -> NCSeries:
 
 def psi_series(order: int) -> NCSeries:
     """exp(cB) * Xi_B, the left half of the delta-side product."""
-    # exp(cB) is the word sum 1 + sum of c^k/k! B^k
-    exp_cb = nc_word_sums(
-        order,
-        ((SymExpr.gen(LOG2, k, Fraction(1, factorial(k))), {B * k: 1}) for k in range(1, order + 1)),
-    )
+    exp_cb = nc_word_sums(order, ((_log_power(k), {B * k: 1}) for k in range(1, order + 1)))
     return nc_mul(exp_cb, xi_series(order))
 
 
