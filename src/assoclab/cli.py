@@ -25,8 +25,6 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
 from . import _oracles
 from .symring import NotAdmissibleError
 from .freealg import nc_mul, nc_swap, nc_unit, series_to_json
@@ -147,6 +145,8 @@ def _cmd_relations(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from mpmath import mp
+
     order = _check_order(args.order)
     prec = _precision(args.digits)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
@@ -180,6 +180,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from mpmath import mp
+
     kind = "zeta" if args.zeta is not None else "delta"
     composition = _parse_composition(getattr(args, kind))
     prec = _precision(args.digits)
@@ -205,6 +207,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _selftest_checks():
     from .symring import SymExpr, LOG2, delta, zeta
     from fractions import Fraction
+    from mpmath import mp
 
     euler = SymExpr.gen(zeta((2,))) - SymExpr.gen(delta((2,)), coeff=2) - SymExpr.gen(LOG2, 2)
 

@@ -21,13 +21,14 @@ there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
 
 Both sides' word counts come from one fold (``deletion_fold``): a deletable
 letter may be deleted with a sign flip, B to the left end, A to the right.
+``series_to_json`` prints a whole series as one batch (``render_all``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .symring import LETTER_SWAP, SymExpr, sum_of_products
+from .symring import LETTER_SWAP, SymExpr, render_all, sum_of_products
 
 A = "A"
 B = "B"
@@ -188,7 +189,7 @@ def nc_coeff(s: NCSeries, w: str) -> SymExpr:
 
 
 def series_to_json(s: NCSeries) -> dict:
-    terms = []
-    for w in sorted(s.coeffs, key=lambda w: (len(w), w)):
-        terms.append({"word": w if w else "1", "coeff": s.coeffs[w].render()})
+    words = sorted(s.coeffs, key=lambda w: (len(w), w))
+    texts = render_all([s.coeffs[w] for w in words])
+    terms = [{"word": w if w else "1", "coeff": t} for w, (t,) in zip(words, texts)]
     return {"order": s.order, "terms": terms}

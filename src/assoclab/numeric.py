@@ -18,7 +18,8 @@ argument 1/2, run in integer fixed point: every partial sum is a Python int
 scaled by 2^P, every step is a floor division, and ``_delta``'s docstring
 bounds what the floors lose.  mpmath is used only at the edges: each delta
 value becomes an mpf once, at the working precision, and the midpoint split
-is mpf arithmetic.  Results carry no error object; instead the working
+is mpf arithmetic.  It is imported by the functions that evaluate, so a run
+that evaluates nothing never loads it.  Results carry no error object; instead the working
 precision exceeds the requested digits by a guard margin plus a term-count
 allowance, and the summation cutoffs are chosen against an explicit tail
 bound.
@@ -41,9 +42,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-
-from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from typing import TYPE_CHECKING
 
 from .symring import (
     Generator,
@@ -56,6 +55,8 @@ from .symring import (
     zeta_word,
 )
 
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 @dataclass(frozen=True)
 class Precision:
@@ -111,6 +112,7 @@ def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
     10^-(digits+guard); P is chosen so that (M + k)*2^-P is below
     2^-E*10^-(digits+guard), with 2^-E a lower bound on the value.
     """
+    from mpmath import mp, mpf
     k = len(comp)
     M = _delta_cutoff(k, prec.digits + prec.guard)
     dps = _working_dps(prec, M * k)
@@ -145,6 +147,7 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
 
 @lru_cache(maxsize=None)
 def _value(g: Generator, prec: Precision) -> mpf:
+    from mpmath import mp
     if g.kind == "zeta":
         word = zeta_word(g.parts)
         n = len(word)
@@ -185,6 +188,7 @@ def _fixed(m: SymMonomial, prec: Precision) -> int:
     e_1 < 1 and e_(j+1) < 2*e_j + 2^j + 1: a monomial of degree k is off by
     less than k*2^k units, far inside the GUARD_BITS.
     """
+    from mpmath.libmp import to_fixed
     B = _scale_bits(prec)
     v = 1 << B
     for g, exp in m.factors:
@@ -200,6 +204,7 @@ def _row_total(e: SymExpr, prec: Precision) -> int:
 
 
 def _to_mpf(total: int, den: int, prec: Precision) -> mpf:
+    from mpmath import mp, mpf
     B = _scale_bits(prec)
     with mp.workprec(B):
         return mpf((total, -B)) / den
@@ -230,6 +235,7 @@ def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
     only what a report prints.  Accepts anything with an ``expr``
     attribute, or a bare SymExpr.
     """
+    from mpmath import mpf
     expr = getattr(rel, "expr", rel)
     total = abs(_row_total(expr, prec))
     ok = total * 10 ** (prec.digits - 5) < expr.den << _scale_bits(prec)

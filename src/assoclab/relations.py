@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .symring import (
@@ -67,6 +68,7 @@ class _Provenance:
         return [(f.name, list(v) if type(v := getattr(self, f.name)) is tuple else v)
                 for f in fields(self)]
 
+    @lru_cache(maxsize=None)  # provenances are frozen, and one labels many rows
     def label(self) -> str:
         text = tuple(",".join(map(str, v)) if type(v) is list else v for _, v in self._values())
         return "%s[%s]" % (self.KIND, self.LABEL % text)

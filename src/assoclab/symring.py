@@ -38,7 +38,10 @@ when built; a monomial its weight, and its sort key, text and LaTeX on
 first use.  Monomial products are memoised (``monomial_product``).  Every
 sum of expressions, of products or of rational multiples, runs through the
 one loop ``sum_of_products``, which adds integer numerators over a common
-denominator.
+denominator and keeps no term order.  Printing is one path too,
+``render_all``: a batch of expressions sorts its distinct monomials once by
+``sort_key`` and each expression's terms by their index in that list;
+``SymExpr.render``, ``latex`` and ``render_and_latex`` are its batch of one.
 """
 
 from __future__ import annotations
@@ -274,14 +277,6 @@ def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
     return SymMonomial(m1.factors + m2.factors)
 
 
-def _text_coeff(n: int, d: int) -> str:
-    return str(n) if d == 1 else "%d/%d" % (n, d)
-
-
-def _latex_coeff(n: int, d: int) -> str:
-    return str(n) if d == 1 else r"\tfrac{%d}{%d}" % (n, d)
-
-
 class SymExpr:
     """Finite Q-linear combination of monomials in canonical form: ``nums``
     (monomial to nonzero int) over ``den`` > 0, with gcd(den, *nums) = 1."""
@@ -382,52 +377,69 @@ class SymExpr:
 
     # -- rendering ---------------------------------------------------------
 
-    def _terms(self) -> list[tuple[SymMonomial, int]]:
-        return sorted(self.nums.items(), key=lambda mn: mn[0].sort_key(), reverse=True)
-
-    def _format(self, terms, coeff, mono, times: str) -> str:
-        # shared by render and latex: they differ only in how a coefficient
-        # (given as |numerator|, denominator in lowest terms) and a monomial
-        # print and in the product separator; terms come from _terms
-        if not terms:
-            return "0"
-        den = self.den
-        parts = []
-        for i, (m, n) in enumerate(terms):
-            negative = n < 0
-            if negative:
-                n = -n
-            g = gcd(n, den)
-            n, d = n // g, den // g
-            if m.is_unit():
-                body = coeff(n, d)
-            elif n == 1 and d == 1:
-                body = mono(m)
-            else:
-                body = coeff(n, d) + times + mono(m)
-            if i == 0:
-                parts.append("-" + body if negative else body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
-
     def render(self) -> str:
-        return self._format(self._terms(), _text_coeff, SymMonomial.render, "*")
+        return render_all((self,))[0][0]
 
     def latex(self) -> str:
-        return self._format(self._terms(), _latex_coeff, SymMonomial.latex, " ")
+        return render_all((self,), ("latex",))[0][0]
 
     def render_and_latex(self) -> tuple[str, str]:
         """``(render(), latex())``, sorting the terms once."""
-        terms = self._terms()
-        return (self._format(terms, _text_coeff, SymMonomial.render, "*"),
-                self._format(terms, _latex_coeff, SymMonomial.latex, " "))
+        return render_all((self,), ("text", "latex"))[0]
 
     def __repr__(self):
         return "SymExpr(%s)" % self.render()
 
 
 # -- module-level operations ------------------------------------------------
+
+# how a fraction n/d with d > 1 and a monomial print, and the separator
+# between a coefficient and its monomial
+_STYLES = {
+    "text": ("%d/%d", SymMonomial.render, "*"),
+    "latex": (r"\tfrac{%d}{%d}", SymMonomial.latex, " "),
+}
+
+
+def render_all(exprs, styles=("text",)) -> list[tuple[str, ...]]:
+    """Each expression printed in each style, terms by descending monomial.
+
+    The batch's distinct monomials are sorted once, each expression's terms
+    by their index in that list, so an expression prints the same alone as
+    in any batch; each monomial's text is read once per style.
+    """
+    ranked = sorted({m for e in exprs for m in e.nums}, key=SymMonomial.sort_key, reverse=True)
+    rank = {m: i for i, m in enumerate(ranked)}.__getitem__
+    tables = []
+    for style in styles:
+        frac, mono, times = _STYLES[style]
+        names = {m: None if m.is_unit() else mono(m) for m in ranked}
+        tables.append((frac, times, names))
+    out = []
+    for e in exprs:
+        den, nums = e.den, e.nums
+        terms = []
+        for m in sorted(nums, key=rank):
+            n = nums[m]
+            g = 1 if den == 1 else gcd(n, den)
+            terms.append((m, "- " if n < 0 else "+ ", abs(n) // g, den // g))
+        texts = []
+        for frac, times, names in tables:
+            parts = []
+            for m, sign, n, d in terms:
+                name = names[m]
+                number = str(n) if d == 1 else frac % (n, d)
+                if name is None:
+                    parts.append(sign + number)
+                elif number == "1":
+                    parts.append(sign + name)
+                else:
+                    parts.append(sign + number + times + name)
+            # the first term's sign is bare: "-x" or "x", not "- x" or "+ x"
+            text = " ".join(parts) or "+ 0"
+            texts.append(text[2:] if text[0] == "+" else "-" + text[2:])
+        out.append(tuple(texts))
+    return out
 
 
 def sum_of_products(pairs) -> SymExpr:
@@ -438,8 +450,7 @@ def sum_of_products(pairs) -> SymExpr:
     pair that meets at a word, with no intermediate expression per pair.
     Each pair's integer products are scaled to den, the lcm of the pair
     denominators, and summed as ints (a scalar scales numerators, with no
-    monomial product); the result is reduced to lowest terms once.  Terms
-    keep the order in which they first appear.
+    monomial product); the result is reduced to lowest terms once.
     """
     conv = []
     for a, b in pairs:
@@ -458,6 +469,8 @@ def sum_of_products(pairs) -> SymExpr:
             for m, n in left.items():
                 out[m] = get(m, 0) + n * right
             continue
+        if len(left) > len(right):  # the longer operand in the inner loop
+            left, right = right, left
         for m1, n1 in left.items():
             n1 *= scale
             for m2, n2 in right.items():

@@ -10,8 +10,9 @@ production paths kept here as references (the mpf delta kernel, the rational
 elimination, the per-step normalised integer sweep, the Fraction product and
 sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
 the all-pairs product and geometric inverse, the closed-form template word
-sum, the carry-vector kernel expansion, and the paper's kernel formula for
-Xi_B with its ad-word counts): each checks the rewrite that replaced it.
+sum, the carry-vector kernel expansion, the paper's kernel formula for
+Xi_B with its ad-word counts, and the per-expression printer that sorted
+by ``sort_key``): each checks the rewrite that replaced it.
 The midpoint rows (the Hoelder convolution) read no series at all.  The
 series helpers at the end (sums, scalings, graded parts,
 the grading check, ad-powers) are not oracles: the pipeline never runs them,
@@ -811,6 +812,33 @@ def xi_series_by_kernels(order: int):
         order,
         ((iint_to_sym(levels), ad_words("B", "A", levels)) for levels in index_words(order)),
     )
+
+
+def render_by_sort_key(e) -> tuple[str, str]:
+    """The package's former printer of one expression: its terms sorted by
+    descending ``sort_key``, then each printed as text and as LaTeX."""
+    terms = sorted(e.nums.items(), key=lambda mn: mn[0].sort_key(), reverse=True)
+    out = []
+    for coeff, times, latex in (("%d/%d", "*", False), (r"\tfrac{%d}{%d}", " ", True)):
+        parts = []
+        for i, (m, n) in enumerate(terms):
+            negative = n < 0
+            g = gcd(n, e.den)
+            n, d = abs(n) // g, e.den // g
+            number = str(n) if d == 1 else coeff % (n, d)
+            name = m.latex() if latex else m.render()
+            if m.is_unit():
+                body = number
+            elif n == 1 and d == 1:
+                body = name
+            else:
+                body = number + times + name
+            if i == 0:
+                parts.append("-" + body if negative else body)
+            else:
+                parts.append(("- " if negative else "+ ") + body)
+        out.append(" ".join(parts) or "0")
+    return out[0], out[1]
 
 
 # -- test-only helpers -------------------------------------------------------

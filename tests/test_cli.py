@@ -238,6 +238,22 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         assert outs[0] and outs[0] == outs[1], argv
 
 
+def test_expand_and_relations_do_not_load_mpmath():
+    # only evaluation reads mpmath; a run that evaluates nothing never loads it
+    src = str(Path(assoclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, assoclab, assoclab.cli\n"
+        "for argv in (['expand', '--order', '3'],\n"
+        "             ['relations', '--order', '3', '--aux', 'all', '--reduce']):\n"
+        "    assert assoclab.cli.main(argv) == 0\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, timeout=600, check=True)
+    assert proc.stdout and proc.stderr == b"[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--order", "2", "--output"],
     ["verify", "--order", "2", "--digits", "20", "--report"],

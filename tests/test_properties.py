@@ -81,8 +81,9 @@ def test_integer_product_loop_matches_the_fraction_loop(pairs, q):
     ]
     for case in cases:
         got, want = sum_of_products(case), sum_of_products_fraction(case)
-        # same terms in the same order as the Fraction loop
-        assert fraction_terms(got) == fraction_terms(want)
+        # the Fraction loop's terms; the kernel's term order is not kept, as
+        # rendering sorts and integer sums ignore it
+        assert dict(fraction_terms(got)) == dict(fraction_terms(want))
         assert all(type(c) is Fraction for _, c in fraction_terms(got))
         assert_canonical(got)
     assert not sum_of_products(cases[-1])
@@ -126,8 +127,7 @@ def test_scalar_pairs_match_the_fraction_sums(pairs, a, b):
     ]
     for case in cases:
         got = sum_of_products(case)
-        # equal as expressions: the kernel keeps each term where it first
-        # appeared, where repeated additions moved a cancelled term last
+        # equal as expressions: term order is not compared
         assert got == sum_of_terms_fraction(case)
         assert all(type(q) is Fraction for _, q in fraction_terms(got))
     assert not sum_of_products(cases[2])

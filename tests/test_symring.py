@@ -11,6 +11,9 @@ from itertools import product
 import pytest
 
 from assoclab import symring
+from assoclab.delta_side import phi_delta
+from assoclab.freealg import series_to_json
+from assoclab.mzv_side import phi_mzv
 from assoclab.relations import AUX_NAMES, aux_relations, comparison_relations, reduce
 from assoclab.symring import (
     LOG2,
@@ -25,13 +28,20 @@ from assoclab.symring import (
     delta,
     dual_word,
     monomial_product,
+    render_all,
     sym_weight,
     word_composition,
     zeta,
     zeta_word,
 )
 
-from oracle_utils import compositions_of_weight, fraction_terms, monomial, monomial_views
+from oracle_utils import (
+    compositions_of_weight,
+    fraction_terms,
+    monomial,
+    monomial_views,
+    render_by_sort_key,
+)
 
 
 def _random_generator(rng: random.Random) -> Generator:
@@ -360,6 +370,33 @@ def test_render_examples():
     rng = random.Random(31)
     for x in [e, SymExpr.zero()] + [_random_expr(rng) for _ in range(40)]:
         assert x.render_and_latex() == (x.render(), x.latex())
+
+
+def test_every_printed_expression_matches_the_sort_key_printer():
+    # one expression alone, a whole series in one batch, and relation rows
+    # all print as the former per-expression sort by sort_key did
+    for series in (phi_mzv(7), phi_delta(7)):
+        words = sorted(series.coeffs, key=lambda w: (len(w), w))
+        batch = [t["coeff"] for t in series_to_json(series)["terms"]]
+        assert batch == [render_by_sort_key(series.coeffs[w])[0] for w in words]
+        for e in series.coeffs.values():
+            assert (e.render(), e.latex()) == render_by_sort_key(e)
+    for r in comparison_relations(7) + aux_relations(AUX_NAMES, 7):
+        assert (r.expr.render(), r.expr.latex()) == render_by_sort_key(r.expr)
+        assert r.expr.render_and_latex() == render_by_sort_key(r.expr)
+
+
+def test_a_batch_prints_each_expression_as_it_prints_alone():
+    # the batch's monomial order must not leak into any one expression
+    rng = random.Random(47)
+    pool = (list(phi_delta(5).coeffs.values()) + [r.expr for r in comparison_relations(5)]
+            + [SymExpr.zero(), SymExpr.rational(Fraction(-3, 4))]
+            + [_random_expr(rng) for _ in range(20)])
+    for _ in range(30):
+        batch = rng.sample(pool, rng.randint(0, 12))
+        for styles in (("text",), ("latex",), ("text", "latex")):
+            assert render_all(batch, styles) == [render_all((e,), styles)[0] for e in batch]
+        assert render_all(batch, ("latex", "text")) == [(e.latex(), e.render()) for e in batch]
 
 
 def test_latex_fractions():
