@@ -13,6 +13,10 @@ the all-pairs product and geometric inverse, the closed-form template word
 sum, the carry-vector kernel expansion, the paper's kernel formula for
 Xi_B with its ad-word counts, and the per-expression printer that sorted
 by ``sort_key``): each checks the rewrite that replaced it.
+The all-pairs product and the geometric inverse also rebuild the delta
+side as the product psi * inverse(swap psi) (``check_product_form``),
+with no quotient solver, and ``check_omega2`` checks the degree-2
+antisymmetrisation psi - swap(psi) against its printed closed form.
 The midpoint rows (the Hoelder convolution) read no series at all.  The
 series helpers at the end (sums, scalings, graded parts,
 the grading check, ad-powers) are not oracles: the pipeline never runs them,
@@ -585,6 +589,33 @@ def nc_inverse_geometric(s):
             break
         acc = nc_add(acc, power)
     return acc
+
+
+def check_product_form(order: int) -> bool:
+    """psi * inverse(swap psi) from the all-pairs product and the geometric
+    inverse equals the package's quotient psi / swap(psi), which the
+    package solves degree by degree (``nc_div``)."""
+    from assoclab.delta_side import phi_delta, psi_series
+    from assoclab.freealg import nc_swap
+
+    psi = psi_series(order)
+    return nc_mul_all_pairs(psi, nc_inverse_geometric(nc_swap(psi))) == phi_delta(order)
+
+
+def check_omega2(order: int) -> bool:
+    """psi_2 - swap(psi)_2 is the printed (c^2 + 2 I[1]) X, with X = BA - AB."""
+    from assoclab.delta_side import iint_to_sym, psi_series
+    from assoclab.freealg import nc_coeff, nc_swap
+    from assoclab.symring import LOG2, SymExpr
+
+    psi = psi_series(order)
+    swapped = nc_swap(psi)
+    coeff = SymExpr.gen(LOG2, 2) + iint_to_sym((1,)).scale(Fraction(2))
+    want = {"BA": coeff, "AB": -coeff, "AA": SymExpr.zero(), "BB": SymExpr.zero()}
+    # below order 2 both sides truncate to nothing
+    return order < 2 or all(
+        nc_coeff(psi, w) - nc_coeff(swapped, w) == e for w, e in want.items()
+    )
 
 
 # -- Fraction sums --------------------------------------------------------------

@@ -205,6 +205,35 @@ def test_selftest_all_ok(capsys):
     assert all(ln.startswith("ok - ") for ln in lines)
 
 
+def test_selftest_reads_the_delta_series_the_cli_prints(capsys, monkeypatch):
+    # the swapped quotient swap(psi) / psi is the inverse of the delta side,
+    # so its product with its swap is still the unit series
+    from assoclab.delta_side import psi_series
+    from assoclab.freealg import nc_div, nc_swap
+
+    def swapped_quotient(order):
+        psi = psi_series(order)
+        return nc_div(nc_swap(psi), psi)
+
+    monkeypatch.setattr(cli, "phi_delta", swapped_quotient)
+    code, out = run_capture(capsys, ["selftest"])
+    assert code == 1
+    failed = [ln for ln in out.splitlines() if not ln.startswith("ok - ")]
+    assert failed == ["FAIL - product form rebuilds the delta side"]
+    assert "ok - delta side times its swap is the unit series" in out.splitlines()
+
+
+def test_selftest_needs_only_the_package(tmp_path):
+    # a fresh interpreter outside the checkout, with only src on the path
+    src = str(Path(assoclab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "assoclab.cli", "selftest"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8 and all(ln.startswith("ok - ") for ln in lines)
+
+
 def test_json_outputs_are_deterministic(tmp_path, capsys):
     for argv in (
         ["relations", "--order", "4", "--aux", "all", "--reduce"],

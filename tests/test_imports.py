@@ -143,8 +143,7 @@ LAYERS = {
     "delta_side": {"symring", "freealg"},
     "relations": SERIES,
     "numeric": {"symring"},
-    "_oracles": {"symring", "freealg", "delta_side"},
-    "cli": SERIES | {"relations", "numeric", "_oracles"},
+    "cli": SERIES | {"relations", "numeric"},
 }
 
 

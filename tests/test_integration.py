@@ -11,7 +11,6 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-from assoclab import _oracles
 from assoclab.delta_side import iint_to_sym, phi_delta, psi_series, xi_series
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, eval_symexpr
@@ -24,7 +23,13 @@ from assoclab.relations import (
 )
 from assoclab.symring import LOG2, SymExpr, delta, zeta
 
-from oracle_utils import close_enough, iint_numeric, midpoint_rows
+from oracle_utils import (
+    check_omega2,
+    check_product_form,
+    close_enough,
+    iint_numeric,
+    midpoint_rows,
+)
 
 
 def z(*parts):
@@ -304,8 +309,8 @@ def test_normal_forms_weight_five_depth_two(span5):
 
 @pytest.mark.parametrize("order", range(8))
 def test_series_consistency_oracles(order):
-    assert _oracles.check_product_form(order)
-    assert _oracles.check_omega2(order)
+    assert check_product_form(order)
+    assert check_omega2(order)
 
 
 def all_level_words(max_weight):
