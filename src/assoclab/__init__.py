@@ -33,7 +33,7 @@ from .freealg import (
     series_to_json,
 )
 from .mzv_side import enumerate_pq, phi_mzv
-from .delta_side import iint_to_sym, iint_to_zeta, index_words, phi_delta, xi_series
+from .delta_side import iint_to_sym, index_words, phi_delta, xi_series
 from .relations import (
     Comparison,
     Duality,

@@ -14,9 +14,10 @@ with D(x) = d[word_composition(dual_word(x))] and D(A^k) = c^k/k!.  The
 paper's formula, kernel integrals I[l1,...,lr] times ad_B^{l1}(A) ...
 ad_B^{lr}(A), is kept as the test oracle ``xi_series_by_kernels``.
 
-The kernel-integral expansion (``iint_terms``) has two readings: over delta
+The kernel-integral expansion (``iint_terms``) is read once, over delta
 generators (``iint_to_sym``, read by the shuffle rows, the acceptance gate
-and ``selftest``) and over zeta generators (``iint_to_zeta``).
+and ``selftest``); each zeta-kernel shuffle row is its delta row read
+with z[s] for d[s], in ``relations``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, dual_word, zeta, zeta_word
+from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, dual_word, zeta_word
 from .freealg import B, NCSeries, deletion_fold, nc_div, nc_mul, nc_swap, nc_word_sums
 
 
@@ -73,12 +74,6 @@ def _log_power(k: int) -> SymExpr:
     return SymExpr.gen(LOG2, k, Fraction(1, factorial(k)))
 
 
-def _kernel_expr(levels: tuple[int, ...], gen) -> SymExpr:
-    """Sum of k * gen(parts) over the (k, parts) pairs of iint_terms(levels)."""
-    # distinct carry vectors give distinct compositions, so no key repeats
-    return SymExpr({SymMonomial(((gen(parts), 1),)): k for k, parts in iint_terms(levels)})
-
-
 @lru_cache(maxsize=None)
 def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
     """Exact value of I[levels] over the delta and log-2 generators.
@@ -96,19 +91,8 @@ def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
         return SymExpr.one()
     if all(l == 0 for l in levels):
         return _log_power(r)
-    return _kernel_expr(levels, delta)
-
-
-def iint_to_zeta(levels) -> SymExpr:
-    """Zeta-kernel analogue of iint_to_sym; needs every index >= 1.
-
-    Positivity of the first index makes the defining integral convergent,
-    positivity of the last one makes every emitted composition admissible.
-    """
-    levels = tuple(int(l) for l in levels)
-    if not levels or min(levels) < 1:
-        raise ValueError("all indices must be >= 1, got %r" % (levels,))
-    return _kernel_expr(levels, zeta)
+    # distinct carry vectors give distinct compositions, so no key repeats
+    return SymExpr({SymMonomial(((delta(parts), 1),)): k for k, parts in iint_terms(levels)})
 
 
 def xi_series(order: int) -> NCSeries:

@@ -5,11 +5,10 @@ Sources of relations:
     by word; every nonzero difference is an identity between zeta values,
     delta values and powers of c,
   * shuffle: products of the kernel integrals I[u]·I[v] expand over the
-    shuffles of u and v; pushed through the integral-to-delta conversion
-    this yields quadratic delta identities.  For index words with all
-    indices positive the same combinatorics applies verbatim to the
-    zeta-kernel integrals, giving quadratic zeta identities; both kernel
-    expansions (``iint_to_sym``, ``iint_to_zeta``) live in ``delta_side``,
+    shuffles of u and v; pushed through the one kernel expansion,
+    ``delta_side.iint_to_sym``, this yields quadratic delta identities.
+    When every index is positive, each row read with z[s] for d[s] is the
+    same identity over [0, 1], a quadratic zeta identity,
   * duality: reverse-and-swap symmetry of the zeta integration words,
   * known values: a fixed table of classical closed forms, each written out
     as a literal over the generators.
@@ -53,7 +52,7 @@ from .symring import (
 )
 from .freealg import NCSeries, OrderMismatchError, nc_coeff
 from .mzv_side import enumerate_pq, phi_mzv, pq_word
-from .delta_side import iint_to_sym, iint_to_zeta, index_weight, index_words, phi_delta
+from .delta_side import iint_to_sym, index_weight, index_words, phi_delta
 
 
 class _Provenance:
@@ -161,25 +160,30 @@ def shuffle(u, v) -> Counter:
 def shuffle_relations(max_weight: int) -> list[Relation]:
     """Quadratic relations from I[u]·I[v] = sum of I over shuffles.
 
-    Delta-kernel relations for every unordered pair of nonempty index words
-    with combined weight <= max_weight (identically-zero ones dropped);
-    zeta-kernel twins additionally for pairs with all indices positive.
+    A delta-kernel row for every unordered pair of nonempty index words
+    with combined weight <= max_weight (identically-zero ones dropped),
+    followed, when every index is positive, by its zeta-kernel twin: the
+    same numerators over the same denominator, each d[s] read as z[s].
+    The shuffle product holds on any path, and I[l] on [0, 1] expands as
+    on [0, 1/2] with z in place of d; positive indices leave no c term and
+    only admissible compositions (first part >= 2).
     """
-    words = index_words(max_weight - 1)
+    words, f = index_words(max_weight - 1), iint_to_sym
     out: list[Relation] = []
     for i, u in enumerate(words):
         wu = index_weight(u)
         for v in words[i:]:
             if wu + index_weight(v) > max_weight:
-                continue
+                break  # index_words ascends in weight
             sh = sorted(shuffle(u, v).items())
-            kernels = [("delta", iint_to_sym)]
+            lhs = sum_of_products([(f(u), f(v))] + [(f(w), -k) for w, k in sh])
+            if not lhs:
+                continue
+            out.append(Relation(lhs, Shuffle("delta", u, v)))
             if min(u) >= 1 and min(v) >= 1:
-                kernels.append(("zeta", iint_to_zeta))
-            for kernel, f in kernels:
-                lhs = sum_of_products([(f(u), f(v))] + [(f(w), -k) for w, k in sh])
-                if lhs:
-                    out.append(Relation(lhs, Shuffle(kernel, u, v)))
+                twin = {SymMonomial(tuple((zeta(g.parts), e) for g, e in m.factors)): n
+                        for m, n in lhs.nums.items()}
+                out.append(Relation(SymExpr.from_ints(lhs.den, twin), Shuffle("zeta", u, v)))
     return out
 
 

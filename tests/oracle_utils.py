@@ -10,9 +10,10 @@ production paths kept here as references (the mpf delta kernel, the rational
 elimination, the per-step normalised integer sweep, the Fraction product and
 sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
 the all-pairs product and geometric inverse, the closed-form template word
-sum, the carry-vector kernel expansion, the paper's kernel formula for
-Xi_B with its ad-word counts, and the per-expression printer that sorted
-by ``sort_key``): each checks the rewrite that replaced it.
+sum, the carry-vector kernel expansion, its zeta-kernel reading, the
+paper's kernel formula for Xi_B with its ad-word counts, and the
+per-expression printer that sorted by ``sort_key``): each checks the
+rewrite that replaced it.
 The all-pairs product and the geometric inverse also rebuild the delta
 side as the product psi * inverse(swap psi) (``check_product_form``),
 with no quotient solver, and ``check_omega2`` checks the degree-2
@@ -671,13 +672,29 @@ def nc_word_sums_fraction(order: int, terms):
     return NCSeries(order, acc)
 
 
+def iint_to_zeta(levels):
+    """The package's former zeta-kernel reading of I[levels]: the sum of
+    k * z[parts] over iint_terms(levels); needs every index >= 1.
+
+    Positivity of the first index makes the defining integral convergent,
+    positivity of the last one makes every emitted composition admissible.
+    """
+    from assoclab.delta_side import iint_terms
+    from assoclab.symring import SymExpr, zeta
+
+    levels = tuple(int(l) for l in levels)
+    if not levels or min(levels) < 1:
+        raise ValueError("all indices must be >= 1, got %r" % (levels,))
+    return sum_of_terms_fraction([(SymExpr.gen(zeta(parts)), k) for k, parts in iint_terms(levels)])
+
+
 def shuffle_rows_fraction(max_weight: int):
     """The package's former shuffle-row loop, as (monic expression, label,
     provenance JSON) per row, with the label and JSON written out by hand.
 
     Each row is f(u)·f(v) minus f(w)·k for every shuffle w of multiplicity
     k, subtracted one at a time."""
-    from assoclab.delta_side import iint_to_sym, iint_to_zeta, index_weight, index_words
+    from assoclab.delta_side import iint_to_sym, index_weight, index_words
     from assoclab.relations import shuffle
 
     fmt = lambda w: ",".join(map(str, w))

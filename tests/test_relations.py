@@ -10,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from assoclab.freealg import OrderMismatchError
-from assoclab.delta_side import iint_to_zeta, phi_delta
+from assoclab.delta_side import phi_delta
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision, verify_relation
 from assoclab.relations import (
@@ -44,6 +44,7 @@ from oracle_utils import (
     FractionSpan,
     duality_rows_pairs,
     fraction_reduce,
+    iint_to_zeta,
     monomial_tuples_brute,
     shuffle_brute,
     shuffle_rows_fraction,
@@ -157,9 +158,10 @@ def test_shuffle_relations_zeta_twin_only_for_positive_words():
             assert min(r.provenance.v) >= 1
 
 
-def test_shuffle_rows_match_the_subtraction_loop():
-    rows = shuffle_relations(7)
-    want = shuffle_rows_fraction(7)
+@pytest.mark.parametrize("order", [7, 9])
+def test_shuffle_rows_match_the_subtraction_loop(order):
+    rows = shuffle_relations(order)
+    want = shuffle_rows_fraction(order)
     assert len(rows) == len(want)
     for r, (expr, label, payload) in zip(rows, want):
         assert r.expr == expr
