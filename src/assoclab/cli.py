@@ -38,7 +38,14 @@ from .relations import (
     known_values,
     reduce as reduce_relations,
 )
-from .numeric import Precision, eval_delta, eval_symexpr, eval_zeta, verify_relation
+from .numeric import (
+    Precision,
+    eval_delta,
+    eval_symexpr,
+    eval_zeta,
+    load_values,
+    verify_relation,
+)
 
 DEFAULT_ORDER = 5
 DEFAULT_DIGITS = 40
@@ -149,6 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     prec = _precision(args.digits)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
+    load_values(rels, prec)  # every delta value the rows read, in one pass
     rows = []
     failed = []
     for r in rels:
@@ -250,7 +258,9 @@ def _selftest_checks():
 
     def numeric_known_values():
         prec = Precision(30)
-        return all(verify_relation(r, prec).ok for r in known_values())
+        rels = known_values()
+        load_values(rels, prec)
+        return all(verify_relation(r, prec).ok for r in rels)
 
     def numeric_duality():
         row = SymExpr.gen(zeta((3, 1))) - SymExpr.gen(zeta((4,)), coeff=Fraction(1, 4))

@@ -14,20 +14,29 @@ takes the same summation as every other delta generator.
 
 The nested sum is the one of Borwein, Bradley, Broadhurst and Lisonek
 (Special values of multiple polylogarithms, Trans. AMS 353, 2001) at
-argument 1/2, run in integer fixed point: every partial sum is a Python int
-scaled by 2^P, every step is a floor division, and ``_delta``'s docstring
-bounds what the floors lose.  mpmath is used only at the edges: each delta
-value becomes an mpf once, at the working precision, and the midpoint split
-is mpf arithmetic.  It is imported by the functions that evaluate, so a run
-that evaluates nothing never loads it.  Results carry no error object; instead the working
-precision exceeds the requested digits by a guard margin plus a term-count
-allowance, and the summation cutoffs are chosen against an explicit tail
-bound.
+argument 1/2, run in integer fixed point over a whole set of compositions
+at once: ``_sum_deltas`` walks the trie of their suffixes depth first,
+builds each suffix's array of partial sums once, from its parent's, and
+reads every composition's value off its own node.  Every entry is a Python
+int, damped by 2^-n at index n so that the node's array sums to its value,
+every step is a floor, and ``_sum_deltas``'s docstring bounds what the
+floors lose.  mpmath is used only at the edges: each delta value becomes an
+mpf once, at the working precision, and the midpoint split is mpf
+arithmetic.  It is imported by the functions that evaluate, so a run that
+evaluates nothing never loads it.  Results carry no error object; instead
+the working precision exceeds the requested digits by a guard margin plus a
+term-count allowance, and the summation cutoffs are chosen against an
+explicit tail bound.
 
-There is one value cache, ``_value``, keyed by the ``Generator`` and the
-(frozen) Precision.  A composition is validated once, when its generator is
-built; ``eval_delta``, ``eval_zeta``, the midpoint split and the monomial
-table ``_fixed`` all read values through that cache.  Rows are evaluated in
+There is one value cache, the dict ``_VALUES``, keyed by the ``Generator``
+and the (frozen) Precision.  ``_value`` reads it, and every pass writes the
+delta values it sums into it.  ``load_values`` sums every delta value that a
+batch of rows reads in one pass (``verify`` hands it all its rows before it
+certifies any); ``eval_delta``, ``eval_zeta`` and the midpoint split sum
+the values they miss as a batch of their own.  A pass takes one cutoff and
+one bit count for its whole batch, so a value's last bits depend on the
+batch that summed it, always inside the error bound.  A composition
+is validated once, when its generator is built.  Rows are evaluated in
 integer fixed point: ``_fixed`` holds each monomial's value as an int scaled
 by 2^B (``_scale_bits``), ``eval_symexpr`` sums a row's integer numerators
 times those ints and divides by its one denominator once, and
@@ -98,41 +107,82 @@ def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
     return int(math.ceil(dps * math.log2(10) + e))
 
 
-def _delta(comp: tuple[int, ...], prec: Precision) -> mpf:
-    """Fixed-point nested sum: every value is an int scaled by 2^P.
+def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], mpf]:
+    """Every delta value of a set of compositions, in one pass over the trie
+    of their suffixes.
 
-    Rounding bound.  Each floor division loses less than one unit (2^-P).
-    A level-j array entry at n sums n terms, each a level-(j-1) entry at
-    m-1 < n divided by m^s >= m (carrying less than j-1 units) plus one
-    floor, so it carries at most j*n units of error.  The outer term at n
-    divides a level-(k-1) entry by 2^n, so the 2^-n factor damps that error:
-    the outer sum loses less than M + (k-1)*sum (n-1)/2^n = M + k - 1 units.
-    So the total loss is under (M + k)*2^-P, and every floor rounds down.
-    The cutoff M adds the tail after M, which ``_delta_cutoff`` keeps below
-    10^-(digits+guard); P is chosen so that (M + k)*2^-P is below
-    2^-E*10^-(digits+guard), with 2^-E a lower bound on the value.
+    The trie's root is the empty composition, and a child puts one more
+    part in front of its parent, so the nodes on a composition's path from
+    the root are its suffixes.  Node u = (s,) + u' holds one array of
+    M + 1 ints, damped: a(n) = T(n)*2^(P-n), where T(n) is u's nested sum
+    over the chains n >= n1 > n2 > ... >= 1.  Since
+    T(n) = T(n-1) + T'(n-1)/n^s, with T' the parent's sum,
+
+        a(n) = (a(n-1) + a'(n-1) / n^s) / 2,    a(0) = 0,
+
+    and the root's entries are a'(n) = 2^(P-n).  Each array is built once,
+    from its parent's, and every composition with that suffix reads it.  By
+    Abel summation the value truncated at M is
+
+        sum_(n<=M) 2^-n*(T(n) - T(n-1)) = 2^-(P+1)*(sum_(n=1..M) a(n) + a(M)),
+
+    so every node is itself a value and there is no separate outer sum.
+    Children are visited depth first in sorted order, and a node's array is
+    dropped once its last child is built, so at most one root-to-leaf path
+    of arrays, K + 1 for the batch's largest depth K, is alive at a time.
+
+    One cutoff and one bit count serve the pass: M is ``_delta_cutoff`` at
+    depth K, and P the largest ``_fixed_point_bits`` of the batch at the
+    working precision of depth K.  Both are at least what a composition
+    gets alone, so a value's last bits depend on the batch that summed it.
+
+    Rounding bound.  Every step floors, so no entry exceeds its exact value,
+    and an entry at level j (the root's level is 0) is below it by less than
+    2j + 1 units.  A root entry is a floor of 2^(P-n), which loses less than
+    one unit.  A level-j entry at n loses half of the loss at n - 1, half of
+    the parent's loss divided by n^s >= 1, and less than one unit more from
+    its two floors (the inner one halved, and the halving of an integer,
+    which loses at most one half).  So e_j(n) < e_j(n-1)/2 + (2j - 1)/2 + 1,
+    which keeps e_j below 2j + 1, starting from e_j(0) = 0.  A value of
+    depth k adds M + 1 entries of level k, so it is low by less than
+    (M + 1)*(2k + 1) units of 2^-(P+1).  The cutoff M adds the tail after M,
+    which ``_delta_cutoff`` keeps below 10^-(digits+guard); P is large
+    enough that (M + 1)*(2k + 1)*2^-(P+1) is below 2^-E*10^-(digits+guard),
+    with 2^-E a lower bound on the value (``_fixed_point_bits``).
     """
     from mpmath import mp, mpf
-    k = len(comp)
-    M = _delta_cutoff(k, prec.digits + prec.guard)
-    dps = _working_dps(prec, M * k)
-    P = _fixed_point_bits(comp, dps)
-    # prev[n] = sum over chains below n for the already-processed suffix
-    prev = [1 << P] * (M + 1)
-    for s in comp[:0:-1]:
-        cur = [0] * (M + 1)
-        run = 0
-        for n in range(1, M + 1):
-            run += prev[n - 1] // n**s
-            cur[n] = run
-        prev = cur
-    total = 0
-    s1 = comp[0]
-    for n in range(1, M + 1):
-        total += (prev[n - 1] >> n) // n**s1
-    # the one rounding to mpf, at the working precision (not the ambient 53 bits)
+    comps = set(comps)
+    if not comps:
+        return {}
+    K = max(map(len, comps))
+    M = _delta_cutoff(K, prec.digits + prec.guard)
+    dps = _working_dps(prec, M * K)
+    P = max(_fixed_point_bits(c, dps) for c in comps)
+    kids: dict[tuple[int, ...], set[int]] = {}
+    for c in comps:
+        for j in range(len(c)):
+            kids.setdefault(c[j + 1:], set()).add(c[j])
+    powers: dict[int, list[int]] = {}
+    values = {}
+    # (node, its parent's array); each array is built when its node is popped
+    root = [(1 << P) >> n for n in range(M + 1)]
+    stack = [((s,), root) for s in sorted(kids[()], reverse=True)]
+    del root
     with mp.workdps(dps):
-        return mpf((total, -P))
+        while stack:
+            node, parent = stack.pop()
+            s = node[0]
+            if s not in powers:
+                powers[s] = [n**s for n in range(1, M + 1)]
+            a = [0]
+            run = 0
+            for x, q in zip(parent, powers[s]):
+                run = (run + x // q) >> 1
+                a.append(run)
+            if node in comps:
+                values[node] = mpf((sum(a) + run, -(P + 1)))
+            stack.extend(((t,) + node, a) for t in sorted(kids.get(node, ()), reverse=True))
+    return values
 
 
 def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
@@ -145,27 +195,72 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
     return _value(zeta(comp), prec)
 
 
-@lru_cache(maxsize=None)
-def _value(g: Generator, prec: Precision) -> mpf:
-    from mpmath import mp
+# the one value cache, (Generator, Precision) -> mpf; ``_load`` writes the
+# delta values a pass sums, ``_value`` everything else it computes
+_VALUES: dict[tuple[Generator, Precision], mpf] = {}
+
+
+def _load(comps, prec: Precision) -> None:
+    """Cache the delta values of ``comps`` that are not cached yet, summed in
+    one pass."""
+    todo = {c for c in comps if (delta(c), prec) not in _VALUES}
+    for c, v in _sum_deltas(todo, prec).items():
+        _VALUES[delta(c), prec] = v
+
+
+def _split(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The midpoint split of z[parts]: for each cut of its word into u v, the
+    delta compositions of dual_word(u) and of v, with () for an empty side."""
+    word = zeta_word(parts)
+    return [
+        (word_composition(dual_word(word[:i])) if i else (),
+         word_composition(word[i:]) if i < len(word) else ())
+        for i in range(len(word) + 1)
+    ]
+
+
+def _reads(g: Generator) -> list[tuple[int, ...]]:
+    """The delta compositions whose values give g's value."""
     if g.kind == "zeta":
-        word = zeta_word(g.parts)
-        n = len(word)
-        with mp.workdps(_working_dps(prec, n + 1)):
-            total = mp.zero
-            for i in range(n + 1):
-                u, v = word[:i], word[i:]
-                part = mp.one
-                if u:
-                    part *= _value(delta(word_composition(dual_word(u))), prec)
-                if v:
-                    part *= _value(delta(word_composition(v)), prec)
-                total += part
-        return total
-    # c is the delta value d[1]; its generator carries no parts
+        return [c for pair in _split(g.parts) for c in pair if c]
+    if g.kind == "log2":  # c is the delta value d[1]; its generator carries no parts
+        return [(1,)]
+    return [g.parts]
+
+
+def load_values(rels, prec: Precision = Precision()) -> None:
+    """Sum every delta value that the generators of ``rels`` read in one pass.
+
+    Takes what ``verify_relation`` takes (relations or bare SymExprs), so a
+    run that certifies a batch of rows sums their delta values together and
+    each row then reads them from the cache.
+    """
+    gens = {g for r in rels for m in getattr(r, "expr", r).nums for g, _ in m.factors}
+    _load([c for g in gens for c in _reads(g)], prec)
+
+
+def _value(g: Generator, prec: Precision) -> mpf:
+    v = _VALUES.get((g, prec))
+    if v is not None:
+        return v
     if g.kind == "log2":
         return _value(delta((1,)), prec)
-    return _delta(g.parts, prec)
+    _load(_reads(g), prec)
+    if g.kind == "delta":
+        return _VALUES[g, prec]
+    from mpmath import mp
+    pairs = _split(g.parts)
+    with mp.workdps(_working_dps(prec, len(pairs))):
+        total = mp.zero
+        for u, v in pairs:
+            part = mp.one
+            if u:
+                part *= _VALUES[delta(u), prec]
+            if v:
+                part *= _VALUES[delta(v), prec]
+            total += part
+    _VALUES[g, prec] = total
+    return total
 
 
 # guard bits of the row scale, above the requested and guard digits

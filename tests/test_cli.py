@@ -267,6 +267,24 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         assert outs[0] and outs[0] == outs[1], argv
 
 
+def test_verify_reports_are_byte_identical(tmp_path):
+    # a delta value's last bits depend on the batch that summed it, so two
+    # fresh runs must sum the same batch: the reports match, residuals included
+    src = str(Path(assoclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / ("report_%s.json" % seed)
+        subprocess.run(
+            [sys.executable, "-m", "assoclab.cli", "verify", "--order", "5", "--digits", "300",
+             "--report", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, timeout=600, check=True,
+        )
+        reports.append(out.read_bytes())
+    assert b'"residual"' in reports[0] and reports[0] == reports[1]
+
+
 def test_expand_and_relations_do_not_load_mpmath():
     # only evaluation reads mpmath; a run that evaluates nothing never loads it
     src = str(Path(assoclab.__file__).resolve().parents[1])

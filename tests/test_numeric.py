@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -111,28 +110,37 @@ def _bound_compositions(depth: int):
 
 @pytest.mark.parametrize("digits", [10, 11, 40, 100, 299, 300, 1000, 1999, 2000])
 def test_fixed_point_bits_cover_the_rounding_loss(digits):
-    # (M + k) * 2^-P < 2^-E * 10^-(digits+guard) in integers, with
-    # 2^-E = 2^-k / prod (k+1-i)^s_i the first chain's term
+    # (M + 1)(2k + 1) * 2^-(P+1) < 2^-E * 10^-(digits+guard) in integers, with
+    # 2^-E = 2^-k / prod (k+1-i)^s_i the first chain's term.  A batch sums
+    # every value at the cutoff and working precision of its largest depth
+    # K, so each depth k is checked under every K from k to 24; the batch's
+    # P is at least the composition's own, which is what is checked here
     prec = Precision(digits)
-    for depth in range(1, 25):
-        M = _delta_cutoff(depth, digits + prec.guard)
-        dps = _working_dps(prec, M * depth)
-        for comp in _bound_compositions(depth):
-            first_chain = 2 ** depth * math.prod((depth - i) ** s for i, s in enumerate(comp))
-            P = _fixed_point_bits(comp, dps)
-            assert (M + depth) * first_chain * 10 ** (digits + prec.guard) < 2 ** P, (comp, P)
+    for big in range(1, 25):
+        M = _delta_cutoff(big, digits + prec.guard)
+        dps = _working_dps(prec, M * big)
+        for depth in range(1, big + 1):
+            for comp in _bound_compositions(depth):
+                first_chain = 2 ** depth * math.prod((depth - i) ** s for i, s in enumerate(comp))
+                P = _fixed_point_bits(comp, dps)
+                loss = (M + 1) * (2 * depth + 1)
+                assert loss * first_chain * 10 ** (digits + prec.guard) < 2 ** (P + 1), (comp, big, P)
 
 
 @pytest.mark.parametrize("digits,max_weight", [(50, 8), (300, 8), (2000, 6)])
 def test_delta_matches_mpf_oracle_at_every_composition(digits, max_weight):
+    # the whole table as one batch, which shares every suffix, and each
+    # composition alone
     prec = Precision(digits)
     oracle = delta_mpf_table(max_weight, prec)
     assert len(oracle) == 2 ** max_weight - 1
+    batch = numeric._sum_deltas(oracle, prec)
+    assert batch.keys() == oracle.keys()
     for comp, want in oracle.items():
-        got = numeric._delta(comp, prec)
-        assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
-        with mp.workdps(digits + 40):
-            assert abs(got - want) < mp.mpf(10) ** -(digits + prec.guard), comp
+        for got in (batch[comp], numeric._sum_deltas([comp], prec)[comp]):
+            assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
+            with mp.workdps(digits + 40):
+                assert abs(got - want) < mp.mpf(10) ** -(digits + prec.guard), comp
 
 
 def _in_bound_sample(rng, count: int, admissible: bool):
@@ -159,9 +167,8 @@ def test_eval_delta_and_zeta_match_mpf_oracle_on_a_seeded_sample(monkeypatch, di
     got = [eval_zeta(comp, prec) for comp in zetas]
     # the same midpoint split, run over mpf-kernel delta values; a fresh
     # value cache, or the oracle side would read the production values
-    monkeypatch.setattr(numeric, "_delta", delta_mpf)
-    fresh = functools.lru_cache(maxsize=None)(numeric._value.__wrapped__)
-    monkeypatch.setattr(numeric, "_value", fresh)
+    monkeypatch.setattr(numeric, "_sum_deltas", lambda comps, p: {c: delta_mpf(c, p) for c in comps})
+    monkeypatch.setattr(numeric, "_VALUES", {})
     for comp, value in zip(zetas, got):
         want = eval_zeta(comp, prec)
         assert mp.nstr(value, digits) == mp.nstr(want, digits), comp
@@ -247,20 +254,19 @@ def test_eval_delta_accepts_a_list_behind_the_cache():
 def test_one_value_cache_keyed_by_generator():
     # a precision no other test uses, so every entry below is new here
     prec = Precision(digits=37)
-    info = numeric._value.cache_info
+    entries = lambda: {key for key in numeric._VALUES if key[1] == prec}
     eval_symexpr(SymExpr.gen(LOG2), prec)
-    misses = info().misses
+    before = entries()
     eval_delta([1], prec)
-    assert info().misses == misses  # c is d[1]: one entry serves both
-    size = info().currsize
+    assert entries() == before == {(delta((1,)), prec)}  # c is d[1]: one entry serves both
     eval_delta([3, 1], prec)
     eval_delta((3, 1), prec)
-    assert info().currsize == size + 1
+    assert entries() == before | {(delta((3, 1)), prec)}
     with pytest.raises(NotAdmissibleError):
         eval_zeta((1, 2), prec)
     with pytest.raises(ValueError):
         eval_delta((2, 0), prec)
-    assert info().currsize == size + 1
+    assert entries() == before | {(delta((3, 1)), prec)}
 
 
 def test_eval_zeta_precision_scaling():
