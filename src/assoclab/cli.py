@@ -15,18 +15,26 @@ Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
 parts and weight at most 24.
 Primary outputs are deterministic: the same configuration yields byte
-identical JSON across runs.
+identical JSON across runs.  One writer (``_emit``) streams every output in
+writes of about 64 KiB: JSON byte for byte as ``json.dumps(payload,
+indent=2, ensure_ascii=True)`` plus a newline, text line by line, so no
+command holds its whole output as one string.  What a command prints is
+computed before its first byte is written, so a failed build prints
+nothing; only the rendering runs as the text is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
+from json import dumps
+from json.encoder import encode_basestring_ascii
 
-from .symring import LOG2, NotAdmissibleError, SymExpr, delta, zeta
+from .symring import LOG2, NotAdmissibleError, SymExpr, delta, render_each, zeta
 from .freealg import nc_coeff, nc_inverse, nc_mul, nc_swap, nc_unit, series_to_json
 from .mzv_side import phi_mzv
 from .delta_side import iint_to_sym, phi_delta, psi_series
@@ -37,6 +45,7 @@ from .relations import (
     comparison_relations,
     known_values,
     reduce as reduce_relations,
+    relations_json,
 )
 from .numeric import (
     Precision,
@@ -52,6 +61,7 @@ DEFAULT_DIGITS = 40
 MAX_DIGITS = 2000
 MAX_EVAL_DEPTH = 12
 MAX_EVAL_WEIGHT = 24
+WRITE_BATCH = 1 << 16  # characters per write
 
 
 class UsageError(Exception):
@@ -82,41 +92,86 @@ def _precision(digits: int) -> Precision:
         raise UsageError(str(exc))
 
 
-def _emit(text: str, path: str | None, mode: str = "w") -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
+def _emit(chunks, path: str | None = None, mode: str = "w") -> None:
+    """Write the pieces of text in ``chunks`` to path, or to stdout, joined
+    into writes of about WRITE_BATCH characters."""
     try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, mode, encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            batch, size = [], 0
+            for chunk in chunks:
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= WRITE_BATCH:
+                    out.write("".join(batch))
+                    batch, size = [], 0
+            out.write("".join(batch))
     except OSError as exc:
+        if not path:
+            raise
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+def _json_chunks(value, pad: str = "\n"):
+    """The text of ``json.dumps(value, indent=2, ensure_ascii=True)`` in
+    pieces, where ``pad`` is the newline and indent of the enclosing level.
+    Dict keys are strings; a list, a tuple or any other iterable prints as
+    a list, read once, item by item as the text reaches it."""
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            yield sep + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner)
+            sep = ","
+        yield "{}" if sep == "{" else pad + "}"
+    elif value is None or isinstance(value, (int, float)):
+        yield dumps(value)
+    else:
+        inner, sep = pad + "  ", "["
+        for item in value:
+            yield sep + inner
+            yield from _json_chunks(item, inner)
+            sep = ","
+        yield "[]" if sep == "[" else pad + "]"
+
+
+def _emit_json(payload, path: str | None) -> None:
+    _emit(chain(_json_chunks(payload), ("\n",)), path)
+
+
+def _lines(lines):
+    """``"\\n".join(lines) + "\\n"``, a line at a time."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+    yield "\n"
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     builders = {"mzv": phi_mzv, "delta": phi_delta}
-    payload = {"command": "expand", "side": args.side, "order": order}
     if args.side == "both":
-        payload["mzv"] = series_to_json(phi_mzv(order))
-        payload["delta"] = series_to_json(phi_delta(order))
+        built = {"mzv": phi_mzv(order), "delta": phi_delta(order)}
     else:
-        payload["series"] = series_to_json(builders[args.side](order))
+        built = {"series": builders[args.side](order)}
+    # every series is built; each coefficient is rendered as it is written
+    series = {key: series_to_json(s, lazy=True) for key, s in built.items()}
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        payload = {"command": "expand", "side": args.side, "order": order}
+        _emit_json({**payload, **series}, args.output)
     else:
-        lines = []
-        keys = ("mzv", "delta") if args.side == "both" else ("series",)
-        for key in keys:
-            lines.append("# %s order %d" % (key, order))
-            for term in payload[key]["terms"]:
-                lines.append("%s: %s" % (term["word"], term["coeff"]))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(_lines(_series_lines(series)), args.output)
     return 0
+
+
+def _series_lines(series):
+    """The text lines of each named series: a header, then its terms."""
+    for key, s in series.items():
+        yield "# %s order %d" % (key, s["order"])
+        for term in s["terms"]:
+            yield "%s: %s" % (term["word"], term["coeff"])
 
 
 def _cmd_relations(args: argparse.Namespace) -> int:
@@ -132,21 +187,18 @@ def _cmd_relations(args: argparse.Namespace) -> int:
             "aux": sorted(aux_names),
             "reduced": args.reduce,
             "count": len(rels),
-            "relations": [r.to_json() for r in rels],
+            "relations": relations_json(rels),
         }
-        _emit(_json_text(payload), args.output)
-    elif args.format == "latex":
-        lines = [r"\begin{alignat*}{1}"]
-        for r in rels:
-            lines.append(r.expr.latex() + " &= 0 \\\\")
-        lines.append(r"\end{alignat*}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit_json(payload, args.output)
+        return 0
+    texts = render_each([r.expr for r in rels], (args.format,))  # format names the style
+    if args.format == "latex":
+        lines = chain([r"\begin{alignat*}{1}"], (t + " &= 0 \\\\" for t, in texts),
+                      [r"\end{alignat*}"])
     else:
-        lines = [
-            "w=%d %s: %s = 0" % (r.weight, r.provenance.label(), r.expr.render())
-            for r in rels
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+        lines = ("w=%d %s: %s = 0" % (r.weight, r.provenance.label(), t)
+                 for r, (t,) in zip(rels, texts))
+    _emit(_lines(lines), args.output)
     return 0
 
 
@@ -159,9 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     load_values(rels, prec)  # every delta value the rows read, in one pass
     rows = []
     failed = []
-    for r in rels:
+    for r, row in zip(rels, relations_json(rels)):
         res = verify_relation(r, prec)
-        row = r.to_json()
         del row["weight"]
         row["residual"] = mp.nstr(res.residual, 8)
         row["verdict"] = "pass" if res.ok else "fail"
@@ -177,12 +228,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "relations": rows,
     }
     if args.report:
-        _emit(_json_text(payload), args.report)
-    sys.stdout.write(
-        "verified %d relations at %d digits: %s\n"
-        % (len(rows), args.digits, "%d FAILED" % len(failed) if failed else "all pass")
-    )
-    sys.stdout.write("".join(failed))
+        _emit_json(payload, args.report)
+    summary = "verified %d relations at %d digits: %s\n" % (
+        len(rows), args.digits, "%d FAILED" % len(failed) if failed else "all pass")
+    _emit(chain([summary], failed))
     return 1 if failed else 0
 
 
@@ -205,9 +254,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "digits": args.digits,
             "value": text,
         }
-        _emit(_json_text(payload), args.output)
+        _emit_json(payload, args.output)
     else:
-        _emit(text + "\n", args.output)
+        _emit(_lines([text]), args.output)
     return 0
 
 
@@ -378,7 +427,7 @@ def main(argv=None) -> int:
         for path in (getattr(args, "output", None), getattr(args, "report", None)):
             if path:
                 existed = os.path.lexists(path)
-                _emit("", path, "a")
+                _emit((), path, "a")
                 if not existed:
                     created.append(path)
         return args.handler(args)

@@ -21,14 +21,15 @@ there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
 
 Both sides' word counts come from one fold (``deletion_fold``): a deletable
 letter may be deleted with a sign flip, B to the left end, A to the right.
-``series_to_json`` prints a whole series as one batch (``render_all``).
+A series prints as one batch (``render_each``), one term at a time
+(``series_terms``); ``series_to_json`` is the whole list.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .symring import LETTER_SWAP, SymExpr, render_all, sum_of_products
+from .symring import LETTER_SWAP, SymExpr, render_each, sum_of_products
 
 A = "A"
 B = "B"
@@ -188,8 +189,17 @@ def nc_coeff(s: NCSeries, w: str) -> SymExpr:
     return s.coeffs.get(w, SymExpr.zero())
 
 
-def series_to_json(s: NCSeries) -> dict:
+def series_terms(s: NCSeries):
+    """The JSON terms of a series, words by (degree, lex), one at a time:
+    each coefficient is rendered only when its term is reached."""
     words = sorted(s.coeffs, key=lambda w: (len(w), w))
-    texts = render_all([s.coeffs[w] for w in words])
-    terms = [{"word": w if w else "1", "coeff": t} for w, (t,) in zip(words, texts)]
-    return {"order": s.order, "terms": terms}
+    texts = render_each([s.coeffs[w] for w in words])
+    for w, (t,) in zip(words, texts):
+        yield {"word": w if w else "1", "coeff": t}
+
+
+def series_to_json(s: NCSeries, lazy: bool = False) -> dict:
+    """The JSON object of a series: its terms as a list or, ``lazy``, as
+    the generator ``series_terms`` for a writer that streams them."""
+    terms = series_terms(s)
+    return {"order": s.order, "terms": terms if lazy else list(terms)}

@@ -45,6 +45,7 @@ from .symring import (
     delta,
     dual_word,
     monomial_product,
+    render_each,
     sum_of_products,
     sym_weight,
     word_composition,
@@ -130,31 +131,45 @@ class Relation:
         )
 
     def to_json(self) -> dict:
-        lhs, latex = self.expr.render_and_latex()
+        """The JSON row of this relation alone: ``relations_json`` of one."""
+        return next(relations_json((self,)))
+
+
+def relations_json(rels):
+    """The JSON row of each relation, yielded one at a time; every lhs is
+    rendered, in text and LaTeX, in one batch (``render_each``)."""
+    for r, (lhs, latex) in zip(rels, render_each([r.expr for r in rels], ("text", "latex"))):
         out = {
-            "weight": self.weight,
-            "provenance": self.provenance.to_json(),
+            "weight": r.weight,
+            "provenance": r.provenance.to_json(),
             "lhs": lhs,
             "latex": latex + " = 0",
         }
-        if self.certificate is not None:
-            out["certificate"] = sorted(p.label() for p in self.certificate)
-        return out
+        if r.certificate is not None:
+            out["certificate"] = sorted(p.label() for p in r.certificate)
+        yield out
 
 
-def shuffle(u, v) -> Counter:
-    """Multiset of all order-preserving interleavings of u and v."""
-    u, v = tuple(u), tuple(v)
+@lru_cache(maxsize=None)
+def _shuffle(u: tuple, v: tuple) -> Counter:
+    """``shuffle`` on tuples, memoised: the recursion meets each pair of
+    suffixes many times.  The cached Counters are shared; do not mutate."""
     if not u:
         return Counter({v: 1})
     if not v:
         return Counter({u: 1})
     out: Counter = Counter()
-    for w, k in shuffle(u[1:], v).items():
+    for w, k in _shuffle(u[1:], v).items():
         out[(u[0],) + w] += k
-    for w, k in shuffle(u, v[1:]).items():
+    for w, k in _shuffle(u, v[1:]).items():
         out[(v[0],) + w] += k
     return out
+
+
+def shuffle(u, v) -> Counter:
+    """Multiset of all order-preserving interleavings of u and v, as a
+    fresh Counter the caller may change."""
+    return Counter(_shuffle(tuple(u), tuple(v)))
 
 
 def shuffle_relations(max_weight: int) -> list[Relation]:

@@ -39,9 +39,10 @@ first use.  Monomial products are memoised (``monomial_product``).  Every
 sum of expressions, of products or of rational multiples, runs through the
 one loop ``sum_of_products``, which adds integer numerators over a common
 denominator and keeps no term order.  Printing is one path too,
-``render_all``: a batch of expressions sorts its distinct monomials once by
-``sort_key`` and each expression's terms by their index in that list;
-``SymExpr.render``, ``latex`` and ``render_and_latex`` are its batch of one.
+``render_each``: a batch of expressions sorts its distinct monomials once by
+``sort_key`` and each expression's terms by their index in that list, then
+yields one expression's texts at a time; ``render_all`` is its list, and
+``SymExpr.render`` and ``latex`` are its batch of one.
 """
 
 from __future__ import annotations
@@ -383,10 +384,6 @@ class SymExpr:
     def latex(self) -> str:
         return render_all((self,), ("latex",))[0][0]
 
-    def render_and_latex(self) -> tuple[str, str]:
-        """``(render(), latex())``, sorting the terms once."""
-        return render_all((self,), ("text", "latex"))[0]
-
     def __repr__(self):
         return "SymExpr(%s)" % self.render()
 
@@ -402,11 +399,18 @@ _STYLES = {
 
 
 def render_all(exprs, styles=("text",)) -> list[tuple[str, ...]]:
-    """Each expression printed in each style, terms by descending monomial.
+    """Each expression printed in each style: ``render_each`` as a list."""
+    return list(render_each(exprs, styles))
 
-    The batch's distinct monomials are sorted once, each expression's terms
-    by their index in that list, so an expression prints the same alone as
-    in any batch; each monomial's text is read once per style.
+
+def render_each(exprs, styles=("text",)):
+    """Each expression printed in each style, terms by descending monomial,
+    yielded one expression's tuple of texts at a time.
+
+    The batch's distinct monomials are sorted once, before the first yield,
+    each expression's terms by their index in that list, so an expression
+    prints the same alone as in any batch; each monomial's text is read
+    once per style.  ``exprs`` is read twice, so it must be a collection.
     """
     ranked = sorted({m for e in exprs for m in e.nums}, key=SymMonomial.sort_key, reverse=True)
     rank = {m: i for i, m in enumerate(ranked)}.__getitem__
@@ -415,7 +419,6 @@ def render_all(exprs, styles=("text",)) -> list[tuple[str, ...]]:
         frac, mono, times = _STYLES[style]
         names = {m: None if m.is_unit() else mono(m) for m in ranked}
         tables.append((frac, times, names))
-    out = []
     for e in exprs:
         den, nums = e.den, e.nums
         terms = []
@@ -438,8 +441,7 @@ def render_all(exprs, styles=("text",)) -> list[tuple[str, ...]]:
             # the first term's sign is bare: "-x" or "x", not "- x" or "+ x"
             text = " ".join(parts) or "+ 0"
             texts.append(text[2:] if text[0] == "+" else "-" + text[2:])
-        out.append(tuple(texts))
-    return out
+        yield tuple(texts)
 
 
 def sum_of_products(pairs) -> SymExpr:
@@ -456,6 +458,8 @@ def sum_of_products(pairs) -> SymExpr:
     for a, b in pairs:
         if isinstance(b, SymExpr):
             conv.append((a.den * b.den, a.nums, b.nums))
+        elif type(b) is int:  # word counts and shuffle multiplicities
+            conv.append((a.den, a.nums, b))
         else:
             b = Fraction(b)
             conv.append((a.den * b.denominator, a.nums, b.numerator))

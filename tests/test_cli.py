@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 import assoclab
 from assoclab import cli
 from assoclab.cli import main
+from assoclab.delta_side import phi_delta
+from assoclab.freealg import series_to_json
+from assoclab.mzv_side import phi_mzv
 
 from oracle_utils import close_enough
 
@@ -50,6 +57,74 @@ def test_expand_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["side"] == "both"
+
+
+class Lazy(list):
+    """A list the writer is handed as an iterator; json.dumps reads it as a list."""
+
+
+def streamed(value):
+    """value with every Lazy list replaced by a one-shot iterator."""
+    if isinstance(value, dict):
+        return {k: streamed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        items = [streamed(v) for v in value]
+        return iter(items) if isinstance(value, Lazy) else items
+    return value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(Lazy)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES, st.integers(1, 40))
+def test_json_writer_prints_what_json_dumps_prints(value, batch):
+    # escapes, non-ASCII text and empty iterators included, at any batch size
+    out = io.StringIO()
+    with mock.patch.object(cli, "WRITE_BATCH", batch), redirect_stdout(out):
+        cli._emit_json(streamed(value), None)
+    assert out.getvalue() == json.dumps(value, indent=2, ensure_ascii=True) + "\n"
+
+
+class RecordedStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_expand_streams_its_json_in_bounded_writes(monkeypatch):
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "8")
+    out = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["expand", "--side", "both", "--order", "8"]) == 0
+    # the whole document, as the command printed it before it streamed
+    payload = {"command": "expand", "side": "both", "order": 8,
+               "mzv": series_to_json(phi_mzv(8)), "delta": series_to_json(phi_delta(8))}
+    assert "".join(out.writes) == json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    assert len(out.writes) > 1 and max(map(len, out.writes)) <= 256 * 1024
+
+
+def test_failed_expand_prints_nothing(tmp_path, capsys, monkeypatch):
+    def failed(order):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "phi_delta", failed)
+    with pytest.raises(KeyboardInterrupt):
+        main(["expand", "--order", "3"])
+    assert capsys.readouterr().out == ""
+    old = tmp_path / "old.json"
+    old.write_text("earlier result\n")
+    for fmt in ("json", "text"):
+        with pytest.raises(KeyboardInterrupt):
+            main(["expand", "--order", "3", "--format", fmt, "--output", str(old)])
+    assert old.read_text() == "earlier result\n"
 
 
 def test_relations_order_two_exact(capsys):

@@ -91,6 +91,17 @@ def test_shuffle_base_cases():
     assert shuffle((1,), (1,)) == Counter({(1, 1): 2})
 
 
+def test_changing_a_shuffle_result_leaves_the_next_call_intact():
+    # the recursion is memoised; each call hands out a fresh Counter
+    first = shuffle((1, 2), (0,))
+    want = Counter(first)
+    first[(1, 2, 0)] += 5
+    first[(7,)] = 1
+    del first[(0, 1, 2)]
+    assert shuffle((1, 2), (0,)) == want == shuffle_brute((1, 2), (0,))
+    assert shuffle([1, 2], [0]) is not shuffle((1, 2), (0,))
+
+
 # -- kernel lifts ------------------------------------------------------------
 
 

@@ -14,7 +14,13 @@ from assoclab import symring
 from assoclab.delta_side import phi_delta
 from assoclab.freealg import series_to_json
 from assoclab.mzv_side import phi_mzv
-from assoclab.relations import AUX_NAMES, aux_relations, comparison_relations, reduce
+from assoclab.relations import (
+    AUX_NAMES,
+    aux_relations,
+    comparison_relations,
+    reduce,
+    relations_json,
+)
 from assoclab.symring import (
     LOG2,
     UNIT_MONOMIAL,
@@ -369,7 +375,7 @@ def test_render_examples():
     assert SymExpr.rational(Fraction(-1, 3)).render() == "-1/3"
     rng = random.Random(31)
     for x in [e, SymExpr.zero()] + [_random_expr(rng) for _ in range(40)]:
-        assert x.render_and_latex() == (x.render(), x.latex())
+        assert render_all((x,), ("text", "latex")) == [(x.render(), x.latex())]
 
 
 def test_every_printed_expression_matches_the_sort_key_printer():
@@ -381,9 +387,11 @@ def test_every_printed_expression_matches_the_sort_key_printer():
         assert batch == [render_by_sort_key(series.coeffs[w])[0] for w in words]
         for e in series.coeffs.values():
             assert (e.render(), e.latex()) == render_by_sort_key(e)
-    for r in comparison_relations(7) + aux_relations(AUX_NAMES, 7):
-        assert (r.expr.render(), r.expr.latex()) == render_by_sort_key(r.expr)
-        assert r.expr.render_and_latex() == render_by_sort_key(r.expr)
+    rels = comparison_relations(7) + aux_relations(AUX_NAMES, 7)
+    for r, row in zip(rels, relations_json(rels)):
+        text, latex = render_by_sort_key(r.expr)
+        assert (r.expr.render(), r.expr.latex()) == (text, latex)
+        assert (row["lhs"], row["latex"]) == (text, latex + " = 0")
 
 
 def test_a_batch_prints_each_expression_as_it_prints_alone():
