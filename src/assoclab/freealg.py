@@ -21,6 +21,8 @@ there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
 
 Both sides' word counts come from one fold (``deletion_fold``): a deletable
 letter may be deleted with a sign flip, B to the left end, A to the right.
+The fold steps over runs of equal letters, not letters: a deletable run of
+p copies branches once into its p + 1 deletion counts, with binomial weights.
 A series prints as one batch (``render_each``), one term at a time
 (``series_terms``); ``series_to_json`` is the whole list.
 """
@@ -28,6 +30,9 @@ A series prints as one batch (``render_each``), one term at a time
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
+from itertools import groupby
+from math import comb
 
 from .symring import LETTER_SWAP, SymExpr, render_each, sum_of_products
 
@@ -48,7 +53,7 @@ class DegreeTooLargeError(ValueError):
 
 
 def _check_word(w: str) -> str:
-    if any(ch not in "AB" for ch in w):
+    if w.strip("AB"):  # one C-level pass: a foreign letter stops the strip
         raise ValueError("word must use letters A and B only: %r" % (w,))
     return w
 
@@ -158,22 +163,43 @@ def nc_word_sums(order: int, terms) -> NCSeries:
     return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 
+@lru_cache(maxsize=None)
+def _run_branches(run: str) -> tuple:
+    """(prefix, kept copies, #A deleted, weight) for s = 0..p deletions
+    from a deletable run of p equal letters: B goes to the prefix."""
+    p = len(run)
+    if run[0] == A:
+        return tuple(("", run[s:], s, (-1) ** s * comb(p, s)) for s in range(p + 1))
+    return tuple((run[:s], run[s:], 0, (-1) ** s * comb(p, s)) for s in range(p + 1))
+
+
 def deletion_fold(word: str, deletable: str) -> dict[str, int]:
-    """Signed word counts of a left fold over the letters of word, each kept
-    or, if in ``deletable``, deleted with a sign flip, from the state (kept
-    prefix, #A deleted, #B deleted) to the word B^#B kept A^#A.  Any s
-    deleted letters of a run of p reach one state, so C(p, s) is a count."""
-    states = {("", 0, 0): 1}
-    for letter in word:
+    """Signed word counts of a left fold over the runs of equal letters of
+    word, each letter kept or, if in ``deletable``, deleted with a sign
+    flip: B to the left end, A to the right.
+
+    The state is (head, #A deleted), with head = B^#B deleted + kept
+    prefix, as kept letters extend the head and the word ends as head A^#A.
+    A run of p copies of a deletable letter branches once into s = 0..p
+    deletions with weight (-1)^s C(p, s): the C(p, s) choices of s deleted
+    copies reach one state.  A run of a letter that cannot be deleted
+    extends every head in one step.
+    """
+    states = {("", 0): 1}
+    for letter, run in groupby(word):
+        run = "".join(run)
+        if letter not in deletable:
+            states = {(head + run, a): c for (head, a), c in states.items()}
+            continue
         nxt = defaultdict(int)
-        for (kept, a, b), c in states.items():
-            nxt[kept + letter, a, b] += c
-            if letter in deletable:
-                nxt[kept, a + (letter == A), b + (letter == B)] -= c
+        branches = _run_branches(run)
+        for (head, a), c in states.items():
+            for pre, kept, da, k in branches:
+                nxt[pre + head + kept, a + da] += k * c
         states = nxt
     out = defaultdict(int)
-    for (kept, a, b), c in states.items():
-        out[B * b + kept + A * a] += c
+    for (head, a), c in states.items():
+        out[head + A * a] += c
     return {w: c for w, c in out.items() if c}
 
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -67,14 +66,18 @@ from .symring import (
 if TYPE_CHECKING:
     from mpmath import mpf
 
-@dataclass(frozen=True)
-class Precision:
-    digits: int = 40
+
+class Precision(namedtuple("Precision", "digits")):
+    """Requested decimal digits, 40 by default and at least 10; immutable
+    and hashable, as it keys the value cache."""
+
+    __slots__ = ()
     guard = 5  # extra working digits; a constant, not a field
 
-    def __post_init__(self):
-        if self.digits < 10:
+    def __new__(cls, digits: int = 40):
+        if digits < 10:
             raise ValueError("digits must be >= 10")
+        return tuple.__new__(cls, (digits,))
 
 
 def _working_dps(prec: Precision, terms: int) -> int:

@@ -30,8 +30,7 @@ only at the boundary, and an expression is reduced at its own scale.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -57,18 +56,28 @@ from .delta_side import iint_to_sym, index_weight, index_words, phi_delta
 
 
 class _Provenance:
-    """Where a relation comes from, rendered from its dataclass fields.
+    """Where a relation comes from: an immutable named tuple of its fields,
+    equal only to a provenance of its own kind.
 
     The label is KIND[LABEL % fields] and the JSON is ``kind`` and then the
     fields, both in declaration order; a tuple field prints comma separated
     in the label and as a list in JSON.
     """
 
-    def _values(self) -> list:
-        return [(f.name, list(v) if type(v := getattr(self, f.name)) is tuple else v)
-                for f in fields(self)]
+    __slots__ = ()
 
-    @lru_cache(maxsize=None)  # provenances are frozen, and one labels many rows
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _values(self) -> list:
+        return [(name, list(v) if type(v) is tuple else v) for name, v in zip(self._fields, self)]
+
+    @lru_cache(maxsize=None)  # provenances are immutable, and one labels many rows
     def label(self) -> str:
         text = tuple(",".join(map(str, v)) if type(v) is list else v for _, v in self._values())
         return "%s[%s]" % (self.KIND, self.LABEL % text)
@@ -77,31 +86,24 @@ class _Provenance:
         return dict([("kind", self.KIND)] + self._values())
 
 
-@dataclass(frozen=True)
-class Comparison(_Provenance):
+class Comparison(_Provenance, namedtuple("Comparison", "order word")):
+    __slots__ = ()
     KIND, LABEL = "comparison", "%s:%s"
-    order: int
-    word: str
 
 
-@dataclass(frozen=True)
-class Shuffle(_Provenance):
+class Shuffle(_Provenance, namedtuple("Shuffle", "kernel u v")):
+    __slots__ = ()
     KIND, LABEL = "shuffle", "%s:%s|%s"
-    kernel: str
-    u: tuple[int, ...]
-    v: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Duality(_Provenance):
+class Duality(_Provenance, namedtuple("Duality", "composition")):
+    __slots__ = ()
     KIND, LABEL = "duality", "%s"
-    composition: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KnownValue(_Provenance):
+class KnownValue(_Provenance, namedtuple("KnownValue", "name")):
+    __slots__ = ()
     KIND, LABEL = "known", "%s"
-    name: str
 
 
 class Relation:
@@ -137,7 +139,9 @@ class Relation:
 
 def relations_json(rels):
     """The JSON row of each relation, yielded one at a time; every lhs is
-    rendered, in text and LaTeX, in one batch (``render_each``)."""
+    rendered, in text and LaTeX, in one batch (``render_each``).  ``rels``
+    is read once, so it may be any iterable."""
+    rels = list(rels)
     for r, (lhs, latex) in zip(rels, render_each([r.expr for r in rels], ("text", "latex"))):
         out = {
             "weight": r.weight,

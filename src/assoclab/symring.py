@@ -35,10 +35,12 @@ module table and validates, canonicalises and stores only an unseen value,
 so equal values are one immutable object and equality and hashing are
 ``object``'s identity versions.  A generator stores its weight and sort key
 when built; a monomial its weight, and its sort key, text and LaTeX on
-first use.  Monomial products are memoised (``monomial_product``).  Every
-sum of expressions, of products or of rational multiples, runs through the
-one loop ``sum_of_products``, which adds integer numerators over a common
-denominator and keeps no term order.  Printing is one path too,
+first use.  Monomial products are read from one table keyed by the left
+factor, m1 -> {m2: m1 * m2}, which ``monomial_product`` and the product
+loop share; a missing entry is built through ``SymMonomial`` and stored.
+Every sum of expressions, of products or of rational multiples, runs
+through the one loop ``sum_of_products``, which adds integer numerators
+over a common denominator and keeps no term order.  Printing is one path too,
 ``render_each``: a batch of expressions sorts its distinct monomials once by
 ``sort_key`` and each expression's terms by their index in that list, then
 yields one expression's texts at a time; ``render_all`` is its list, and
@@ -48,7 +50,6 @@ yields one expression's texts at a time; ``render_all`` is its list, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -272,10 +273,28 @@ class SymMonomial:
 UNIT_MONOMIAL = SymMonomial(())
 
 
-@lru_cache(maxsize=None)
+# the one product table, m1 -> {m2: m1 * m2}: series products meet the
+# same pairs many times, and a row is looked up once per left term
+_PRODUCTS: dict[SymMonomial, dict[SymMonomial, SymMonomial]] = {}
+
+
+def _product_row(m1: SymMonomial) -> dict[SymMonomial, SymMonomial]:
+    row = _PRODUCTS.get(m1)
+    if row is None:
+        row = _PRODUCTS[m1] = {}
+    return row
+
+
+def _product_miss(row: dict, m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
+    """Build m1 * m2, the one way a product is built, and store it in m1's row."""
+    m = row[m2] = SymMonomial(m1.factors + m2.factors)
+    return m
+
+
 def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """m1 * m2, memoised: series products meet the same pairs many times."""
-    return SymMonomial(m1.factors + m2.factors)
+    """m1 * m2, read from the product table."""
+    row = _product_row(m1)
+    return row.get(m2) or _product_miss(row, m1, m2)
 
 
 class SymExpr:
@@ -477,8 +496,10 @@ def sum_of_products(pairs) -> SymExpr:
             left, right = right, left
         for m1, n1 in left.items():
             n1 *= scale
+            row = _product_row(m1)
+            product = row.get
             for m2, n2 in right.items():
-                m = monomial_product(m1, m2)
+                m = product(m2) or _product_miss(row, m1, m2)  # a monomial is truthy
                 out[m] = get(m, 0) + n1 * n2
     return SymExpr.from_ints(den, {m: n for m, n in out.items() if n})
 

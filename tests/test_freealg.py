@@ -79,8 +79,13 @@ def test_constructor_truncates_and_drops_zeros():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        NCSeries(3, {"AXB": SymExpr.one()})
+    # a foreign letter at the start, in the middle or at the end, a lowercase
+    # letter and non-ASCII look-alikes (e acute, Greek capital alpha)
+    for word in ("XAB", "AXB", "ABX", "AaB", "A\u00e9B", "\u0391B"):
+        with pytest.raises(ValueError):
+            NCSeries(3, {word: SymExpr.one()})
+        with pytest.raises(ValueError):
+            nc_coeff(nc_unit(3), word)
 
 
 def test_order_mismatch_raises():

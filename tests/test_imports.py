@@ -1,6 +1,6 @@
 """Every name a package module or test file imports is used in that file,
-and each package module imports only the package modules of the layers
-below it.
+each package module imports only the package modules of the layers below
+it, and importing the command line loads no heavy standard module.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` is skipped: its
@@ -10,6 +10,9 @@ imports are the package's re-exports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +183,19 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_lower_layers(path):
     assert package_imports(path.read_text()) <= LAYERS[path.stem]
+
+
+def test_cli_import_loads_no_heavy_module():
+    # start-up cost: no dataclasses (with inspect behind it), and mpmath
+    # only on first evaluation; a fresh interpreter, so nothing is preloaded
+    src = str(SRC.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import assoclab.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600, check=True)
+    added = set(proc.stdout.split())
+    assert "assoclab.cli" in added
+    assert not {m.split(".")[0] for m in added} & {"dataclasses", "inspect", "mpmath"}

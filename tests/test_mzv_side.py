@@ -10,7 +10,7 @@ import pytest
 
 from assoclab.freealg import A, B, NCSeries, deletion_fold, nc_mul, nc_unit
 from assoclab.mzv_side import enumerate_pq, phi_mzv, pq_word
-from assoclab.symring import SymExpr, dual_word, word_composition, zeta
+from assoclab.symring import SymExpr, compositions, dual_word, word_composition, zeta, zeta_word
 
 from oracle_utils import (
     ad_series,
@@ -102,23 +102,43 @@ def test_word_sum_fold_matches_the_closed_formula():
         assert deletion_fold(pq_word(pairs), A + B) == word_sum_closed_form(pairs), pairs
 
 
-def test_word_sum_is_the_sum_over_deleted_letter_sets():
+def _deleted_letter_sets(word: str, deletable: str) -> dict[str, int]:
     # each set of deleted positions, deletable letters only, contributes
     # (-1)^#deleted times the word B^(#B deleted) + kept letters + A^(#A deleted)
-    for deletable in ("AB", "A", "B"):
-        for r in range(2, 9):
-            for pairs in enumerate_pq(r):
-                word = pq_word(pairs)
-                want: dict[str, int] = {}
-                for mask in product((False, True), repeat=len(word)):
-                    gone = [x for x, d in zip(word, mask) if d]
-                    if not set(gone) <= set(deletable):
-                        continue
-                    kept = "".join(x for x, d in zip(word, mask) if not d)
-                    w = B * gone.count(B) + kept + A * gone.count(A)
-                    want[w] = want.get(w, 0) + (-1) ** len(gone)
-                got = deletion_fold(word, deletable)
-                assert got == {w: c for w, c in want.items() if c}, (word, deletable)
+    want: dict[str, int] = {}
+    for mask in product((False, True), repeat=len(word)):
+        gone = [x for x, d in zip(word, mask) if d]
+        if not set(gone) <= set(deletable):
+            continue
+        kept = "".join(x for x, d in zip(word, mask) if not d)
+        w = B * gone.count(B) + kept + A * gone.count(A)
+        want[w] = want.get(w, 0) + (-1) ** len(gone)
+    return {w: c for w, c in want.items() if c}
+
+
+def _random_run_word(rng: random.Random) -> str:
+    """A word over {A, B} of length at most 10, in runs of up to 6 letters."""
+    word, letter, size = "", rng.choice("AB"), rng.randint(0, 10)
+    while len(word) < size:
+        word += letter * min(rng.randint(1, 6), size - len(word))
+        letter = B if letter == A else A
+    return word
+
+
+def test_word_sum_is_the_sum_over_deleted_letter_sets():
+    cases = [(pq_word(pairs), deletable)
+             for deletable in ("AB", "A", "B")
+             for r in range(2, 9)
+             for pairs in enumerate_pq(r)]
+    # the delta side's words, with only B deletable
+    cases += [(dual_word(zeta_word(s)), "B")
+              for r in range(1, 9) for k in range(1, r + 1) for s in compositions(r, k)]
+    rng = random.Random(1033)
+    words = [_random_run_word(rng) for _ in range(60)]
+    assert any(A * 6 in w for w in words) and any(B * 6 in w for w in words)
+    cases += [(word, deletable) for word in words for deletable in ("", "A", "B", "AB")]
+    for word, deletable in cases:
+        assert deletion_fold(word, deletable) == _deleted_letter_sets(word, deletable), (word, deletable)
 
 
 def test_phi_degree_two_is_zeta2_bracket():

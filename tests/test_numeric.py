@@ -55,6 +55,10 @@ def test_precision_validation():
     assert Precision().digits == 40
     with pytest.raises(ValueError):
         Precision(digits=5)
+    assert Precision(digits=40) == Precision() and hash(Precision(40)) == hash(Precision())
+    assert Precision(30).guard == Precision.guard == 5
+    with pytest.raises(AttributeError):
+        Precision().digits = 50
 
 
 def test_working_dps_and_cutoff_monotone():

@@ -27,6 +27,7 @@ from assoclab.relations import (
     extract_relations,
     known_values,
     reduce,
+    relations_json,
     shuffle,
     shuffle_relations,
 )
@@ -193,6 +194,25 @@ def test_provenance_labels_and_json():
     for prov, label, payload in cases:
         assert prov.label() == label
         assert list(prov.to_json().items()) == list(payload.items())
+
+
+def test_relations_json_reads_a_generator_once():
+    want = list(relations_json(known_values()))
+    assert len(want) == 11
+    assert list(relations_json(r for r in known_values())) == want
+    assert want == [r.to_json() for r in known_values()]
+
+
+def test_provenances_are_immutable_and_equal_within_a_kind():
+    a = Comparison(3, "ABA")
+    assert a == Comparison(3, "ABA") and hash(a) == hash(Comparison(3, "ABA"))
+    assert a != Comparison(3, "ABB") and not a != Comparison(3, "ABA")
+    assert a != (3, "ABA") and KnownValue("x") != Duality("x")
+    assert len({a, Comparison(3, "ABA"), KnownValue("x"), Duality("x")}) == 3
+    with pytest.raises(AttributeError):
+        a.word = "B"
+    with pytest.raises(AttributeError):
+        a.extra = 1
 
 
 def test_shuffle_relations_deterministic():

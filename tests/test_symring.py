@@ -213,6 +213,23 @@ def test_equal_products_from_different_pairs_are_one_object():
     assert monomial_product(monomial_product(a, a), b) is monomial_product(monomial((zeta([2]), 2)), b)
 
 
+def test_products_are_built_one_way_and_read_from_one_table():
+    rng = random.Random(5150)
+    for _ in range(100):
+        m1 = monomial(*[(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))])
+        m2 = monomial(*[(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))])
+        assert monomial_product(m1, m2) is SymMonomial(m1.factors + m2.factors)
+        assert monomial_product(UNIT_MONOMIAL, m1) is m1 is monomial_product(m1, UNIT_MONOMIAL)
+    assert not hasattr(monomial_product, "cache_info")  # no second cache
+    phi_delta(6)
+    reduce(comparison_relations(6), aux_relations(AUX_NAMES, 6))
+    # every product the series and the reduction met sits in the one table
+    assert len(symring._PRODUCTS) > 100
+    for m1, row in symring._PRODUCTS.items():
+        for m2, m in row.items():
+            assert m is SymMonomial(m1.factors + m2.factors)
+
+
 def test_equal_values_are_one_object():
     g = zeta([2])
     assert delta([2, 1]) is Generator("delta", (2, 1)) is Generator("delta", [2, 1])
