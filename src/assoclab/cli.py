@@ -53,6 +53,7 @@ from .numeric import (
     eval_symexpr,
     eval_zeta,
     load_values,
+    residual_text,
     verify_relation,
 )
 
@@ -203,8 +204,6 @@ def _cmd_relations(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from mpmath import mp
-
     order = _check_order(args.order)
     prec = _precision(args.digits)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
@@ -214,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for r, row in zip(rels, relations_json(rels)):
         res = verify_relation(r, prec)
         del row["weight"]
-        row["residual"] = mp.nstr(res.residual, 8)
+        row["residual"] = residual_text(abs(res.total), res.scale)
         row["verdict"] = "pass" if res.ok else "fail"
         rows.append(row)
         if not res.ok:
@@ -309,7 +308,9 @@ def _selftest_checks():
         prec = Precision(30)
         rels = known_values()
         load_values(rels, prec)
-        return all(verify_relation(r, prec).ok for r in rels)
+        # the integer verdict, and the mpf residual against its threshold
+        results = [verify_relation(r, prec) for r in rels]
+        return all(res.ok and res.residual < res.threshold for res in results)
 
     def numeric_duality():
         row = SymExpr.gen(zeta((3, 1))) - SymExpr.gen(zeta((4,)), coeff=Fraction(1, 4))

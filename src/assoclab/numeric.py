@@ -20,27 +20,34 @@ builds each suffix's array of partial sums once, from its parent's, and
 reads every composition's value off its own node.  Every entry is a Python
 int, damped by 2^-n at index n so that the node's array sums to its value,
 every step is a floor, and ``_sum_deltas``'s docstring bounds what the
-floors lose.  mpmath is used only at the edges: each delta value becomes an
-mpf once, at the working precision, and the midpoint split is mpf
-arithmetic.  It is imported by the functions that evaluate, so a run that
-evaluates nothing never loads it.  Results carry no error object; instead
-the working precision exceeds the requested digits by a guard margin plus a
-term-count allowance, and the summation cutoffs are chosen against an
-explicit tail bound.
+floors lose.  The module works in integers from that pass to the verdict:
+a value is an exact dyadic, an int n at a binary exponent e standing for
+n*2^-e; a delta value keeps the exact int its node sums, at its pass's
+exponent, and a zeta value is its midpoint split summed in integers
+(``_value``, which bounds the split's loss in the same units).  Every value
+is a lower bound of the true one.  mpmath is used only at the edges, and
+imported only there: ``eval_delta``, ``eval_zeta`` and ``eval_symexpr``
+return mpfs, and a ``VerifyResult`` builds its mpf ``residual`` and
+``threshold`` on first access.  So ``expand``, ``relations`` and ``verify``
+never load it.  Results carry no error object; instead the working
+precision exceeds the requested digits by a guard margin plus a term-count
+allowance, and the summation cutoffs are chosen against an explicit tail
+bound.
 
 There is one value cache, the dict ``_VALUES``, keyed by the ``Generator``
 and the (frozen) Precision.  ``_value`` reads it, and every pass writes the
 delta values it sums into it.  ``load_values`` sums every delta value that a
 batch of rows reads in one pass (``verify`` hands it all its rows before it
 certifies any); ``eval_delta``, ``eval_zeta`` and the midpoint split sum
-the values they miss as a batch of their own.  A pass takes one cutoff and
-one bit count for its whole batch, so a value's last bits depend on the
-batch that summed it, always inside the error bound.  A composition
-is validated once, when its generator is built.  Rows are evaluated in
-integer fixed point: ``_fixed`` holds each monomial's value as an int scaled
-by 2^B (``_scale_bits``), ``eval_symexpr`` sums a row's integer numerators
-times those ints and divides by its one denominator once, and
-``verify_relation`` decides pass or fail on that integer sum exactly.
+the values they miss as a batch of their own, and run no pass when nothing
+is missing.  A pass takes one cutoff and one bit count for its whole batch,
+so a value's last bits depend on the batch that summed it, always inside
+the error bound.  A composition is validated once, when its generator is
+built.  Rows are evaluated in integer fixed point: ``_fixed`` holds each
+monomial's value as an int scaled by 2^B (``_scale_bits``), a row's value
+is the exact integer sum of its numerators times those ints over its one
+denominator, and ``verify_relation`` decides pass or fail on that integer
+sum exactly; ``residual_text`` prints its residual from the same integers.
 Integer sums do not depend on the order of their terms, so this module does
 not depend on the monomial order.
 """
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .symring import (
@@ -93,12 +100,20 @@ def _delta_cutoff(depth: int, target_digits: int) -> int:
     return M
 
 
+# guard bits of the fixed-point scales, above the requested and guard digits
+GUARD_BITS = 64
+
+# an exact value n*2^-e, as the pair (n, e)
+Dyadic = tuple[int, int]
+
+
 def eval_delta(comp, prec: Precision = Precision()) -> mpf:
     """Nested sum over n1 > n2 > ... > nk >= 1 of 2^(-n1) / prod ni^si.
 
-    The first part may be 1; convergence is geometric regardless.
+    The first part may be 1; convergence is geometric regardless.  The mpf
+    is the cached integer value, exactly.
     """
-    return _value(delta(comp), prec)
+    return _mpf(_value(delta(comp), prec))
 
 
 def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
@@ -110,9 +125,10 @@ def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
     return int(math.ceil(dps * math.log2(10) + e))
 
 
-def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], mpf]:
-    """Every delta value of a set of compositions, in one pass over the trie
-    of their suffixes.
+def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], Dyadic]:
+    """Every delta value of a (non-empty) set of compositions, in one pass
+    over the trie of their suffixes, each as the exact int its node sums at
+    the pass's binary exponent P + 1.
 
     The trie's root is the empty composition, and a child puts one more
     part in front of its parent, so the nodes on a composition's path from
@@ -138,6 +154,8 @@ def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], mpf]:
     depth K, and P the largest ``_fixed_point_bits`` of the batch at the
     working precision of depth K.  Both are at least what a composition
     gets alone, so a value's last bits depend on the batch that summed it.
+    The int is kept as it is, not shifted to any common scale, so a tiny
+    value keeps the E bits that ``_fixed_point_bits`` gave it.
 
     Rounding bound.  Every step floors, so no entry exceeds its exact value,
     and an entry at level j (the root's level is 0) is below it by less than
@@ -151,12 +169,10 @@ def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], mpf]:
     (M + 1)*(2k + 1) units of 2^-(P+1).  The cutoff M adds the tail after M,
     which ``_delta_cutoff`` keeps below 10^-(digits+guard); P is large
     enough that (M + 1)*(2k + 1)*2^-(P+1) is below 2^-E*10^-(digits+guard),
-    with 2^-E a lower bound on the value (``_fixed_point_bits``).
+    with 2^-E a lower bound on the value (``_fixed_point_bits``).  Both
+    losses are drops, so every value is a lower bound of the true one.
     """
-    from mpmath import mp, mpf
     comps = set(comps)
-    if not comps:
-        return {}
     K = max(map(len, comps))
     M = _delta_cutoff(K, prec.digits + prec.guard)
     dps = _working_dps(prec, M * K)
@@ -171,20 +187,19 @@ def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], mpf]:
     root = [(1 << P) >> n for n in range(M + 1)]
     stack = [((s,), root) for s in sorted(kids[()], reverse=True)]
     del root
-    with mp.workdps(dps):
-        while stack:
-            node, parent = stack.pop()
-            s = node[0]
-            if s not in powers:
-                powers[s] = [n**s for n in range(1, M + 1)]
-            a = [0]
-            run = 0
-            for x, q in zip(parent, powers[s]):
-                run = (run + x // q) >> 1
-                a.append(run)
-            if node in comps:
-                values[node] = mpf((sum(a) + run, -(P + 1)))
-            stack.extend(((t,) + node, a) for t in sorted(kids.get(node, ()), reverse=True))
+    while stack:
+        node, parent = stack.pop()
+        s = node[0]
+        if s not in powers:
+            powers[s] = [n**s for n in range(1, M + 1)]
+        a = [0]
+        run = 0
+        for x, q in zip(parent, powers[s]):
+            run = (run + x // q) >> 1
+            a.append(run)
+        if node in comps:
+            values[node] = (sum(a) + run, P + 1)
+        stack.extend(((t,) + node, a) for t in sorted(kids.get(node, ()), reverse=True))
     return values
 
 
@@ -194,32 +209,35 @@ def eval_zeta(comp, prec: Precision = Precision()) -> mpf:
     Each prefix u of the word contributes (value of dual_word(u) on the
     lower half) times (value of the remaining suffix on the lower half);
     lower-half values are generalized delta values via block decomposition.
+    The mpf is the cached integer value, exactly (``_value``).
     """
-    return _value(zeta(comp), prec)
+    return _mpf(_value(zeta(comp), prec))
 
 
-# the one value cache, (Generator, Precision) -> mpf; ``_load`` writes the
-# delta values a pass sums, ``_value`` everything else it computes
-_VALUES: dict[tuple[Generator, Precision], mpf] = {}
+# the one value cache, (Generator, Precision) -> Dyadic; ``_load`` writes the
+# delta values a pass sums, ``_value`` the zeta values it splits
+_VALUES: dict[tuple[Generator, Precision], Dyadic] = {}
 
 
 def _load(comps, prec: Precision) -> None:
     """Cache the delta values of ``comps`` that are not cached yet, summed in
-    one pass."""
+    one pass; no pass runs when none is missing."""
     todo = {c for c in comps if (delta(c), prec) not in _VALUES}
-    for c, v in _sum_deltas(todo, prec).items():
-        _VALUES[delta(c), prec] = v
+    if todo:
+        for c, v in _sum_deltas(todo, prec).items():
+            _VALUES[delta(c), prec] = v
 
 
-def _split(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _split(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The midpoint split of z[parts]: for each cut of its word into u v, the
     delta compositions of dual_word(u) and of v, with () for an empty side."""
     word = zeta_word(parts)
-    return [
+    return tuple(
         (word_composition(dual_word(word[:i])) if i else (),
          word_composition(word[i:]) if i < len(word) else ())
         for i in range(len(word) + 1)
-    ]
+    )
 
 
 def _reads(g: Generator) -> list[tuple[int, ...]]:
@@ -242,7 +260,39 @@ def load_values(rels, prec: Precision = Precision()) -> None:
     _load([c for g in gens for c in _reads(g)], prec)
 
 
-def _value(g: Generator, prec: Precision) -> mpf:
+def _at_scale(v: Dyadic, bits: int) -> int:
+    # floor(n * 2^(bits - e)): a right shift floors, a left shift is exact
+    n, e = v
+    return n >> (e - bits) if e >= bits else n << (bits - e)
+
+
+def _value(g: Generator, prec: Precision) -> Dyadic:
+    """g's value as an exact dyadic (n, e), read from the cache or computed
+    into it.
+
+    A delta value is the int its pass summed (``_sum_deltas``).  A zeta
+    value of weight L is its midpoint split: the sum, over the L + 1 cuts
+    u v of its word, of the product of the delta values of dual_word(u) and
+    of v (1 for an empty side).  The sum runs in integers at one scale
+    2^-Z, where Z is the largest exponent of the split's delta values plus
+    GUARD_BITS: each product n_u*n_v is exact at exponent e_u + e_v, and is
+    floored to scale 2^-Z.
+
+    Error bound, in units of 2^-Z.  Each floor loses less than one unit, so
+    the split is below the exact sum of its products by less than L + 1
+    units.  Every delta value is a lower bound of its true value, low by
+    some eps, and below 1 (at most d[1^k] = (log 2)^k/k!), so each product
+    is low by at most eps_u + eps_v.  In all the split is low, never high,
+    by less than
+
+        L + 1 + 2^Z * sum over the cuts of (eps_u + eps_v)
+
+    units.  A delta value of depth k, summed with cutoff M at exponent
+    P + 1, has 2^Z*eps below (M + 1)*(2k + 1)*2^(Z-P-1) units plus 2^Z
+    times the tail after M (``_sum_deltas``); each of the two is below
+    10^-(digits+guard) in value, so the split is low by less than
+    (L + 1)*(1 + 2^Z * 4*10^-(digits+guard)) units.
+    """
     v = _VALUES.get((g, prec))
     if v is not None:
         return v
@@ -251,23 +301,19 @@ def _value(g: Generator, prec: Precision) -> mpf:
     _load(_reads(g), prec)
     if g.kind == "delta":
         return _VALUES[g, prec]
+    halves = [[_VALUES[delta(c), prec] if c else (1, 0) for c in pair] for pair in _split(g.parts)]
+    Z = max(e for pair in halves for _, e in pair) + GUARD_BITS
+    total = sum(_at_scale((nu * nv, eu + ev), Z) for (nu, eu), (nv, ev) in halves)
+    _VALUES[g, prec] = v = (total, Z)
+    return v
+
+
+def _mpf(v: Dyadic) -> mpf:
+    # the value n*2^-e as an mpf, with no rounding
     from mpmath import mp
-    pairs = _split(g.parts)
-    with mp.workdps(_working_dps(prec, len(pairs))):
-        total = mp.zero
-        for u, v in pairs:
-            part = mp.one
-            if u:
-                part *= _VALUES[delta(u), prec]
-            if v:
-                part *= _VALUES[delta(v), prec]
-            total += part
-    _VALUES[g, prec] = total
-    return total
-
-
-# guard bits of the row scale, above the requested and guard digits
-GUARD_BITS = 64
+    from mpmath.libmp import from_man_exp
+    n, e = v
+    return mp.make_mpf(from_man_exp(n, -e))
 
 
 def _scale_bits(prec: Precision) -> int:
@@ -279,18 +325,17 @@ def _scale_bits(prec: Precision) -> int:
 def _fixed(m: SymMonomial, prec: Precision) -> int:
     """Floor-rounded value of a monomial, as an int scaled by 2^B.
 
-    Each factor enters as its cached mpf shifted to scale 2^B (``to_fixed``,
-    exact up to one floor), and each product shifts right by B once, which
-    floors again.  Every generator value lies in (0, 2), so after j factors
-    the value is below 2^j and the error e_j, in units of 2^-B, obeys
-    e_1 < 1 and e_(j+1) < 2*e_j + 2^j + 1: a monomial of degree k is off by
-    less than k*2^k units, far inside the GUARD_BITS.
+    Each factor enters as its cached integer value shifted to scale 2^B
+    (``_at_scale``: exact up to one floor), and each product shifts right by
+    B once, which floors again.  Every generator value lies in (0, 2), so
+    after j factors the value is below 2^j and the error e_j, in units of
+    2^-B, obeys e_1 < 1 and e_(j+1) < 2*e_j + 2^j + 1: a monomial of degree k
+    is off by less than k*2^k units, far inside the GUARD_BITS.
     """
-    from mpmath.libmp import to_fixed
     B = _scale_bits(prec)
     v = 1 << B
     for g, exp in m.factors:
-        x = to_fixed(_value(g, prec)._mpf_, B)
+        x = _at_scale(_value(g, prec), B)
         for _ in range(exp):
             v = (v * x) >> B
     return v
@@ -321,7 +366,26 @@ def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
     return _to_mpf(_row_total(e, prec), e.den, prec)
 
 
-VerifyResult = namedtuple("VerifyResult", ["residual", "ok", "threshold"])
+class VerifyResult:
+    """A row's certificate: the exact integer sum ``total`` = Σ n·V(m), which
+    is the row's value times ``scale`` = den·2^B, and the verdict ``ok`` on
+    it.  The mpfs ``residual`` = |total| / scale (rounded as
+    ``eval_symexpr`` rounds it) and ``threshold`` = 10^-(digits-5) are built
+    on first access."""
+
+    def __init__(self, total: int, den: int, prec: Precision):
+        self.total, self.den, self.prec = total, den, prec
+        self.scale = den << _scale_bits(prec)
+        self.ok = abs(total) * 10 ** (prec.digits - 5) < self.scale
+
+    @cached_property
+    def residual(self) -> mpf:
+        return _to_mpf(abs(self.total), self.den, self.prec)
+
+    @cached_property
+    def threshold(self) -> mpf:
+        from mpmath import mpf
+        return mpf(10) ** (-(self.prec.digits - 5))
 
 
 def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
@@ -329,13 +393,44 @@ def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
 
     The verdict is exact integer arithmetic on the fixed-point sum
     T = Σ n·V(m) at scale 2^B (``eval_symexpr``): pass when
-    |T| * 10^(digits-5) < den * 2^B.  The mpf residual |T| / (den * 2^B) is
-    only what a report prints.  Accepts anything with an ``expr``
-    attribute, or a bare SymExpr.
+    |T| * 10^(digits-5) < den * 2^B.  The result carries T and that scale,
+    so a report prints the residual from them (``residual_text``) and no
+    mpf is built unless one is asked for.  Accepts anything with an
+    ``expr`` attribute, or a bare SymExpr.
     """
-    from mpmath import mpf
     expr = getattr(rel, "expr", rel)
-    total = abs(_row_total(expr, prec))
-    ok = total * 10 ** (prec.digits - 5) < expr.den << _scale_bits(prec)
-    threshold = mpf(10) ** (-(prec.digits - 5))
-    return VerifyResult(_to_mpf(total, expr.den, prec), ok, threshold)
+    return VerifyResult(_row_total(expr, prec), expr.den, prec)
+
+
+def residual_text(num: int, den: int) -> str:
+    """num / den (num >= 0, den > 0) to 8 significant digits, as mpmath's
+    ``nstr(x, 8)`` prints it: "0.0", "0.25", "4.8099229e-314".
+
+    The quotient is rounded half up in exact integer arithmetic; the text is
+    fixed-point when the leading digit sits at 10^-4 to 10^7, scientific
+    otherwise, with trailing zeros stripped down to one after the point.
+    (nstr truncates its argument to 46 bits before it rounds, so a quotient
+    within 2^-45 of itself above a tie prints one unit lower there.)
+    """
+    if not num:
+        return "0.0"
+    # e, the place of the leading digit: 10^e <= num/den < 10^(e+1)
+    at_least = lambda k: num * 10**-k >= den if k < 0 else num >= den * 10**k
+    e = math.floor(math.log10(num) - math.log10(den))
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    n, d = (num * 10 ** (7 - e), den) if e <= 7 else (num, den * 10 ** (e - 7))
+    q = (2 * n + d) // (2 * d)
+    if q == 10**8:  # the rounding carried into a new digit
+        q, e = 10**7, e + 1
+    digits, split, exponent = str(q), 1, ""
+    if -5 < e < 0:
+        digits = "0" * -e + digits
+    elif 0 <= e < 8:
+        split = e + 1
+    else:
+        exponent = "e%d" % e if e < 0 else "e+%d" % e
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return (text + "0" if text.endswith(".") else text) + exponent

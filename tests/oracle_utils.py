@@ -6,14 +6,14 @@ the rolling-array dynamic programme, a polynomial-times-exponential closed-form
 integrator instead of any series conversion, and mpmath's own zeta for the
 depth-one comparisons.  Agreement between these and the package is evidence;
 shared code would be none.  The exceptions are the package's former
-production paths kept here as references (the mpf delta kernel, the rational
-elimination, the per-step normalised integer sweep, the Fraction product and
-sum loops, the word-sum and shuffle-row loops, the pair-index duality rows,
-the all-pairs product and geometric inverse, the closed-form template word
-sum, the carry-vector kernel expansion, its zeta-kernel reading, the
-paper's kernel formula for Xi_B with its ad-word counts, and the
-per-expression printer that sorted by ``sort_key``): each checks the
-rewrite that replaced it.
+production paths kept here as references (the mpf delta kernel, the mpf
+midpoint split, the rational elimination, the per-step normalised integer
+sweep, the Fraction product and sum loops, the word-sum and shuffle-row
+loops, the pair-index duality rows, the all-pairs product and geometric
+inverse, the closed-form template word sum, the carry-vector kernel
+expansion, its zeta-kernel reading, the paper's kernel formula for Xi_B
+with its ad-word counts, and the per-expression printer that sorted by
+``sort_key``): each checks the rewrite that replaced it.
 The all-pairs product and the geometric inverse also rebuild the delta
 side as the product psi * inverse(swap psi) (``check_product_form``),
 with no quotient solver, and ``check_omega2`` checks the degree-2
@@ -204,24 +204,54 @@ def closed_zeta_table(digits: int = 50):
 # -- mpf row evaluation --------------------------------------------------------
 #
 # The package's former eval_symexpr: each term's monomial rebuilt from the
-# cached generator values with mpf ** and *, times its Fraction coefficient,
-# summed in mpf.  The package sums integer numerators times fixed-point
-# monomial values at scale 2^B instead.
+# generator values with mpf ** and *, times its Fraction coefficient, summed
+# in mpf.  The package sums integer numerators times fixed-point monomial
+# values at scale 2^B instead.
+
+
+def generator_mpf(g, prec):
+    """A generator's value through the package's mpf edge: ``eval_zeta``,
+    or ``eval_delta`` (of (1,) for c = d[1])."""
+    from assoclab.numeric import eval_delta, eval_zeta
+
+    if g.kind == "zeta":
+        return eval_zeta(g.parts, prec)
+    return eval_delta(g.parts if g.kind == "delta" else (1,), prec)
 
 
 def eval_symexpr_mpf(e, prec):
     """An expression's value in mpf arithmetic, at the working precision of
     the package for ``prec`` and ``len(e) + 1`` terms, from the package's
     generator values."""
-    from assoclab.numeric import _value, _working_dps
+    from assoclab.numeric import _working_dps
 
     with mp.workdps(_working_dps(prec, len(e) + 1)):
         total = mp.zero
         for mono, q in fraction_terms(e):
             v = mp.mpf(q.numerator) / q.denominator
             for g, exp in mono.factors:
-                v *= _value(g, prec) ** exp
+                v *= generator_mpf(g, prec) ** exp
             total += v
+    return total
+
+
+def zeta_split_mpf(comp, prec, delta_value):
+    """z[comp] by the package's former mpf midpoint split: the sum over the
+    cuts w = uv of its word of delta_value(dual_word(u)) * delta_value(v),
+    each read through ``word_composition`` (1 for an empty side), in mpf
+    arithmetic at the working precision for one term per cut."""
+    from assoclab.numeric import _working_dps
+    from assoclab.symring import dual_word, word_composition, zeta_word
+
+    w = zeta_word(comp)
+    with mp.workdps(_working_dps(prec, len(w) + 1)):
+        total = mp.zero
+        for i in range(len(w) + 1):
+            part = mp.one
+            for side in (dual_word(w[:i]), w[i:]):
+                if side:
+                    part *= delta_value(word_composition(side))
+            total += part
     return total
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import assoclab
-from assoclab import cli
+from assoclab import cli, numeric
 from assoclab.cli import main
 from assoclab.delta_side import phi_delta
 from assoclab.freealg import series_to_json
@@ -360,22 +360,6 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert b'"residual"' in reports[0] and reports[0] == reports[1]
 
 
-def test_expand_and_relations_do_not_load_mpmath():
-    # only evaluation reads mpmath; a run that evaluates nothing never loads it
-    src = str(Path(assoclab.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    script = (
-        "import sys, assoclab, assoclab.cli\n"
-        "for argv in (['expand', '--order', '3'],\n"
-        "             ['relations', '--order', '3', '--aux', 'all', '--reduce']):\n"
-        "    assert assoclab.cli.main(argv) == 0\n"
-        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, timeout=600, check=True)
-    assert proc.stdout and proc.stderr == b"[]"
-
-
 @pytest.mark.parametrize("argv", [
     ["expand", "--order", "2", "--output"],
     ["verify", "--order", "2", "--digits", "20", "--report"],
@@ -449,15 +433,15 @@ def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 
     target = comparison_relations(3)[-1]
-    real = cli.verify_relation
+    real = numeric._row_total
 
-    def planted(rel, prec):
-        res = real(rel, prec)
-        if rel.expr == target.expr:
-            return res._replace(residual=mp.mpf("0.25"), ok=False)
-        return res
+    def planted(e, prec):
+        # the target row's integer sum reads a quarter of its scale: 0.25
+        if e == target.expr:
+            return (e.den << numeric._scale_bits(prec)) // 4
+        return real(e, prec)
 
-    monkeypatch.setattr(cli, "verify_relation", planted)
+    monkeypatch.setattr(numeric, "_row_total", planted)
     report = tmp_path / "report.json"
     code, out = run_capture(capsys, ["verify", "--order", "3", "--digits", "20",
                                      "--report", str(report)])

@@ -1,6 +1,7 @@
 """Every name a package module or test file imports is used in that file,
 each package module imports only the package modules of the layers below
-it, and importing the command line loads no heavy standard module.
+it, importing the command line loads no heavy standard module, and only
+``eval`` loads mpmath.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` is skipped: its
@@ -199,3 +200,22 @@ def test_cli_import_loads_no_heavy_module():
     added = set(proc.stdout.split())
     assert "assoclab.cli" in added
     assert not {m.split(".")[0] for m in added} & {"dataclasses", "inspect", "mpmath"}
+
+
+def test_only_eval_loads_mpmath():
+    # verify certifies and prints its residuals in integers, and expand and
+    # relations evaluate nothing; eval returns an mpf, so it loads mpmath
+    src = str(SRC.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = ("import sys, assoclab.cli\n"
+              "for argv in (['verify', '--order', '3', '--digits', '40'],\n"
+              "             ['relations', '--order', '4', '--aux', 'all', '--reduce'],\n"
+              "             ['expand', '--order', '4']):\n"
+              "    assert assoclab.cli.main(argv) == 0\n"
+              "    assert 'mpmath' not in sys.modules, argv\n"
+              "assert assoclab.cli.main(['eval', '--zeta', '3']) == 0\n"
+              "assert 'mpmath' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verified ")

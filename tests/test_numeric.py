@@ -23,6 +23,7 @@ from assoclab.numeric import (
     eval_delta,
     eval_symexpr,
     eval_zeta,
+    residual_text,
     verify_relation,
 )
 from assoclab.relations import AUX_NAMES, aux_relations, comparison_relations
@@ -48,6 +49,7 @@ from oracle_utils import (
     delta_mpf_table,
     eval_symexpr_mpf,
     naive_zeta,
+    zeta_split_mpf,
 )
 
 
@@ -141,7 +143,8 @@ def test_delta_matches_mpf_oracle_at_every_composition(digits, max_weight):
     batch = numeric._sum_deltas(oracle, prec)
     assert batch.keys() == oracle.keys()
     for comp, want in oracle.items():
-        for got in (batch[comp], numeric._sum_deltas([comp], prec)[comp]):
+        for value in (batch[comp], numeric._sum_deltas([comp], prec)[comp]):
+            got = numeric._mpf(value)
             assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
             with mp.workdps(digits + 40):
                 assert abs(got - want) < mp.mpf(10) ** -(digits + prec.guard), comp
@@ -161,21 +164,16 @@ def _in_bound_sample(rng, count: int, admissible: bool):
 
 
 @pytest.mark.parametrize("digits,count", [(10, 12), (40, 8), (300, 2)])
-def test_eval_delta_and_zeta_match_mpf_oracle_on_a_seeded_sample(monkeypatch, digits, count):
+def test_eval_delta_and_zeta_match_mpf_oracle_on_a_seeded_sample(digits, count):
     prec = Precision(digits)
     rng = random.Random(1200 + digits)
     for comp in _in_bound_sample(rng, count, admissible=False):
         got, want = eval_delta(comp, prec), delta_mpf(comp, prec)
         assert mp.nstr(got, digits) == mp.nstr(want, digits), comp
-    zetas = _in_bound_sample(rng, count, admissible=True)
-    got = [eval_zeta(comp, prec) for comp in zetas]
-    # the same midpoint split, run over mpf-kernel delta values; a fresh
-    # value cache, or the oracle side would read the production values
-    monkeypatch.setattr(numeric, "_sum_deltas", lambda comps, p: {c: delta_mpf(c, p) for c in comps})
-    monkeypatch.setattr(numeric, "_VALUES", {})
-    for comp, value in zip(zetas, got):
-        want = eval_zeta(comp, prec)
-        assert mp.nstr(value, digits) == mp.nstr(want, digits), comp
+    # the integer split against the former mpf split over mpf-kernel values
+    for comp in _in_bound_sample(rng, count, admissible=True):
+        want = zeta_split_mpf(comp, prec, lambda c: delta_mpf(c, prec))
+        assert mp.nstr(eval_zeta(comp, prec), digits) == mp.nstr(want, digits), comp
 
 
 def test_eval_delta_spot_value():
@@ -325,11 +323,15 @@ def test_verify_relation_accepts_bare_expr_or_relation():
         assert abs(a.residual - b.residual) == 0
 
 
-def test_value_cache_stability():
+def test_value_cache_stability(monkeypatch):
     prec = Precision(digits=30)
     a = eval_delta((3, 1), prec)
-    b = eval_delta((3, 1), prec)
-    assert a is b  # cached mpf object comes back
+
+    def no_pass(comps, p):
+        raise AssertionError("a cached value ran a pass")
+
+    monkeypatch.setattr(numeric, "_sum_deltas", no_pass)
+    assert eval_delta((3, 1), prec) == a  # read from the cache
 
 
 # -- fixed-point rows against the mpf oracle ------------------------------------
@@ -406,3 +408,107 @@ def test_verdict_threshold_is_exact(digits):
     for sign in (1, -1):
         assert not verify_relation(SymExpr.rational(Fraction(sign, at)), prec).ok
         assert verify_relation(SymExpr.rational(Fraction(sign, at + 1)), prec).ok
+
+
+# -- integer values: relative precision and the midpoint split's bound --------
+
+
+@pytest.mark.parametrize("digits", [40, 300])
+@pytest.mark.parametrize("comp", [(13,) + (1,) * 11, (11,) + (1,) * 9], ids=["13-1x11", "11-1x9"])
+def test_tiny_delta_values_keep_their_relative_precision(digits, comp):
+    # d[13,1^11] ~ 2.2e-25 is the smallest in-bound delta value; a cache at
+    # the row scale 2^B would hold it to about 10^-(digits+guard-20) only
+    prec = Precision(digits)
+    got, want = eval_delta(comp, prec), delta_mpf(comp, prec)
+    with mp.workdps(digits + 60):
+        assert want < mp.mpf(10) ** -19
+        assert abs(got - want) < want * mp.mpf(10) ** -(digits + prec.guard)
+
+
+def _dyadic_fraction(v) -> Fraction:
+    n, e = v
+    return Fraction(n, 1 << e)
+
+
+@pytest.mark.parametrize("digits", [40, 300])
+def test_integer_split_is_low_by_less_than_its_bound(digits):
+    # the bound of numeric._value: the split's floors lose less than L + 1
+    # units of 2^-Z against its products of cached values, and the split is
+    # low, never high, by less than (L + 1)(2^-Z + 4*10^-(digits+guard))
+    prec = Precision(digits)
+    table = delta_mpf_table(8, prec)
+    closed = closed_zeta_table(digits)
+    for weight in range(2, 9):
+        for comp in compositions_of_weight(weight):
+            if comp[0] < 2:
+                continue
+            n, Z = numeric._value(zeta(comp), prec)
+            halves = [[numeric._value(delta(c), prec) if c else (1, 0) for c in pair]
+                      for pair in numeric._split(comp)]
+            exact = sum(_dyadic_fraction(u) * _dyadic_fraction(v) for u, v in halves)
+            assert 0 <= exact * 2**Z - n < weight + 1, comp
+            got = numeric._mpf((n, Z))
+            with mp.workdps(digits + 40):
+                # the scale keeps GUARD_BITS below the requested and guard digits
+                unit = mp.mpf(2) ** -Z
+                assert unit < mp.mpf(10) ** -(digits + prec.guard) * mp.mpf(2) ** -GUARD_BITS
+                bound = (weight + 1) * (unit + 4 * mp.mpf(10) ** -(digits + prec.guard))
+                # the former mpf split, over mpf-kernel values, sits within
+                # the same bound of the true value
+                want = zeta_split_mpf(comp, prec, table.__getitem__)
+                assert abs(got - want) < 2 * bound, comp
+                if comp in closed:  # exact to 10^-(digits+10), up to rounding
+                    low = closed[comp] - got
+                    assert -mp.mpf(10) ** -(digits + 8) < low < bound, comp
+
+
+def test_integer_split_of_zeta_two_at_2000_digits():
+    prec = Precision(2000)
+    n, Z = numeric._value(zeta((2,)), prec)
+    with mp.workdps(2060):
+        low = mp.pi ** 2 / 6 - numeric._mpf((n, Z))
+        bound = 3 * (mp.mpf(2) ** -Z + 4 * mp.mpf(10) ** -(2000 + prec.guard))
+        assert -mp.mpf(10) ** -2050 < low < bound
+
+
+# -- residual text from the integer sum ---------------------------------------
+
+
+def _nstr_of_quotient(num: int, scale: int) -> str:
+    # mp.nstr(x, 8) of the exact quotient, built with 64 bits to spare
+    with mp.workprec(max(num.bit_length(), scale.bit_length()) + 64):
+        return mp.nstr(mp.mpf(num) / scale, 8)
+
+
+@st.composite
+def residual_quotients(draw):
+    """A row sum and its scale den*2^B, at one of the CLI's precisions, for
+    quotients from below 2^-B up to about 10^9."""
+    digits = draw(st.sampled_from([10, 40, 300, 2000]))
+    scale = draw(st.integers(1, 2**100)) << _scale_bits(Precision(digits))
+    bits = draw(st.integers(0, scale.bit_length() + 30))
+    return draw(st.integers(0, 2**bits)), scale
+
+
+@given(residual_quotients())
+def test_residual_text_is_nstr_of_the_quotient(quotient):
+    num, scale = quotient
+    assert residual_text(num, scale) == _nstr_of_quotient(num, scale)
+
+
+@pytest.mark.parametrize("digits", [10, 40, 300, 2000])
+@pytest.mark.parametrize("value", [
+    "0", "0.25", "1", "2.5", "12345678.4", "99999999.49", "99999999.51", "123456789", "1e9",
+    # the edges of fixed notation at 10^-5 and 10^8
+    "0.000099999999", "0.0000999999996", "0.0000099999999951", "0.0000099999999949", "0.00001",
+    # rounding carries into a new leading digit; each value sits at least
+    # 10^-12 of itself from a tie, outside the 46 bits nstr truncates to
+    "0.999999995001", "9.999999951e-20", "9.999999949e-20", "9.999999951e-300",
+    "4.80992285e-314", "1.000000049e-1000", "9.99999995001e-1500",
+])
+def test_residual_text_at_the_edges(digits, value):
+    scale = 3 << _scale_bits(Precision(digits))
+    num = math.floor(Fraction(value) * scale)
+    assert residual_text(num, scale) == _nstr_of_quotient(num, scale)
+    if digits == 40 and value in ("0", "0.25"):
+        assert residual_text(num, scale) == {"0": "0.0", "0.25": "0.25"}[value]
