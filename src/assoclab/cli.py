@@ -158,7 +158,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         built = {"series": builders[args.side](order)}
     # every series is built; each coefficient is rendered as it is written
-    series = {key: series_to_json(s, lazy=True) for key, s in built.items()}
+    series = {key: series_to_json(s) for key, s in built.items()}
     if args.format == "json":
         payload = {"command": "expand", "side": args.side, "order": order}
         _emit_json({**payload, **series}, args.output)

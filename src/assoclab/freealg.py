@@ -24,7 +24,7 @@ letter may be deleted with a sign flip, B to the left end, A to the right.
 The fold steps over runs of equal letters, not letters: a deletable run of
 p copies branches once into its p + 1 deletion counts, with binomial weights.
 A series prints as one batch (``render_each``), one term at a time
-(``series_terms``); ``series_to_json`` is the whole list.
+(``series_terms``); ``series_to_json`` wraps that stream with the order.
 """
 
 from __future__ import annotations
@@ -224,8 +224,6 @@ def series_terms(s: NCSeries):
         yield {"word": w if w else "1", "coeff": t}
 
 
-def series_to_json(s: NCSeries, lazy: bool = False) -> dict:
-    """The JSON object of a series: its terms as a list or, ``lazy``, as
-    the generator ``series_terms`` for a writer that streams them."""
-    terms = series_terms(s)
-    return {"order": s.order, "terms": terms if lazy else list(terms)}
+def series_to_json(s: NCSeries) -> dict:
+    """A series' JSON object; its terms stream from ``series_terms``."""
+    return {"order": s.order, "terms": series_terms(s)}

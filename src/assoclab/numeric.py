@@ -28,11 +28,11 @@ exponent, and a zeta value is its midpoint split summed in integers
 is a lower bound of the true one.  mpmath is used only at the edges, and
 imported only there: ``eval_delta``, ``eval_zeta`` and ``eval_symexpr``
 return mpfs, and a ``VerifyResult`` builds its mpf ``residual`` and
-``threshold`` on first access.  So ``expand``, ``relations`` and ``verify``
-never load it.  Results carry no error object; instead the working
-precision exceeds the requested digits by a guard margin plus a term-count
-allowance, and the summation cutoffs are chosen against an explicit tail
-bound.
+``threshold``, each rounded once, on first access.  So ``expand``,
+``relations`` and ``verify`` never load it.  Results carry no error object;
+instead the working precision exceeds the requested digits by a guard
+margin plus a term-count allowance, and the summation cutoffs are chosen
+against an explicit tail bound.
 
 There is one value cache, the dict ``_VALUES``, keyed by the ``Generator``
 and the (frozen) Precision.  ``_value`` reads it, and every pass writes the
@@ -347,10 +347,10 @@ def _row_total(e: SymExpr, prec: Precision) -> int:
 
 
 def _to_mpf(total: int, den: int, prec: Precision) -> mpf:
-    from mpmath import mp, mpf
+    from mpmath import mp
     B = _scale_bits(prec)
     with mp.workprec(B):
-        return mpf((total, -B)) / den
+        return _mpf((total, B)) / den
 
 
 def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
@@ -358,10 +358,11 @@ def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
 
     Each V(m) is the fixed-point monomial value at scale 2^B, with
     B = ``_scale_bits(prec)`` (the requested plus guard digits, in bits, plus
-    GUARD_BITS); the sum is an exact integer, divided by den once as an mpf
-    of B bits.  Against exact arithmetic on the cached generator values, the
-    sum is off by under Σ|n|·k·2^k / den units of 2^-B (``_fixed``), for
-    monomials of degree at most k, before that one rounding.
+    GUARD_BITS); the sum is an exact integer, and its quotient by den·2^B
+    is rounded once, to B bits.  Against exact arithmetic on the cached
+    generator values, the sum is off by under Σ|n|·k·2^k / den units of
+    2^-B (``_fixed``), for monomials of degree at most k, before that one
+    rounding.
     """
     return _to_mpf(_row_total(e, prec), e.den, prec)
 
@@ -369,9 +370,10 @@ def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
 class VerifyResult:
     """A row's certificate: the exact integer sum ``total`` = Σ n·V(m), which
     is the row's value times ``scale`` = den·2^B, and the verdict ``ok`` on
-    it.  The mpfs ``residual`` = |total| / scale (rounded as
-    ``eval_symexpr`` rounds it) and ``threshold`` = 10^-(digits-5) are built
-    on first access."""
+    it.  The mpfs ``residual`` = |total| / scale and ``threshold`` =
+    10^-(digits-5), built on first access, are each that exact rational
+    rounded once to B bits, so ``residual < threshold`` implies ``ok``, and
+    ``ok`` implies ``residual <= threshold``."""
 
     def __init__(self, total: int, den: int, prec: Precision):
         self.total, self.den, self.prec = total, den, prec
@@ -384,8 +386,7 @@ class VerifyResult:
 
     @cached_property
     def threshold(self) -> mpf:
-        from mpmath import mpf
-        return mpf(10) ** (-(self.prec.digits - 5))
+        return _to_mpf(1 << _scale_bits(self.prec), 10 ** (self.prec.digits - 5), self.prec)
 
 
 def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:

@@ -18,10 +18,12 @@ The all-pairs product and the geometric inverse also rebuild the delta
 side as the product psi * inverse(swap psi) (``check_product_form``),
 with no quotient solver, and ``check_omega2`` checks the degree-2
 antisymmetrisation psi - swap(psi) against its printed closed form.
-The midpoint rows (the Hoelder convolution) read no series at all.  The
-series helpers at the end (sums, scalings, graded parts,
-the grading check, ad-powers) are not oracles: the pipeline never runs them,
-so they live with the tests that use them.
+The midpoint rows (the Hoelder convolution) read no series at all, nor
+does ``linearise``, which maps an expression to word coordinates (the
+shuffle algebra of words that end in B).  The series helpers at the end
+(sums, scalings, graded parts, the grading check, ad-powers) are not
+oracles: the pipeline never runs them, so they live with the tests that
+use them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 from mpmath import mp
@@ -860,6 +863,61 @@ def midpoint_rows(max_weight: int) -> list:
             expr = SymExpr.gen(zeta(s)) - sum_of_terms_fraction(halves)
             rows.append(Relation(expr, KnownValue("midpoint:" + ",".join(map(str, s)))))
     return rows
+
+
+@lru_cache(maxsize=None)
+def _word_shuffle(u: str, v: str) -> dict[str, int]:
+    """u shuffled with v, read through the package's ``shuffle``."""
+    from assoclab.relations import shuffle
+
+    return {"".join(w): k for w, k in shuffle(u, v).items()}
+
+
+def _shuffle_sum(x: dict, y: dict) -> Counter:
+    out: Counter = Counter()
+    for u, a in x.items():
+        for v, b in y.items():
+            for w, k in _word_shuffle(u, v).items():
+                out[w] += a * b * k
+    return out
+
+
+@lru_cache(maxsize=None)
+def _linearise_generator(g) -> dict[str, int]:
+    """L(c) = B, L(d[s]) = zeta_word(s), and L(z[s]) the midpoint split:
+    the sum of dual_word(u) shuffled with v over the cuts uv of zeta_word(s)."""
+    from assoclab.symring import dual_word, zeta_word
+
+    if g.kind == "log2":
+        return {"B": 1}
+    word = zeta_word(g.parts)
+    if g.kind == "delta":
+        return {word: 1}
+    out: Counter = Counter()
+    for i in range(len(word) + 1):
+        out.update(_word_shuffle(dual_word(word[:i]), word[i:]))
+    return dict(out)
+
+
+@lru_cache(maxsize=None)
+def _linearise_monomial(m) -> dict[str, int]:
+    image = {"": 1}
+    for g, e in m.factors:
+        for _ in range(e):
+            image = _shuffle_sum(image, _linearise_generator(g))
+    return dict(image)
+
+
+def linearise(expr) -> dict[str, Fraction]:
+    """L(expr) in word coordinates: the algebra map that sends c, d[s] and
+    z[s] as ``_linearise_generator`` does and a product to the shuffle
+    product of its factors' images.  Zero coefficients are dropped, so a
+    relation in the kernel of L maps to {}."""
+    total: Counter = Counter()
+    for m, n in expr.nums.items():
+        for w, k in _linearise_monomial(m).items():
+            total[w] += n * k
+    return {w: Fraction(k, expr.den) for w, k in total.items() if k}
 
 
 def ad_words(actor: str, argument: str, levels) -> dict[str, int]:

@@ -105,8 +105,10 @@ def test_expand_streams_its_json_in_bounded_writes(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["expand", "--side", "both", "--order", "8"]) == 0
     # the whole document, as the command printed it before it streamed
-    payload = {"command": "expand", "side": "both", "order": 8,
-               "mzv": series_to_json(phi_mzv(8)), "delta": series_to_json(phi_delta(8))}
+    payload = {"command": "expand", "side": "both", "order": 8}
+    for key, build in (("mzv", phi_mzv), ("delta", phi_delta)):
+        doc = payload[key] = series_to_json(build(8))
+        doc["terms"] = list(doc["terms"])  # json.dumps reads no generator
     assert "".join(out.writes) == json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
     assert len(out.writes) > 1 and max(map(len, out.writes)) <= 256 * 1024
 

@@ -269,6 +269,6 @@ def test_series_to_json_sorted_and_renders_unit_word():
     s = NCSeries(2, {"": SymExpr.one(), "BA": SymExpr.gen(delta([2]), coeff=2), "A": SymExpr.zero()})
     payload = series_to_json(s)
     assert payload["order"] == 2
-    words = [t["word"] for t in payload["terms"]]
-    assert words == ["1", "BA"]
-    assert payload["terms"][1]["coeff"] == "2*d[2]"
+    terms = list(payload["terms"])
+    assert [t["word"] for t in terms] == ["1", "BA"]
+    assert terms[1]["coeff"] == "2*d[2]"

@@ -28,6 +28,7 @@ from oracle_utils import (
     check_product_form,
     close_enough,
     iint_numeric,
+    linearise,
     midpoint_rows,
 )
 
@@ -353,3 +354,28 @@ def test_comparison_rows_are_the_midpoint_rows_modulo_shuffle(order):
     assert [r for r in midpoints if not span.contains(r.expr)] == []
     span = Span(shuffles + midpoints)
     assert [r for r in comparisons if not span.contains(r.expr)] == []
+
+
+# -- word coordinates: L maps c to B, d[s] to zeta_word(s), z[s] to its midpoint
+# split and a product to the shuffle product, onto the shuffle algebra of the
+# words that end in B (the d-words)
+
+
+@pytest.mark.parametrize("order", [5, 6, 7, 8])
+def test_rows_vanish_in_word_coordinates(order):
+    # the comparison, shuffle and duality rows all lie in the kernel of L;
+    # of the known rows, only Euler's dilogarithm identity does
+    rows = comparison_relations(order) + shuffle_relations(order) + duality_relations(order)
+    assert [r.provenance.label() for r in rows if linearise(r.expr)] == []
+    known = [r for r in known_values() if r.weight <= order]
+    assert [r.provenance.label() for r in known if not linearise(r.expr)] == ["known[euler_dilog]"]
+
+
+@pytest.mark.parametrize("order", [6, 7, 8])
+def test_shuffle_and_midpoint_rows_leave_the_d_words_free(order):
+    # L is onto the shuffle algebra, whose weight-w part has one basis word
+    # per d-word, 2^(w-1) of them (Radford), and the shuffle and midpoint
+    # rows span its kernel: so many monomials stay free at every weight
+    span = Span(shuffle_relations(order) + midpoint_rows(order))
+    free = [len(span._monomials(w)) - len(span._slice(w)) for w in range(1, order + 1)]
+    assert free == [2 ** (w - 1) for w in range(1, order + 1)]

@@ -347,7 +347,8 @@ def _abs_row(e: SymExpr) -> SymExpr:
 )
 def test_fixed_point_rows_match_the_mpf_oracle(order, digits):
     # every row verify certifies: the same verdict as the former mpf path,
-    # and a value within 10^-(digits+guard) * (1 + sum |n| / den) of its sum
+    # the same verdict from its own mpf fields, and a value within
+    # 10^-(digits+guard) * (1 + sum |n| / den) of its sum
     prec = Precision(digits)
     rows = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     for r in rows:
@@ -356,6 +357,7 @@ def test_fixed_point_rows_match_the_mpf_oracle(order, digits):
         want = eval_symexpr_mpf(e, prec)
         got = eval_symexpr(e, prec)
         assert res.ok == bool(abs(want) < res.threshold), r.provenance.label()
+        assert res.ok == (res.residual < res.threshold), r.provenance.label()
         with mp.workdps(digits + 40):
             assert res.residual == abs(got)
             weight = 1 + mp.mpf(sum(abs(n) for n in e.nums.values())) / e.den
@@ -399,15 +401,18 @@ def test_unit_monomial_is_the_exact_scale():
     assert 2 ** (_scale_bits(prec) - GUARD_BITS) >= 10 ** (prec.digits + prec.guard)
 
 
-@pytest.mark.parametrize("digits", [10, 40, 300])
+@pytest.mark.parametrize("digits", [10, 20, 40, 300, 2000])
 def test_verdict_threshold_is_exact(digits):
     # |residual| < 10^-(digits-5) passes: the threshold itself fails, one
-    # part in 10^(digits-5) below it passes, for either sign
+    # part in 10^(digits-5) below it passes, for either sign; the mpf
+    # residual and threshold, each rounded once, say the same
     prec = Precision(digits)
     at = 10 ** (digits - 5)
     for sign in (1, -1):
-        assert not verify_relation(SymExpr.rational(Fraction(sign, at)), prec).ok
-        assert verify_relation(SymExpr.rational(Fraction(sign, at + 1)), prec).ok
+        res = verify_relation(SymExpr.rational(Fraction(sign, at)), prec)
+        assert not res.ok and not res.residual < res.threshold
+        res = verify_relation(SymExpr.rational(Fraction(sign, at + 1)), prec)
+        assert res.ok and res.residual < res.threshold
 
 
 # -- integer values: relative precision and the midpoint split's bound --------
