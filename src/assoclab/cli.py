@@ -9,14 +9,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
 (including an --output or --report path that cannot be written, which is
-checked before any work).  A run that does not finish, interrupted or
-failed, removes each of those files that it created.
+checked before any work), and 1, with nothing on stderr, when the reader of
+stdout leaves before the output ends.  A run that does not finish,
+interrupted or failed, removes each of those files that it created.
 Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
 parts and weight at most 24.
 Primary outputs are deterministic: the same configuration yields byte
-identical JSON across runs.  One writer (``_emit``) streams every output in
-writes of about 64 KiB: JSON byte for byte as ``json.dumps(payload,
+identical JSON across runs.  One writer (``_emit``) streams every output
+through the stream's own buffer: JSON byte for byte as ``json.dumps(payload,
 indent=2, ensure_ascii=True)`` plus a newline, text line by line, so no
 command holds its whole output as one string.  What a command prints is
 computed before its first byte is written, so a failed build prints
@@ -50,7 +51,6 @@ from .relations import (
 from .numeric import (
     Precision,
     eval_delta,
-    eval_symexpr,
     eval_zeta,
     load_values,
     residual_text,
@@ -62,7 +62,6 @@ DEFAULT_DIGITS = 40
 MAX_DIGITS = 2000
 MAX_EVAL_DEPTH = 12
 MAX_EVAL_WEIGHT = 24
-WRITE_BATCH = 1 << 16  # characters per write
 
 
 class UsageError(Exception):
@@ -94,18 +93,10 @@ def _precision(digits: int) -> Precision:
 
 
 def _emit(chunks, path: str | None = None, mode: str = "w") -> None:
-    """Write the pieces of text in ``chunks`` to path, or to stdout, joined
-    into writes of about WRITE_BATCH characters."""
+    """Write the pieces of text in ``chunks`` to path, or to stdout."""
     try:
         with open(path, mode, encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-            batch, size = [], 0
-            for chunk in chunks:
-                batch.append(chunk)
-                size += len(chunk)
-                if size >= WRITE_BATCH:
-                    out.write("".join(batch))
-                    batch, size = [], 0
-            out.write("".join(batch))
+            out.writelines(chunks)
     except OSError as exc:
         if not path:
             raise
@@ -314,7 +305,7 @@ def _selftest_checks():
 
     def numeric_duality():
         row = SymExpr.gen(zeta((3, 1))) - SymExpr.gen(zeta((4,)), coeff=Fraction(1, 4))
-        return bool(abs(eval_symexpr(row, Precision(30))) < mp.mpf(10) ** (-25))
+        return bool(verify_relation(row, Precision(30)).residual < mp.mpf(10) ** (-25))
 
     return [
         ("order-2 comparison yields the dilogarithm relation", order2_comparison),
@@ -406,10 +397,10 @@ def _parse_aux(raw: str) -> tuple[str, ...]:
 
 
 def _parse_composition(raw: str) -> tuple[int, ...]:
-    try:
-        comp = tuple(int(s) for s in raw.split(","))
-    except ValueError:
+    parts = [s.strip() for s in raw.split(",")]
+    if not all(s.isascii() and s.isdigit() for s in parts):  # int() takes "1_2", "+2", "٢"
         raise UsageError("composition must be comma separated integers, got %r" % raw)
+    comp = tuple(map(int, parts))
     if len(comp) > MAX_EVAL_DEPTH:
         raise UsageError("composition must have at most %d parts, got %d" % (MAX_EVAL_DEPTH, len(comp)))
     if sum(comp) > MAX_EVAL_WEIGHT:
@@ -436,6 +427,11 @@ def main(argv=None) -> int:
         # an unfinished run leaves no file it created, only what was there before
         for path in created:
             os.remove(path)
+        if isinstance(exc, BrokenPipeError):
+            # the reader left; fd 1 goes to devnull so the last flush cannot raise
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), 1)
+            return 1
         if not isinstance(exc, UsageError):
             raise
         sys.stderr.write("error: %s\n" % exc)

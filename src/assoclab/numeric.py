@@ -26,9 +26,9 @@ n*2^-e; a delta value keeps the exact int its node sums, at its pass's
 exponent, and a zeta value is its midpoint split summed in integers
 (``_value``, which bounds the split's loss in the same units).  Every value
 is a lower bound of the true one.  mpmath is used only at the edges, and
-imported only there: ``eval_delta``, ``eval_zeta`` and ``eval_symexpr``
-return mpfs, and a ``VerifyResult`` builds its mpf ``residual`` and
-``threshold``, each rounded once, on first access.  So ``expand``,
+imported only there: ``eval_delta`` and ``eval_zeta`` return mpfs, and a
+``VerifyResult`` builds its mpf ``residual`` and ``threshold``, each
+rounded once, on first access.  So ``expand``,
 ``relations`` and ``verify`` never load it.  Results carry no error object;
 instead the working precision exceeds the requested digits by a guard
 margin plus a term-count allowance, and the summation cutoffs are chosen
@@ -342,7 +342,8 @@ def _fixed(m: SymMonomial, prec: Precision) -> int:
 
 
 def _row_total(e: SymExpr, prec: Precision) -> int:
-    # sum of n * V(m) over the numerators: the row's value times den * 2^B
+    # sum of n * V(m) over the numerators: the row's value times den * 2^B,
+    # off by under sum |n|*k*2^k units for monomials of degree at most k
     return sum(n * _fixed(m, prec) for m, n in e.nums.items())
 
 
@@ -351,20 +352,6 @@ def _to_mpf(total: int, den: int, prec: Precision) -> mpf:
     B = _scale_bits(prec)
     with mp.workprec(B):
         return _mpf((total, B)) / den
-
-
-def eval_symexpr(e: SymExpr, prec: Precision = Precision()) -> mpf:
-    """Value of an expression, Σ n·V(m) / den over its integer numerators.
-
-    Each V(m) is the fixed-point monomial value at scale 2^B, with
-    B = ``_scale_bits(prec)`` (the requested plus guard digits, in bits, plus
-    GUARD_BITS); the sum is an exact integer, and its quotient by den·2^B
-    is rounded once, to B bits.  Against exact arithmetic on the cached
-    generator values, the sum is off by under Σ|n|·k·2^k / den units of
-    2^-B (``_fixed``), for monomials of degree at most k, before that one
-    rounding.
-    """
-    return _to_mpf(_row_total(e, prec), e.den, prec)
 
 
 class VerifyResult:
@@ -393,7 +380,7 @@ def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
     """Numeric certificate: residual below 10^-(digits-5) counts as Pass.
 
     The verdict is exact integer arithmetic on the fixed-point sum
-    T = Σ n·V(m) at scale 2^B (``eval_symexpr``): pass when
+    T = Σ n·V(m) at scale 2^B (``_row_total``): pass when
     |T| * 10^(digits-5) < den * 2^B.  The result carries T and that scale,
     so a report prints the residual from them (``residual_text``) and no
     mpf is built unless one is asked for.  Accepts anything with an

@@ -34,17 +34,17 @@ monomials are hash-consed: the constructor looks its arguments up in a
 module table and validates, canonicalises and stores only an unseen value,
 so equal values are one immutable object and equality and hashing are
 ``object``'s identity versions.  A generator stores its weight and sort key
-when built; a monomial its weight, and its sort key, text and LaTeX on
-first use.  Monomial products are read from one table keyed by the left
-factor, m1 -> {m2: m1 * m2}, which ``monomial_product`` and the product
-loop share; a missing entry is built through ``SymMonomial`` and stored.
-Every sum of expressions, of products or of rational multiples, runs
-through the one loop ``sum_of_products``, which adds integer numerators
-over a common denominator and keeps no term order.  Printing is one path too,
+when built; a monomial its weight, and its sort key on first use.
+Monomial products are read from one table keyed by the left factor,
+m1 -> {m2: m1 * m2}, which ``monomial_product`` and the product loop share;
+a missing entry is built through ``SymMonomial`` and stored.  Every sum of
+expressions, of products or of rational multiples, runs through the one
+loop ``sum_of_products``, which adds integer numerators over a common
+denominator and keeps no term order.  Printing is one path too,
 ``render_each``: a batch of expressions sorts its distinct monomials once by
 ``sort_key`` and each expression's terms by their index in that list, then
-yields one expression's texts at a time; ``render_all`` is its list, and
-``SymExpr.render`` and ``latex`` are its batch of one.
+yields one expression's texts at a time, naming each distinct monomial once
+per style; ``SymExpr.render`` and ``latex`` are its batch of one.
 """
 
 from __future__ import annotations
@@ -185,11 +185,11 @@ class SymMonomial:
 
     Interned under its canonical factors: an argument that is not that key
     is canonicalised by ``__post_init__`` on every call, and equal products
-    of any factor list are one object.  ``weight`` is stored when built;
-    ``sort_key``, ``render`` and ``latex`` on first use.
+    of any factor list are one object.  ``weight`` is stored when built,
+    ``sort_key`` on first use.
     """
 
-    __slots__ = ("factors", "weight", "_key", "_text", "_latex")
+    __slots__ = ("factors", "weight", "_key")
 
     def __new__(cls, factors):
         try:
@@ -237,22 +237,12 @@ class SymMonomial:
         return not self.factors
 
     def render(self) -> str:
-        try:
-            return self._text
-        except AttributeError:
-            pass
         bits = []
         for g, e in self.factors:
             bits.append(g.render() if e == 1 else "%s^%d" % (g.render(), e))
-        text = "*".join(bits) or "1"
-        object.__setattr__(self, "_text", text)
-        return text
+        return "*".join(bits) or "1"
 
     def latex(self) -> str:
-        try:
-            return self._latex
-        except AttributeError:
-            pass
         bits = []
         for g, e in self.factors:
             base = g.latex()
@@ -262,9 +252,7 @@ class SymMonomial:
                 bits.append(base)
             else:
                 bits.append("%s^{%d}" % (base, e))
-        text = " ".join(bits) or "1"
-        object.__setattr__(self, "_latex", text)
-        return text
+        return " ".join(bits) or "1"
 
     def __repr__(self):
         return "SymMonomial(%s)" % self.render()
@@ -398,10 +386,10 @@ class SymExpr:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        return render_all((self,))[0][0]
+        return next(render_each((self,)))[0]
 
     def latex(self) -> str:
-        return render_all((self,), ("latex",))[0][0]
+        return next(render_each((self,), ("latex",)))[0]
 
     def __repr__(self):
         return "SymExpr(%s)" % self.render()
@@ -415,11 +403,6 @@ _STYLES = {
     "text": ("%d/%d", SymMonomial.render, "*"),
     "latex": (r"\tfrac{%d}{%d}", SymMonomial.latex, " "),
 }
-
-
-def render_all(exprs, styles=("text",)) -> list[tuple[str, ...]]:
-    """Each expression printed in each style: ``render_each`` as a list."""
-    return list(render_each(exprs, styles))
 
 
 def render_each(exprs, styles=("text",)):

@@ -206,10 +206,19 @@ def closed_zeta_table(digits: int = 50):
 
 # -- mpf row evaluation --------------------------------------------------------
 #
-# The package's former eval_symexpr: each term's monomial rebuilt from the
-# generator values with mpf ** and *, times its Fraction coefficient, summed
-# in mpf.  The package sums integer numerators times fixed-point monomial
-# values at scale 2^B instead.
+# ``eval_symexpr`` is not an oracle: it is the package's integer row sum,
+# numerators times fixed-point monomial values at scale 2^B, as one mpf.
+# ``eval_symexpr_mpf`` is the package's former row evaluation: each term's
+# monomial rebuilt from the generator values with mpf ** and *, times its
+# Fraction coefficient, summed in mpf.
+
+
+def eval_symexpr(e, prec):
+    """An expression's value as ``verify_relation`` sums it, rounded once to
+    B bits (``numeric._to_mpf``)."""
+    from assoclab import numeric
+
+    return numeric._to_mpf(numeric._row_total(e, prec), e.den, prec)
 
 
 def generator_mpf(g, prec):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,11 +80,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-@given(JSON_VALUES, st.integers(1, 40))
-def test_json_writer_prints_what_json_dumps_prints(value, batch):
-    # escapes, non-ASCII text and empty iterators included, at any batch size
+@given(JSON_VALUES)
+def test_json_writer_prints_what_json_dumps_prints(value):
+    # escapes, non-ASCII text and empty iterators included
     out = io.StringIO()
-    with mock.patch.object(cli, "WRITE_BATCH", batch), redirect_stdout(out):
+    with redirect_stdout(out):
         cli._emit_json(streamed(value), None)
     assert out.getvalue() == json.dumps(value, indent=2, ensure_ascii=True) + "\n"
 
@@ -97,6 +96,10 @@ class RecordedStdout:
     def write(self, text):
         self.writes.append(text)
         return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
 
 
 def test_expand_streams_its_json_in_bounded_writes(monkeypatch):
@@ -232,6 +235,11 @@ def test_eval_usage_errors(capsys):
     assert main(["eval", "--delta", "2,x"]) == 2
     # nonpositive part
     assert main(["eval", "--delta", "0"]) == 2
+    # what int() reads but is not a part: digit grouping, a sign, a non-ASCII digit
+    capsys.readouterr()
+    for raw in ("1_2", "+2", "\u0662"):
+        assert main(["eval", "--delta", raw]) == 2
+        assert "comma separated integers" in capsys.readouterr().err
     # digits too low
     assert main(["eval", "--zeta", "2", "--digits", "3"]) == 2
 
@@ -309,6 +317,23 @@ def test_selftest_needs_only_the_package(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 8 and all(ln.startswith("ok - ") for ln in lines)
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # the reader takes one line and closes the pipe; the rest of the output
+    # is far more than the pipe holds, so the next write meets a broken pipe
+    src = str(Path(assoclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "assoclab.cli", "expand", "--order", "8", "--format", "text"],
+        env=dict(os.environ, PYTHONPATH=path, ASSOCLAB_MAX_ORDER="8"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# mzv order 8\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=600) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_json_outputs_are_deterministic(tmp_path, capsys):

@@ -24,6 +24,7 @@ from assoclab.symring import LOG2, SymExpr, delta
 from oracle_utils import (
     check_grading,
     close_enough,
+    eval_symexpr,
     iint_numeric,
     iint_terms_by_carry_vectors,
     nc_add,
@@ -136,7 +137,7 @@ def test_iint_only_all_zero_words_reach_all_ones_deltas():
 
 def test_iint_matches_kernel_integral_numerically():
     # spot check the conversion against the independent integrator
-    from assoclab.numeric import Precision, eval_symexpr
+    from assoclab.numeric import Precision
 
     prec = Precision(digits=35)
     rng = random.Random(11)

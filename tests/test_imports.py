@@ -4,8 +4,8 @@ it, importing the command line loads no heavy standard module, and only
 ``eval`` loads mpmath.
 
 No linter ships with the test environment, so this walks each module's
-syntax tree with the standard library.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.
+syntax tree with the standard library.  ``__init__.py`` imports nothing, so
+every name has one import path, its module's; the checks below skip it.
 """
 
 from __future__ import annotations
@@ -106,9 +106,15 @@ def references(paths) -> tuple[set[str], set[str]]:
     return names, attributes
 
 
+def test_package_root_imports_nothing():
+    # one import path per name: from assoclab.relations import Span
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(path):
-    # __init__ re-exports names, so its imports do not keep a definition alive
+    # __init__ imports nothing, so only the modules' references keep a definition alive
     assert dead_definitions(path.read_text(), *references(MODULES)) == []
 
 

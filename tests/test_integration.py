@@ -13,7 +13,7 @@ from mpmath import mp
 
 from assoclab.delta_side import iint_to_sym, phi_delta, psi_series, xi_series
 from assoclab.mzv_side import phi_mzv
-from assoclab.numeric import Precision, eval_symexpr
+from assoclab.numeric import Precision
 from assoclab.relations import (
     Span,
     comparison_relations,
@@ -27,6 +27,7 @@ from oracle_utils import (
     check_omega2,
     check_product_form,
     close_enough,
+    eval_symexpr,
     iint_numeric,
     linearise,
     midpoint_rows,

@@ -21,7 +21,6 @@ from assoclab.numeric import (
     _scale_bits,
     _working_dps,
     eval_delta,
-    eval_symexpr,
     eval_zeta,
     residual_text,
     verify_relation,
@@ -47,6 +46,7 @@ from oracle_utils import (
     compositions_of_weight,
     delta_mpf,
     delta_mpf_table,
+    eval_symexpr,
     eval_symexpr_mpf,
     naive_zeta,
     zeta_split_mpf,

@@ -34,7 +34,7 @@ from assoclab.symring import (
     delta,
     dual_word,
     monomial_product,
-    render_all,
+    render_each,
     sym_weight,
     word_composition,
     zeta,
@@ -251,7 +251,7 @@ def test_cached_key_and_text_match_the_oracle():
         fs2 = [(_random_generator(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
         m = monomial_product(monomial(*fs1), monomial(*fs2))
         cached = (m.sort_key(), m.render(), m.latex())
-        assert m.sort_key() is cached[0] and m.render() is cached[1] and m.latex() is cached[2]
+        assert m.sort_key() is cached[0]
         assert SymMonomial(tuple(fs2 + fs1)) is m
         assert cached == monomial_views(fs1 + fs2)
     g = delta([2, 1])
@@ -288,7 +288,7 @@ def test_monomials_are_interned_under_their_canonical_factors_only():
 def test_assigning_an_attribute_raises():
     g, m = zeta([3]), monomial((zeta([3]), 1), (LOG2, 2))
     m.sort_key(), m.render()
-    for obj, name in ((g, "parts"), (g, "weight"), (g, "extra"), (m, "factors"), (m, "_key"), (m, "_text")):
+    for obj, name in ((g, "parts"), (g, "weight"), (g, "extra"), (m, "factors"), (m, "weight"), (m, "_key")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
@@ -392,7 +392,7 @@ def test_render_examples():
     assert SymExpr.rational(Fraction(-1, 3)).render() == "-1/3"
     rng = random.Random(31)
     for x in [e, SymExpr.zero()] + [_random_expr(rng) for _ in range(40)]:
-        assert render_all((x,), ("text", "latex")) == [(x.render(), x.latex())]
+        assert list(render_each((x,), ("text", "latex"))) == [(x.render(), x.latex())]
 
 
 def test_every_printed_expression_matches_the_sort_key_printer():
@@ -420,8 +420,8 @@ def test_a_batch_prints_each_expression_as_it_prints_alone():
     for _ in range(30):
         batch = rng.sample(pool, rng.randint(0, 12))
         for styles in (("text",), ("latex",), ("text", "latex")):
-            assert render_all(batch, styles) == [render_all((e,), styles)[0] for e in batch]
-        assert render_all(batch, ("latex", "text")) == [(e.latex(), e.render()) for e in batch]
+            assert list(render_each(batch, styles)) == [next(render_each((e,), styles)) for e in batch]
+        assert list(render_each(batch, ("latex", "text"))) == [(e.latex(), e.render()) for e in batch]
 
 
 def test_latex_fractions():
