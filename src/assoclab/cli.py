@@ -8,13 +8,14 @@ Subcommands:
   selftest   run the built-in consistency checks
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
-(including an --output or --report path that cannot be written, which is
-checked before any work), and 1, with nothing on stderr, when the reader of
+(including an --output or --report path that cannot be written, "" among
+them, which is checked before any work), and 1, with nothing on stderr, when the reader of
 stdout leaves before the output ends.  A run that does not finish,
 interrupted or failed, removes each of those files that it created.
 Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
-parts and weight at most 24.
+parts and weight at most 24.  Every integer from outside (the flags,
+ASSOCLAB_MAX_ORDER, composition parts) is read by ``_natural``, in ASCII digits.
 Primary outputs are deterministic: the same configuration yields byte
 identical JSON across runs.  One writer (``_emit``) streams every output
 through the stream's own buffer: JSON byte for byte as ``json.dumps(payload,
@@ -57,8 +58,8 @@ from .numeric import (
     verify_relation,
 )
 
-DEFAULT_ORDER = 5
-DEFAULT_DIGITS = 40
+DEFAULT_ORDER = "5"
+DEFAULT_DIGITS = "40"
 MAX_DIGITS = 2000
 MAX_EVAL_DEPTH = 12
 MAX_EVAL_WEIGHT = 24
@@ -68,22 +69,26 @@ class UsageError(Exception):
     pass
 
 
-def _max_order() -> int:
-    raw = os.environ.get("ASSOCLAB_MAX_ORDER", "6")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError("ASSOCLAB_MAX_ORDER must be an integer, got %r" % raw)
+def _natural(raw: str, error: str) -> int:
+    """int(raw) for ASCII digits with blanks around them, else UsageError(error
+    % raw): int() alone also reads "1_0", "+3", "-1" and "\u0663"."""
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise UsageError(error % (raw,))
+    return int(text)
 
 
-def _check_order(n: int) -> int:
-    cap = _max_order()
-    if n < 0 or n > cap:
+def _check_order(raw: str) -> int:
+    n = _natural(raw, "order must be a count in ASCII digits, got %r")
+    cap = _natural(os.environ.get("ASSOCLAB_MAX_ORDER", "6"),
+                   "ASSOCLAB_MAX_ORDER must be a count in ASCII digits, got %r")
+    if n > cap:
         raise UsageError("order must lie in 0..%d (ASSOCLAB_MAX_ORDER), got %d" % (cap, n))
     return n
 
 
-def _precision(digits: int) -> Precision:
+def _precision(raw: str) -> Precision:
+    digits = _natural(raw, "digits must be a count in ASCII digits, got %r")
     if digits > MAX_DIGITS:
         raise UsageError("digits must be <= %d, got %d" % (MAX_DIGITS, digits))
     try:
@@ -95,10 +100,10 @@ def _precision(digits: int) -> Precision:
 def _emit(chunks, path: str | None = None, mode: str = "w") -> None:
     """Write the pieces of text in ``chunks`` to path, or to stdout."""
     try:
-        with open(path, mode, encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        with nullcontext(sys.stdout) if path is None else open(path, mode, encoding="utf-8") as out:
             out.writelines(chunks)
     except OSError as exc:
-        if not path:
+        if path is None:
             raise
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
@@ -145,7 +150,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     order = _check_order(args.order)
     builders = {"mzv": phi_mzv, "delta": phi_delta}
     if args.side == "both":
-        built = {"mzv": phi_mzv(order), "delta": phi_delta(order)}
+        built = {side: build(order) for side, build in builders.items()}
     else:
         built = {"series": builders[args.side](order)}
     # every series is built; each coefficient is rendered as it is written
@@ -212,15 +217,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "command": "verify",
         "order": order,
-        "digits": args.digits,
+        "digits": prec.digits,
         "count": len(rows),
         "failures": len(failed),
         "relations": rows,
     }
-    if args.report:
+    if args.report is not None:
         _emit_json(payload, args.report)
     summary = "verified %d relations at %d digits: %s\n" % (
-        len(rows), args.digits, "%d FAILED" % len(failed) if failed else "all pass")
+        len(rows), prec.digits, "%d FAILED" % len(failed) if failed else "all pass")
     _emit(chain([summary], failed))
     return 1 if failed else 0
 
@@ -235,13 +240,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = (eval_zeta if kind == "zeta" else eval_delta)(composition, prec)
     except (NotAdmissibleError, ValueError) as exc:
         raise UsageError(str(exc))
-    text = mp.nstr(value, args.digits)
+    text = mp.nstr(value, prec.digits)
     if args.format == "json":
         payload = {
             "command": "eval",
             "kind": kind,
             "composition": list(composition),
-            "digits": args.digits,
+            "digits": prec.digits,
             "value": text,
         }
         _emit_json(payload, args.output)
@@ -299,9 +304,7 @@ def _selftest_checks():
         prec = Precision(30)
         rels = known_values()
         load_values(rels, prec)
-        # the integer verdict, and the mpf residual against its threshold
-        results = [verify_relation(r, prec) for r in rels]
-        return all(res.ok and res.residual < res.threshold for res in results)
+        return all(verify_relation(r, prec).ok for r in rels)
 
     def numeric_duality():
         row = SymExpr.gen(zeta((3, 1))) - SymExpr.gen(zeta((4,)), coeff=Fraction(1, 4))
@@ -343,13 +346,13 @@ def _parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("expand", help="build series expansions")
     ex.add_argument("--side", choices=("mzv", "delta", "both"), default="both")
-    ex.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    ex.add_argument("--order", default=DEFAULT_ORDER)
     ex.add_argument("--format", choices=("json", "text"), default="json")
     ex.add_argument("--output")
     ex.set_defaults(handler=_cmd_expand)
 
     rl = sub.add_parser("relations", help="extract and reduce relations")
-    rl.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    rl.add_argument("--order", default=DEFAULT_ORDER)
     rl.add_argument(
         "--aux",
         default="none",
@@ -361,8 +364,8 @@ def _parser() -> argparse.ArgumentParser:
     rl.set_defaults(handler=_cmd_relations)
 
     vf = sub.add_parser("verify", help="numeric certification")
-    vf.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    vf.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    vf.add_argument("--order", default=DEFAULT_ORDER)
+    vf.add_argument("--digits", default=DEFAULT_DIGITS)
     vf.add_argument("--report")
     vf.set_defaults(handler=_cmd_verify)
 
@@ -370,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
     group = ev.add_mutually_exclusive_group(required=True)
     group.add_argument("--zeta")
     group.add_argument("--delta")
-    ev.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    ev.add_argument("--digits", default=DEFAULT_DIGITS)
     ev.add_argument("--format", choices=("json", "text"), default="json")
     ev.add_argument("--output")
     ev.set_defaults(handler=_cmd_eval)
@@ -397,10 +400,8 @@ def _parse_aux(raw: str) -> tuple[str, ...]:
 
 
 def _parse_composition(raw: str) -> tuple[int, ...]:
-    parts = [s.strip() for s in raw.split(",")]
-    if not all(s.isascii() and s.isdigit() for s in parts):  # int() takes "1_2", "+2", "٢"
-        raise UsageError("composition must be comma separated integers, got %r" % raw)
-    comp = tuple(map(int, parts))
+    comp = tuple(_natural(s, "composition must be comma separated integers, got %r")
+                 for s in raw.split(","))
     if len(comp) > MAX_EVAL_DEPTH:
         raise UsageError("composition must have at most %d parts, got %d" % (MAX_EVAL_DEPTH, len(comp)))
     if sum(comp) > MAX_EVAL_WEIGHT:
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     try:
         # check paths before any work; append mode leaves an existing file intact
         for path in (getattr(args, "output", None), getattr(args, "report", None)):
-            if path:
+            if path is not None:
                 existed = os.path.lexists(path)
                 _emit((), path, "a")
                 if not existed:

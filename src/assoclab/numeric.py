@@ -27,12 +27,11 @@ exponent, and a zeta value is its midpoint split summed in integers
 (``_value``, which bounds the split's loss in the same units).  Every value
 is a lower bound of the true one.  mpmath is used only at the edges, and
 imported only there: ``eval_delta`` and ``eval_zeta`` return mpfs, and a
-``VerifyResult`` builds its mpf ``residual`` and ``threshold``, each
-rounded once, on first access.  So ``expand``,
-``relations`` and ``verify`` never load it.  Results carry no error object;
-instead the working precision exceeds the requested digits by a guard
-margin plus a term-count allowance, and the summation cutoffs are chosen
-against an explicit tail bound.
+``VerifyResult`` builds its mpf ``residual``, rounded once, on first
+access.  So ``expand``, ``relations`` and ``verify`` never load it.
+Results carry no error object; instead the working precision exceeds the
+requested digits by a guard margin plus a term-count allowance, and the
+summation cutoffs are chosen against an explicit tail bound.
 
 There is one value cache, the dict ``_VALUES``, keyed by the ``Generator``
 and the (frozen) Precision.  ``_value`` reads it, and every pass writes the
@@ -250,13 +249,10 @@ def _reads(g: Generator) -> list[tuple[int, ...]]:
 
 
 def load_values(rels, prec: Precision = Precision()) -> None:
-    """Sum every delta value that the generators of ``rels`` read in one pass.
-
-    Takes what ``verify_relation`` takes (relations or bare SymExprs), so a
-    run that certifies a batch of rows sums their delta values together and
-    each row then reads them from the cache.
-    """
-    gens = {g for r in rels for m in getattr(r, "expr", r).nums for g, _ in m.factors}
+    """Sum every delta value that the generators of the relations ``rels``
+    read in one pass, so a run that certifies a batch of rows sums their
+    delta values together and each row then reads them from the cache."""
+    gens = {g for r in rels for m in r.expr.nums for g, _ in m.factors}
     _load([c for g in gens for c in _reads(g)], prec)
 
 
@@ -296,11 +292,10 @@ def _value(g: Generator, prec: Precision) -> Dyadic:
     v = _VALUES.get((g, prec))
     if v is not None:
         return v
-    if g.kind == "log2":
-        return _value(delta((1,)), prec)
-    _load(_reads(g), prec)
-    if g.kind == "delta":
-        return _VALUES[g, prec]
+    reads = _reads(g)
+    _load(reads, prec)
+    if g.kind != "zeta":  # a delta value, or c = d[1]: the one value it reads
+        return _VALUES[delta(reads[0]), prec]
     halves = [[_VALUES[delta(c), prec] if c else (1, 0) for c in pair] for pair in _split(g.parts)]
     Z = max(e for pair in halves for _, e in pair) + GUARD_BITS
     total = sum(_at_scale((nu * nv, eu + ev), Z) for (nu, eu), (nv, ev) in halves)
@@ -357,10 +352,9 @@ def _to_mpf(total: int, den: int, prec: Precision) -> mpf:
 class VerifyResult:
     """A row's certificate: the exact integer sum ``total`` = Σ n·V(m), which
     is the row's value times ``scale`` = den·2^B, and the verdict ``ok`` on
-    it.  The mpfs ``residual`` = |total| / scale and ``threshold`` =
-    10^-(digits-5), built on first access, are each that exact rational
-    rounded once to B bits, so ``residual < threshold`` implies ``ok``, and
-    ``ok`` implies ``residual <= threshold``."""
+    it, |total| / scale < 10^-(digits-5).  The mpf ``residual`` =
+    |total| / scale, built on first access, is that exact rational rounded
+    once to B bits."""
 
     def __init__(self, total: int, den: int, prec: Precision):
         self.total, self.den, self.prec = total, den, prec
@@ -370,10 +364,6 @@ class VerifyResult:
     @cached_property
     def residual(self) -> mpf:
         return _to_mpf(abs(self.total), self.den, self.prec)
-
-    @cached_property
-    def threshold(self) -> mpf:
-        return _to_mpf(1 << _scale_bits(self.prec), 10 ** (self.prec.digits - 5), self.prec)
 
 
 def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:

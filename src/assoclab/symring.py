@@ -38,13 +38,14 @@ when built; a monomial its weight, and its sort key on first use.
 Monomial products are read from one table keyed by the left factor,
 m1 -> {m2: m1 * m2}, which ``monomial_product`` and the product loop share;
 a missing entry is built through ``SymMonomial`` and stored.  Every sum of
-expressions, of products or of rational multiples, runs through the one
+expressions, of products or of integer multiples, runs through the one
 loop ``sum_of_products``, which adds integer numerators over a common
-denominator and keeps no term order.  Printing is one path too,
-``render_each``: a batch of expressions sorts its distinct monomials once by
-``sort_key`` and each expression's terms by their index in that list, then
-yields one expression's texts at a time, naming each distinct monomial once
-per style; ``SymExpr.render`` and ``latex`` are its batch of one.
+denominator and keeps no term order; a rational multiple is ``scale``.
+Printing is one path too, ``render_each``: a batch of expressions sorts its
+distinct monomials once by ``sort_key`` and each expression's terms by their
+index in that list, then yields one expression's texts at a time, naming
+each distinct monomial once per style; ``SymExpr.render`` and ``latex`` are
+its batch of one.
 """
 
 from __future__ import annotations
@@ -233,9 +234,6 @@ class SymMonomial:
         object.__setattr__(self, "_key", key)
         return key
 
-    def is_unit(self) -> bool:
-        return not self.factors
-
     def render(self) -> str:
         bits = []
         for g, e in self.factors:
@@ -419,7 +417,7 @@ def render_each(exprs, styles=("text",)):
     tables = []
     for style in styles:
         frac, mono, times = _STYLES[style]
-        names = {m: None if m.is_unit() else mono(m) for m in ranked}
+        names = {m: mono(m) if m.factors else None for m in ranked}
         tables.append((frac, times, names))
     for e in exprs:
         den, nums = e.den, e.nums
@@ -447,14 +445,15 @@ def render_each(exprs, styles=("text",)):
 
 
 def sum_of_products(pairs) -> SymExpr:
-    """Sum of a * b over pairs (SymExpr a, SymExpr or rational b).
+    """Sum of a * b over pairs (SymExpr a, SymExpr or int b).
 
-    The one summation loop of the package: a sum is pairs (e, 1), a
-    rational combination pairs (e, q), and a series product collects every
+    The one summation loop of the package: a sum is pairs (e, 1), an
+    integer combination pairs (e, k), and a series product collects every
     pair that meets at a word, with no intermediate expression per pair.
     Each pair's integer products are scaled to den, the lcm of the pair
-    denominators, and summed as ints (a scalar scales numerators, with no
-    monomial product); the result is reduced to lowest terms once.
+    denominators, and summed as ints (an int scales numerators, with no
+    monomial product); the result is reduced to lowest terms once.  A
+    rational multiple is ``SymExpr.scale``; any other b raises TypeError.
     """
     conv = []
     for a, b in pairs:
@@ -463,8 +462,7 @@ def sum_of_products(pairs) -> SymExpr:
         elif type(b) is int:  # word counts and shuffle multiplicities
             conv.append((a.den, a.nums, b))
         else:
-            b = Fraction(b)
-            conv.append((a.den * b.denominator, a.nums, b.numerator))
+            raise TypeError("a scalar must be an int, got %r" % (b,))
     den = lcm(*(d for d, _, _ in conv))
     out: dict[SymMonomial, int] = {}
     get = out.get

@@ -972,7 +972,7 @@ def render_by_sort_key(e) -> tuple[str, str]:
             n, d = abs(n) // g, e.den // g
             number = str(n) if d == 1 else coeff % (n, d)
             name = m.latex() if latex else m.render()
-            if m.is_unit():
+            if not m.factors:
                 body = number
             elif n == 1 and d == 1:
                 body = name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -190,9 +191,42 @@ def test_order_cap_default(capsys, monkeypatch):
     assert json.loads(out)["order"] == 7
 
 
-def test_order_cap_env_not_integer(monkeypatch):
-    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", "soon")
-    assert main(["relations", "--order", "3"]) == 2
+def test_order_cap_env_not_integer(capsys, monkeypatch):
+    def no_evaluation(order):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(cli, "comparison_relations", no_evaluation)
+    # int() reads all but "soon": a non-ASCII digit, a sign, a digit group
+    for raw in ("soon", "\u0667", "+7", "1_0", "-1"):
+        monkeypatch.setenv("ASSOCLAB_MAX_ORDER", raw)
+        assert main(["relations", "--order", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ASSOCLAB_MAX_ORDER must be a count in ASCII digits, got %r\n" % raw)
+
+
+def test_blanks_around_integers_are_read(capsys, monkeypatch):
+    monkeypatch.setenv("ASSOCLAB_MAX_ORDER", " 6 ")
+    code, out = run_capture(capsys, ["relations", "--order", " 3"])
+    assert code == 0 and json.loads(out)["order"] == 3
+    code, out = run_capture(capsys, ["eval", "--zeta", "3, 2", "--digits", "20 "])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["composition"] == [3, 2] and payload["digits"] == 20
+
+
+def test_no_argument_has_a_type_of_its_own():
+    # every integer from outside goes through cli._natural; argparse's
+    # type=int would also read "1_0", "+3" and non-ASCII digits
+    parsers, actions = [cli._parser()], []
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    dests = {a.dest for a in actions}
+    assert {"order", "digits", "zeta", "delta", "output", "report"} <= dests
+    assert [a.dest for a in actions if a.type is not None] == []
 
 
 def test_verify_passes_and_reports(tmp_path, capsys):
@@ -265,6 +299,11 @@ def test_eval_at_input_bounds(capsys, argv):
     (["relations", "--aux", "none,shuffle", "--reduce"], "all and none must stand alone"),
     (["relations", "--aux", ",", "--reduce"], "aux set names must not be empty"),
     (["relations", "--aux", "shuffle,,duality"], "aux set names must not be empty"),
+    # what int() reads but is not a count in ASCII digits
+    *[(argv + [raw], "%s must be a count in ASCII digits" % argv[-1][2:])
+      for raw in ("\u0663", "+3", "1_0", "-1")
+      for argv in (["relations", "--order"], ["verify", "--order"],
+                   ["verify", "--order", "2", "--digits"], ["eval", "--delta", "1", "--digits"])],
 ])
 def test_input_past_bounds_is_usage_error(capsys, monkeypatch, argv, message):
     def no_evaluation(*args, **kwargs):
@@ -392,9 +431,11 @@ def test_verify_reports_are_byte_identical(tmp_path):
     ["verify", "--order", "2", "--digits", "20", "--report"],
 ], ids=["expand-output", "verify-report"])
 def test_unwritable_path_is_usage_error(tmp_path, capsys, argv):
-    target = tmp_path / "missing" / "out.json"
-    assert main(argv + [str(target)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot write %s" % target)
+    # the empty path is a path too, not stdout and not "no report"
+    for target in (str(tmp_path / "missing" / "out.json"), ""):
+        assert main(argv + [target]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write %s: " % target)
 
 
 def test_verify_checks_report_path_before_any_work(tmp_path, capsys, monkeypatch):
@@ -435,11 +476,16 @@ def test_usage_error_leaves_existing_output_intact(tmp_path, capsys):
     (["expand", "--order", "99"], "--output"),
     (["verify", "--digits", "5"], "--report"),
 ], ids=["relations", "expand", "verify"])
-def test_usage_error_leaves_no_new_file(tmp_path, capsys, argv, flag):
+def test_usage_error_leaves_no_new_file(tmp_path, capsys, monkeypatch, argv, flag):
     target = tmp_path / "new.json"
     assert main(argv + [flag, str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not target.exists()
+    # the empty path is checked, and refused, before the usage error in argv
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [flag, ""]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_interrupted_run_leaves_no_new_file(tmp_path, monkeypatch):

@@ -301,12 +301,18 @@ def test_eval_symexpr_zero_and_composite():
     assert close_enough(eval_symexpr(euler, prec), 0, 38)
 
 
+def exact(x) -> Fraction:
+    """The exact value of a nonnegative mpf."""
+    man, exp = x.man_exp
+    return man * Fraction(2) ** exp
+
+
 def test_verify_relation_thresholds():
     prec = Precision(digits=40)
     rel = comparison_relations(2)[0]
     res = verify_relation(rel, prec)
     assert isinstance(res, VerifyResult)
-    assert res.ok and abs(res.residual) < res.threshold
+    assert res.ok and exact(abs(res.residual)) < Fraction(1, 10**35)
 
     non = SymExpr.gen(zeta((2,))) - SymExpr.gen(delta((2,)))
     bad = verify_relation(non, prec)
@@ -347,17 +353,18 @@ def _abs_row(e: SymExpr) -> SymExpr:
 )
 def test_fixed_point_rows_match_the_mpf_oracle(order, digits):
     # every row verify certifies: the same verdict as the former mpf path,
-    # the same verdict from its own mpf fields, and a value within
+    # the same verdict from its own mpf residual, and a value within
     # 10^-(digits+guard) * (1 + sum |n| / den) of its sum
     prec = Precision(digits)
+    threshold = Fraction(1, 10 ** (digits - 5))
     rows = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     for r in rows:
         e = r.expr
         res = verify_relation(r, prec)
         want = eval_symexpr_mpf(e, prec)
         got = eval_symexpr(e, prec)
-        assert res.ok == bool(abs(want) < res.threshold), r.provenance.label()
-        assert res.ok == (res.residual < res.threshold), r.provenance.label()
+        assert res.ok == (exact(abs(want)) < threshold), r.provenance.label()
+        assert res.ok == (exact(res.residual) < threshold), r.provenance.label()
         with mp.workdps(digits + 40):
             assert res.residual == abs(got)
             weight = 1 + mp.mpf(sum(abs(n) for n in e.nums.values())) / e.den
@@ -404,15 +411,19 @@ def test_unit_monomial_is_the_exact_scale():
 @pytest.mark.parametrize("digits", [10, 20, 40, 300, 2000])
 def test_verdict_threshold_is_exact(digits):
     # |residual| < 10^-(digits-5) passes: the threshold itself fails, one
-    # part in 10^(digits-5) below it passes, for either sign; the mpf
-    # residual and threshold, each rounded once, say the same
+    # part in 10^(digits-5) below it passes, for either sign; the integer
+    # sum is the row's exact value, and the mpf residual that value rounded
+    # once to B bits
     prec = Precision(digits)
     at = 10 ** (digits - 5)
+    threshold = Fraction(1, at)
     for sign in (1, -1):
-        res = verify_relation(SymExpr.rational(Fraction(sign, at)), prec)
-        assert not res.ok and not res.residual < res.threshold
-        res = verify_relation(SymExpr.rational(Fraction(sign, at + 1)), prec)
-        assert res.ok and res.residual < res.threshold
+        for den, ok in ((at, False), (at + 1, True)):
+            res = verify_relation(SymExpr.rational(Fraction(sign, den)), prec)
+            value = Fraction(abs(res.total), res.scale)
+            assert value == Fraction(1, den) and res.ok == ok == (value < threshold)
+            with mp.workprec(_scale_bits(prec)):
+                assert res.residual == mp.mpf(1) / den
 
 
 # -- integer values: relative precision and the midpoint split's bound --------

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit, nc_word_sums
@@ -103,7 +104,7 @@ def test_integer_product_loop_matches_the_fraction_loop(pairs, q):
             assert x == y and hash(x) == hash(y)
 
 
-scalars = st.one_of(mixed_rationals, st.integers(-4, 4), st.just(0))
+scalars = st.integers(-4, 4)
 
 
 @given(mixed_exprs, mixed_exprs)
@@ -123,7 +124,7 @@ def test_scalar_pairs_match_the_fraction_sums(pairs, a, b):
         pairs + [(e, -q) for e, q in pairs],  # everything cancels out
         # the first pair cancels out, then comes back
         pairs + [(e, -q) for e, q in first] + first,
-        pairs + [(a, b), (a, Fraction(-1, 6))],  # products and scalars mixed
+        pairs + [(a, b), (a, -6)],  # products and scalars mixed
     ]
     for case in cases:
         got = sum_of_products(case)
@@ -131,6 +132,9 @@ def test_scalar_pairs_match_the_fraction_sums(pairs, a, b):
         assert got == sum_of_terms_fraction(case)
         assert all(type(q) is Fraction for _, q in fraction_terms(got))
     assert not sum_of_products(cases[2])
+    # a rational multiple is a.scale(q); the loop takes int scalars only
+    with pytest.raises(TypeError):
+        sum_of_products(pairs + [(a, Fraction(-1, 6))])
 
 
 word_counts = st.dictionaries(

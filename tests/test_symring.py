@@ -173,7 +173,7 @@ def test_monomial_canonical_merge():
     m2 = monomial((LOG2, 2), (g, 2))
     assert m1 == m2
     assert m1.weight == 6
-    assert monomial().is_unit()
+    assert monomial().factors == ()
 
 
 def test_monomial_rejects_nonpositive_exponent():
