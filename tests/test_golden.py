@@ -63,6 +63,13 @@ OUTPUT_GOLDENS = [
      "a5d54936ce0b75215561c025973fad4f7328df9f8651f4d88f6deba1671cd368"),
     (["relations", "--order", "5", "--aux", "all", "--reduce", "--format", "latex"],
      "4e0836ccee10d790330548613b419753e25a485b3c4e87c52711db3240d44a66"),
+    (["relations", "--order", "8", "--aux", "all", "--reduce", "--format", "text"],
+     "8063bfc528843d7ef031e0c070dc404c87e763b7ab1c9d7e604aaee35eb2cf6b"),
+    (["relations", "--order", "8", "--aux", "all", "--reduce", "--format", "latex"],
+     "fac1cb47fa6acd67aa4b3efdf7c142a9dfb9fabe6ddeb243e180a3bc7d369c80"),
+    # long unreduced rows, many of them over denominators above 1
+    (["relations", "--order", "7", "--aux", "none", "--format", "latex"],
+     "e7ff8bcbc7a4eea357782cd0c9039441022c28d4dde378585cd1f0cc5fbb9b10"),
     (["relations", "--order", "5", "--aux", "none"],
      "f2fbe3c99133cd90312557c54a0207fc586b4665dbe11a5dd89ca5eb33259f4d"),
     (["expand", "--side", "both", "--order", "5"],
@@ -75,6 +82,8 @@ OUTPUT_GOLDENS = [
      "32cf75b3b9f5552772644d7faaa6a34da0cf4b531126c293b69753871bbc4b9e"),
     (["expand", "--side", "delta", "--order", "8"],
      "760ad05aa702dbba29d56bc07042111ff85ab3fb851b0f790056f5b8edd0b9b6"),
+    (["expand", "--side", "both", "--order", "8", "--format", "text"],
+     "a334556365bf156d8c18c69f46f0e2cd6695ca1bec094cce91c5de04ef45f6e5"),
     # the highest practical order: word sums over the most terms
     (["expand", "--side", "both", "--order", "10"],
      "b134ebd43a05fe40103a289476fd11d3d5f33807b478538875f9c051c9fb6f5a"),
