@@ -32,7 +32,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json import dumps
 from json.encoder import encode_basestring_ascii
 
@@ -112,25 +112,29 @@ def _json_chunks(value, pad: str = "\n"):
     """The text of ``json.dumps(value, indent=2, ensure_ascii=True)`` in
     pieces, where ``pad`` is the newline and indent of the enclosing level.
     Dict keys are strings; a list, a tuple or any other iterable prints as
-    a list, read once, item by item as the text reaches it."""
+    a list, read once, item by item as the text reaches it.  A string or
+    an exact int (not a bool) goes out in one piece with the text before it."""
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
-    elif isinstance(value, dict):
-        inner, sep = pad + "  ", "{"
-        for key, item in value.items():
-            yield sep + inner + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(item, inner)
-            sep = ","
-        yield "{}" if sep == "{" else pad + "}"
     elif value is None or isinstance(value, (int, float)):
         yield dumps(value)
     else:
-        inner, sep = pad + "  ", "["
-        for item in value:
-            yield sep + inner
-            yield from _json_chunks(item, inner)
-            sep = ","
-        yield "[]" if sep == "[" else pad + "]"
+        inner = pad + "  "
+        if isinstance(value, dict):
+            sep, close, items = "{", "}", value.values()
+            heads = (inner + encode_basestring_ascii(key) + ": " for key in value)
+        else:
+            sep, close, items, heads = "[", "]", value, repeat(inner)
+        for head, item in zip(heads, items):
+            head, sep = sep + head, ","
+            if isinstance(item, str):
+                yield head + encode_basestring_ascii(item)
+            elif type(item) is int:
+                yield head + repr(item)
+            else:
+                yield head
+                yield from _json_chunks(item, inner)
+        yield sep + close if sep != "," else pad + close
 
 
 def _emit_json(payload, path: str | None) -> None:
@@ -204,28 +208,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     prec = _precision(args.digits)
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     load_values(rels, prec)  # every delta value the rows read, in one pass
-    rows = []
-    failed = []
-    for r, row in zip(rels, relations_json(rels)):
-        res = verify_relation(r, prec)
-        del row["weight"]
-        row["residual"] = residual_text(abs(res.total), res.scale)
-        row["verdict"] = "pass" if res.ok else "fail"
-        rows.append(row)
-        if not res.ok:
-            failed.append("fail %s residual=%s\n" % (r.provenance.label(), row["residual"]))
-    payload = {
-        "command": "verify",
-        "order": order,
-        "digits": prec.digits,
-        "count": len(rows),
-        "failures": len(failed),
-        "relations": rows,
-    }
-    if args.report is not None:
+    results = [verify_relation(r, prec) for r in rels]
+    failed = ["fail %s residual=%s\n" % (r.provenance.label(),
+                                          residual_text(abs(res.total), res.scale))
+              for r, res in zip(rels, results) if not res.ok]
+    if args.report is not None:  # only a report renders the rows
+        rows = list(relations_json(rels))
+        for row, res in zip(rows, results):
+            del row["weight"]
+            row["residual"] = residual_text(abs(res.total), res.scale)
+            row["verdict"] = "pass" if res.ok else "fail"
+        payload = {
+            "command": "verify",
+            "order": order,
+            "digits": prec.digits,
+            "count": len(rows),
+            "failures": len(failed),
+            "relations": rows,
+        }
         _emit_json(payload, args.report)
     summary = "verified %d relations at %d digits: %s\n" % (
-        len(rows), prec.digits, "%d FAILED" % len(failed) if failed else "all pass")
+        len(rels), prec.digits, "%d FAILED" % len(failed) if failed else "all pass")
     _emit(chain([summary], failed))
     return 1 if failed else 0
 

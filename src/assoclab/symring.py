@@ -44,8 +44,8 @@ denominator and keeps no term order; a rational multiple is ``scale``.
 Printing is one path too, ``render_each``: a batch of expressions sorts its
 distinct monomials once by ``sort_key`` and each expression's terms by their
 index in that list, then yields one expression's texts at a time, naming
-each distinct monomial once per style; ``SymExpr.render`` and ``latex`` are
-its batch of one.
+each distinct monomial and formatting each (numerator, denominator) once
+per style; ``SymExpr.render`` and ``latex`` are its batch of one.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional
 
 
@@ -403,6 +404,26 @@ _STYLES = {
 }
 
 
+class _Heads(dict):
+    """One style's heads over one denominator: numerator -> the text a term
+    puts before its monomial's name ("+ ", "- 3/8*"), built on first use."""
+
+    def __init__(self, den: int, frac: str, times: str):
+        self.den, self.frac, self.times = den, frac, times
+
+    def number(self, n: int) -> str:
+        """n/den in lowest terms after its sign: "+ 3", "- 3/8"."""
+        g = gcd(n, self.den)
+        a, d = abs(n) // g, self.den // g
+        return ("- " if n < 0 else "+ ") + (str(a) if d == 1 else self.frac % (a, d))
+
+    def __missing__(self, n: int) -> str:
+        number = self.number(n)
+        # a coefficient of 1 prints the bare name
+        head = self[n] = number[:2] if number[2:] == "1" else number + self.times
+        return head
+
+
 def render_each(exprs, styles=("text",)):
     """Each expression printed in each style, terms by descending monomial,
     yielded one expression's tuple of texts at a time.
@@ -410,34 +431,29 @@ def render_each(exprs, styles=("text",)):
     The batch's distinct monomials are sorted once, before the first yield,
     each expression's terms by their index in that list, so an expression
     prints the same alone as in any batch; each monomial's text is read
-    once per style.  ``exprs`` is read twice, so it must be a collection.
+    once per style.  A term is its head (``_Heads``) then its monomial's
+    name, joined by ``map`` with no Python statement per term; the unit
+    monomial, the least and so the last term, then becomes its bare
+    number.  ``exprs`` is read twice, so it must be a collection.
     """
     ranked = sorted({m for e in exprs for m in e.nums}, key=SymMonomial.sort_key, reverse=True)
     rank = {m: i for i, m in enumerate(ranked)}.__getitem__
-    tables = []
-    for style in styles:
-        frac, mono, times = _STYLES[style]
-        names = {m: mono(m) if m.factors else None for m in ranked}
-        tables.append((frac, times, names))
+    # per style: its fraction format, separator, monomial names and den -> _Heads
+    tables = [(frac, times, {m: mono(m) for m in ranked}.__getitem__, {})
+              for frac, mono, times in map(_STYLES.__getitem__, styles)]
     for e in exprs:
         den, nums = e.den, e.nums
-        terms = []
-        for m in sorted(nums, key=rank):
-            n = nums[m]
-            g = 1 if den == 1 else gcd(n, den)
-            terms.append((m, "- " if n < 0 else "+ ", abs(n) // g, den // g))
+        order = sorted(nums, key=rank)
+        unit = nums.get(UNIT_MONOMIAL)
         texts = []
-        for frac, times, names in tables:
-            parts = []
-            for m, sign, n, d in terms:
-                name = names[m]
-                number = str(n) if d == 1 else frac % (n, d)
-                if name is None:
-                    parts.append(sign + number)
-                elif number == "1":
-                    parts.append(sign + name)
-                else:
-                    parts.append(sign + number + times + name)
+        for frac, times, names, by_den in tables:
+            heads = by_den.get(den)
+            if heads is None:
+                heads = by_den[den] = _Heads(den, frac, times)
+            parts = list(map(add, map(heads.__getitem__, map(nums.__getitem__, order)),
+                             map(names, order)))
+            if unit:
+                parts[-1] = heads.number(unit)
             # the first term's sign is bare: "-x" or "x", not "- x" or "+ x"
             text = " ".join(parts) or "+ 0"
             texts.append(text[2:] if text[0] == "+" else "-" + text[2:])

@@ -19,7 +19,9 @@ side as the product psi * inverse(swap psi) (``check_product_form``),
 with no quotient solver, and ``check_omega2`` checks the degree-2
 antisymmetrisation psi - swap(psi) against its printed closed form.
 The midpoint rows (the Hoelder convolution) read no series at all, nor
-does ``linearise``, which maps an expression to word coordinates (the
+does ``holder_zeta``, the same convolution at 1/3: plain nested sums at
+1/3 and 2/3 that share no value with the package's midpoint split, nor
+``linearise``, which maps an expression to word coordinates (the
 shuffle algebra of words that end in B).  The series helpers at the end
 (sums, scalings, graded parts, the grading check, ad-powers) are not
 oracles: the pipeline never runs them, so they live with the tests that
@@ -32,7 +34,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, log
 
 from mpmath import mp
 
@@ -202,6 +204,78 @@ def closed_zeta_table(digits: int = 50):
             (2, 1, 1, 1): z5,
         }
         return {k: +v for k, v in table.items()}
+
+
+def holder_zeta(comp, digits: int, x: Fraction):
+    """z[comp] by the Hoelder convolution at 0 < x < 1 (Borwein, Bradley,
+    Broadhurst and Lisonek, Trans. AMS 353, 2001), to ``digits`` digits.
+
+    The zeta word w (outermost letter first, A = dt/t, B = dt/(1-t)) is an
+    iterated integral over 1 > t1 > ... > tn > 0.  Cut the simplex at x:
+    the letters in (x, 1) are a prefix u, read from 0 to 1 - x by t -> 1 - t
+    as the reversed, swapped word dual(u), and the rest are the suffix v on
+    (0, x), so z[w] = sum over w = u v of Li_dual(u)(1 - x) * Li_v(x).  Each
+    Li_s(y) = sum over n1 > ... > nk >= 1 of y^n1 / (n1^s1 ... nk^sk) is a
+    plain nested sum at y = x or 1 - x, its n1 cut at the first M where
+    max(x, 1 - x)^M * M^L (L the weight) is below 10^-(digits + 10).  At
+    x = 1/3 no factor is a value at one half, so nothing here is shared
+    with the package's midpoint split.
+    """
+    word = "".join("A" * (s - 1) + "B" for s in comp)
+    dual = lambda u: u[::-1].translate(str.maketrans("AB", "BA"))
+    parts = lambda u: tuple(len(run) + 1 for run in u[:-1].split("B")) if u else ()
+    L = len(word)
+    M, log_top = 2, log(max(x, 1 - x))
+    while M * log_top + L * log(M) >= -(digits + 10) * log(10):
+        M += 1
+    dps = digits + 15
+    with mp.workdps(dps):
+        return sum(_holder_li(parts(dual(word[:i])), 1 - x, M, dps)
+                   * _holder_li(parts(word[i:]), x, M, dps) for i in range(L + 1))
+
+
+@lru_cache(maxsize=None)
+def _holder_reciprocals(s: int, M: int, dps: int) -> list:
+    """[0, 1/1^s, ..., 1/M^s] at dps digits."""
+    with mp.workdps(dps):
+        return [mp.zero] + [mp.one / mp.mpf(n) ** s for n in range(1, M + 1)]
+
+
+@lru_cache(maxsize=None)
+def _holder_inner(comp: tuple, M: int, dps: int) -> list:
+    """[S(0), ..., S(M)], S(n) the sum over n > n1 > ... > nk >= 1 of
+    1/(n1^s1 ... nk^sk); S = 1 for the empty composition."""
+    if not comp:
+        return [mp.one] * (M + 1)
+    tail = _holder_inner(comp[1:], M, dps)
+    weights = _holder_reciprocals(comp[0], M, dps)
+    out, acc = [mp.zero], mp.zero
+    with mp.workdps(dps):
+        for n in range(1, M + 1):
+            out.append(acc)  # n1 < n, strictly
+            acc += tail[n] * weights[n]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _holder_outer(s: int, y: Fraction, M: int, dps: int) -> list:
+    """[0, y/1^s, y^2/2^s, ..., y^M/M^s] at dps digits."""
+    with mp.workdps(dps):
+        step, power, out = mp.mpf(y.numerator) / y.denominator, mp.one, [mp.zero]
+        for w in _holder_reciprocals(s, M, dps)[1:]:
+            power *= step
+            out.append(power * w)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _holder_li(comp: tuple, y: Fraction, M: int, dps: int):
+    """Li_comp(y), its outermost index cut at M: the sum over n <= M of
+    y^n / n^s1 * S(n), S the inner sum of the rest of comp; 1 for ()."""
+    if not comp:
+        return mp.one
+    with mp.workdps(dps):
+        return mp.fdot(_holder_outer(comp[0], y, M, dps), _holder_inner(comp[1:], M, dps))
 
 
 # -- mpf row evaluation --------------------------------------------------------

@@ -90,6 +90,16 @@ def test_json_writer_prints_what_json_dumps_prints(value):
     assert out.getvalue() == json.dumps(value, indent=2, ensure_ascii=True) + "\n"
 
 
+def test_json_writer_prints_scalar_leaves_as_json_dumps_does():
+    # a bool is an int to isinstance: an int leaf printed by its repr would
+    # write True and False where JSON has true and false
+    value = [True, 1, False, 0, None, "1", {"a": True, "b": 2}]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_json(value, None)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
 class RecordedStdout:
     def __init__(self):
         self.writes = []
@@ -527,3 +537,29 @@ def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     failed = [r for r in payload["relations"] if r["verdict"] == "fail"]
     assert len(failed) == 1 and failed[0]["residual"] == "0.25"
     assert failed[0]["provenance"] == target.provenance.to_json()
+
+
+def test_verify_without_report_renders_nothing(tmp_path, capsys, monkeypatch):
+    from assoclab import relations
+
+    target = relations.comparison_relations(4)[-1]
+    real = numeric._row_total
+
+    def planted(e, prec):
+        if e == target.expr:  # one failing row, so a fail line is printed too
+            return (e.den << numeric._scale_bits(prec)) // 4
+        return real(e, prec)
+
+    monkeypatch.setattr(numeric, "_row_total", planted)
+    argv = ["verify", "--order", "4"]
+    code, printed = run_capture(capsys, argv + ["--report", str(tmp_path / "report.json")])
+
+    def no_render(*args):
+        raise AssertionError("verify rendered a relation it does not print")
+
+    monkeypatch.setattr(relations, "render_each", no_render)
+    assert run_capture(capsys, argv) == (code, printed)
+    assert code == 1
+    assert printed == "verified %d relations at 40 digits: 1 FAILED\nfail %s residual=0.25\n" % (
+        len(relations.comparison_relations(4) + relations.aux_relations(relations.AUX_NAMES, 4)),
+        target.provenance.label())

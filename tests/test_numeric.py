@@ -48,6 +48,7 @@ from oracle_utils import (
     delta_mpf_table,
     eval_symexpr,
     eval_symexpr_mpf,
+    holder_zeta,
     naive_zeta,
     zeta_split_mpf,
 )
@@ -233,6 +234,19 @@ def test_eval_zeta_within_certified_bound_of_naive_summation():
             got = eval_zeta(comp, prec)
             with mp.workdps(40):
                 assert abs(got - mp.mpf(want)) < bound, comp
+
+
+def test_eval_zeta_matches_the_hoelder_convolution_at_a_third():
+    # the convolution at x = 1/3 (and 2/3) reads no value at one half, so
+    # unlike every other multiple zeta check past weight 5 it owes nothing
+    # to the midpoint split
+    prec = Precision(digits=60)
+    comps = [c for w in range(2, 8) for c in compositions_of_weight(w) if c[0] >= 2]
+    assert len(comps) == 63
+    for comp in comps:
+        got = eval_zeta(comp, prec)
+        for x in (Fraction(1, 3), Fraction(2, 3)):
+            assert close_enough(got, holder_zeta(comp, 60, x), 60), (comp, x)
 
 
 def test_eval_delta_single_one_is_log_two():

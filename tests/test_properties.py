@@ -19,7 +19,17 @@ from assoclab.relations import (
     comparison_relations,
     shuffle,
 )
-from assoclab.symring import LOG2, SymExpr, SymMonomial, delta, monomial_product, sum_of_products, zeta
+from assoclab.symring import (
+    LOG2,
+    UNIT_MONOMIAL,
+    SymExpr,
+    SymMonomial,
+    delta,
+    monomial_product,
+    render_each,
+    sum_of_products,
+    zeta,
+)
 
 from oracle_utils import (
     StepNormalisedSpan,
@@ -29,6 +39,7 @@ from oracle_utils import (
     nc_inverse_geometric,
     nc_mul_all_pairs,
     nc_word_sums_fraction,
+    render_by_sort_key,
     sum_of_products_fraction,
     sum_of_terms_fraction,
 )
@@ -184,6 +195,30 @@ def test_expr_ring_axioms(a, b, c):
     assert a * zero == zero
     assert a - a == zero
     assert hash(a * b) == hash(b * a)
+
+
+@st.composite
+def printed_exprs(draw):
+    """An expression over one denominator in 1..720: numerators that are
+    multiples of it (coefficients +-1 and integers) and any others, the
+    unit monomial alone or beside named ones, and zero."""
+    den = draw(st.integers(1, 720))
+    numerators = st.one_of(
+        st.integers(-3 * den, 3 * den),
+        st.builds(lambda k: k * den, st.sampled_from((-2, -1, 1, 2))),
+    )
+    terms = draw(st.dictionaries(st.just(UNIT_MONOMIAL) | monomials, numerators, max_size=5))
+    return SymExpr({m: Fraction(n, den) for m, n in terms.items()})
+
+
+@given(st.lists(printed_exprs(), max_size=6),
+       st.sampled_from([("text",), ("latex",), ("text", "latex"), ("latex", "text")]))
+def test_printer_matches_the_sort_key_printer(batch, styles):
+    # a batch mixes denominators, so one head table may serve only one
+    printed = [dict(zip(("text", "latex"), render_by_sort_key(e))) for e in batch]
+    want = [tuple(p[style] for style in styles) for p in printed]
+    assert list(render_each(batch, styles)) == want
+    assert [next(render_each((e,), styles)) for e in batch] == want
 
 
 def _series(order: int, unit: bool = False):
