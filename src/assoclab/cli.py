@@ -112,8 +112,8 @@ def _json_chunks(value, pad: str = "\n"):
     """The text of ``json.dumps(value, indent=2, ensure_ascii=True)`` in
     pieces, where ``pad`` is the newline and indent of the enclosing level.
     Dict keys are strings; a list, a tuple or any other iterable prints as
-    a list, read once, item by item as the text reaches it.  A string or
-    an exact int (not a bool) goes out in one piece with the text before it."""
+    a list, read once, item by item as the text reaches it.  A string item
+    goes out in one piece with the separator and key before it."""
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
     elif value is None or isinstance(value, (int, float)):
@@ -129,8 +129,6 @@ def _json_chunks(value, pad: str = "\n"):
             head, sep = sep + head, ","
             if isinstance(item, str):
                 yield head + encode_basestring_ascii(item)
-            elif type(item) is int:
-                yield head + repr(item)
             else:
                 yield head
                 yield from _json_chunks(item, inner)
@@ -209,14 +207,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rels = comparison_relations(order) + aux_relations(AUX_NAMES, order)
     load_values(rels, prec)  # every delta value the rows read, in one pass
     results = [verify_relation(r, prec) for r in rels]
-    failed = ["fail %s residual=%s\n" % (r.provenance.label(),
-                                          residual_text(abs(res.total), res.scale))
-              for r, res in zip(rels, results) if not res.ok]
+    residuals = [residual_text(abs(res.total), res.scale) for res in results]
+    failed = ["fail %s residual=%s\n" % (r.provenance.label(), residual)
+              for r, res, residual in zip(rels, results, residuals) if not res.ok]
     if args.report is not None:  # only a report renders the rows
         rows = list(relations_json(rels))
-        for row, res in zip(rows, results):
+        for row, res, residual in zip(rows, results, residuals):
             del row["weight"]
-            row["residual"] = residual_text(abs(res.total), res.scale)
+            row["residual"] = residual
             row["verdict"] = "pass" if res.ok else "fail"
         payload = {
             "command": "verify",
