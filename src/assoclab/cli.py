@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification/selftest failure, 2 usage error
 (including an --output or --report path that cannot be written, "" among
 them, which is checked before any work), and 1, with nothing on stderr, when the reader of
 stdout leaves before the output ends.  A run that does not finish,
-interrupted or failed, removes each of those files that it created.
+interrupted or failed, removes each of those files that it created and
+leaves one that was there whole (``_emit``).
 Input bounds, checked before any evaluation (exit 2 past them): --digits
 lies in 10..2000, and an eval --zeta/--delta composition has at most 12
 parts and weight at most 24.  Every integer from outside (the flags,
@@ -98,14 +99,27 @@ def _precision(raw: str) -> Precision:
 
 
 def _emit(chunks, path: str | None = None, mode: str = "w") -> None:
-    """Write the pieces of text in ``chunks`` to path, or to stdout."""
+    """Write the pieces of text in ``chunks`` to path, or to stdout.  An
+    existing regular file, not a link, is written as ``<path>.<pid>.part``
+    with its mode bits, which goes on any failure and after the last piece
+    moves onto path, so a run that stops midway leaves the file whole;
+    links, devices and FIFOs are written in place."""
+    regular = path is not None and mode == "w" and os.path.isfile(path) and not os.path.islink(path)
+    part = "%s.%d.part" % (path, os.getpid()) if regular else None
     try:
-        with nullcontext(sys.stdout) if path is None else open(path, mode, encoding="utf-8") as out:
+        with nullcontext(sys.stdout) if path is None else open(part or path, mode, encoding="utf-8") as out:
+            if part:
+                os.chmod(part, os.stat(path).st_mode & 0o7777)
             out.writelines(chunks)
+        if part:
+            os.replace(part, path)
     except OSError as exc:
         if path is None:
             raise
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
+    finally:
+        if part and os.path.lexists(part):  # the run stopped before the move
+            os.remove(part)
 
 
 def _json_chunks(value, pad: str = "\n"):

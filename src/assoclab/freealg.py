@@ -12,11 +12,12 @@ an invariant the tests check, not an enforced constructor constraint, because
 intermediate test expressions are free to violate it.
 
 Products are graded: the right factor's words are grouped by degree, so only
-pairs with |u| + |v| <= N are visited, and all pairs that meet at one output
-word are summed in one accumulator (``symring.sum_of_products``).
-Quotients a * inverse(s) are solved degree by degree from the same pair
-sums (``nc_div``), and the inverse is the quotient of the unit.  Word sums
-(``nc_word_sums``) sum all (coefficient, count) pairs of a word at once;
+pairs with |u| + |v| <= N are visited, and the pairs that meet at one output
+word are listed under it in a ``defaultdict(list)`` and summed in one
+accumulator (``symring.sum_of_products``).  Quotients a * inverse(s) are
+solved degree by degree from the same pair lists (``nc_div``), and the
+inverse is the quotient of the unit.  Word sums (``nc_word_sums``) list a
+word's (coefficient, count) pairs the same way and sum them at once;
 there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
 
 Both sides' word counts come from one fold (``deletion_fold``): a deletable
@@ -102,16 +103,11 @@ def _by_degree(s: NCSeries) -> list[list[tuple[str, SymExpr]]]:
     return out
 
 
-def _meet(pairs: dict[str, list], left, right) -> None:
+def _meet(pairs: defaultdict, left, right) -> None:
     """Append (cu, cv) to pairs[u + v] for every u in left, v in right."""
     for u, cu in left:
         for v, cv in right:
-            w = u + v
-            got = pairs.get(w)
-            if got is None:
-                pairs[w] = [(cu, cv)]
-            else:
-                got.append((cu, cv))
+            pairs[u + v].append((cu, cv))
 
 
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
@@ -120,7 +116,7 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
         raise OrderMismatchError("orders %d != %d" % (a.order, b.order))
     order = a.order
     left, right = _by_degree(a), _by_degree(b)
-    pairs: dict[str, list] = {}
+    pairs = defaultdict(list)
     for i in range(order + 1):
         for j in range(order - i + 1):
             _meet(pairs, left[i], right[j])
@@ -142,7 +138,7 @@ def nc_div(a: NCSeries, s: NCSeries) -> NCSeries:
     head, t = _by_degree(a), _by_degree(nc_neg(s))
     x: list[list[tuple[str, SymExpr]]] = []
     for n in range(s.order + 1):
-        pairs = {w: [(e, one)] for w, e in head[n]}
+        pairs = defaultdict(list, {w: [(e, one)] for w, e in head[n]})
         for k in range(1, n + 1):
             _meet(pairs, x[n - k], t[k])
         x.append([(w, e) for w, p in pairs.items() if (e := sum_of_products(p))])
@@ -156,10 +152,10 @@ def nc_inverse(s: NCSeries) -> NCSeries:
 
 def nc_word_sums(order: int, terms) -> NCSeries:
     """1 + sum of coeff * k * w over (SymExpr coeff, {word w: int k}) pairs."""
-    pairs: dict[str, list] = {"": [(SymExpr.one(), 1)]}
+    pairs = defaultdict(list, {"": [(SymExpr.one(), 1)]})
     for coeff, words in terms:
         for w, k in words.items():
-            pairs.setdefault(w, []).append((coeff, k))
+            pairs[w].append((coeff, k))
     return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
 
 

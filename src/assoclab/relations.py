@@ -323,26 +323,26 @@ class Span:
     and the lead (highest under ``SymMonomial.sort_key``) entry is
     positive.  Elimination is fraction free: each step is
     vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
-    g = gcd(a, L).  A swept row is divided by its content once, after its
-    last step, in ``_insert``; ``reduce_expr`` reads its remainder over the
-    scale it carries and divides nothing.  Back-substituting a new pivot
-    into the stored ones divides after each step, so every stored pivot
-    stays primitive.  Certificates do not depend on where the division
-    falls: a step scales the row by a positive rational and no pivot holds
-    another pivot's lead, so a row meets exactly the pivots whose leads it
-    holds on entry.  Slices are built lazily and kept fully reduced
-    (echelon with back-substitution), so reducing an expression is a single
-    elimination pass.  A pivot's certificate is a bitmask over base-row
-    indices, and its origin is the index of its base row (-1 for a product
-    row).  Provenances appear only at the boundary, in ``reduce_expr`` and
-    ``reduce``.
+    g = gcd(a, L).  One normaliser, ``_primitive``, divides a row by its
+    content: a swept row once, after its last step, with the sign that
+    makes its lead positive, and each stored pivot after the one step that
+    back-substitutes a new pivot into it, so every stored pivot stays
+    primitive.  ``reduce_expr`` reads its remainder over the scale it
+    carries and divides nothing.  Certificates do not depend on where a
+    division falls: a step scales the row by a positive rational and no
+    pivot holds another pivot's lead, so a row meets exactly the pivots
+    whose leads it holds on entry.  Slices are built lazily and kept fully
+    reduced (echelon with back-substitution), so reducing an expression is
+    a single elimination pass.  A pivot's certificate is a bitmask over
+    base-row indices, and its origin is the index of its base row (-1 for a
+    product row).  Provenances appear only at the boundary, in
+    ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
         self.base = list(base)
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
-        self._rank = {g: i for i, g in enumerate(self._gens)}
         self._mono_cache: dict[int, list[SymMonomial]] = {0: [UNIT_MONOMIAL]}
         self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
 
@@ -358,9 +358,9 @@ class Span:
         if found is None:
             found = self._mono_cache[w] = sorted(
                 (monomial_product(SymMonomial(((g, 1),)), t)
-                 for i, g in enumerate(self._gens) if g.weight <= w
+                 for g in self._gens if g.weight <= w
                  for t in self._monomials(w - g.weight)
-                 if not t.factors or self._rank[t.factors[-1][0]] <= i),
+                 if not t.factors or t.factors[-1][0].sort_key() <= g.sort_key()),
                 key=SymMonomial.sort_key)
         return found
 
@@ -403,14 +403,11 @@ class Span:
                 del vec[k]
 
     @staticmethod
-    def _combine(vec, piv, lead):
-        """``_step``, then vec divided by its content: keeps a stored pivot
-        primitive with a positive lead."""
-        Span._step(vec, piv, lead)
-        content = gcd(*vec.values())
-        if content > 1:
-            for k in vec:
-                vec[k] //= content
+    def _primitive(vec, sign=1):
+        """vec divided by sign × its content, as a new row, or vec itself
+        when that factor is 1."""
+        factor = sign * gcd(*vec.values())
+        return vec if factor == 1 else {k: v // factor for k, v in vec.items()}
 
     @staticmethod
     def _eliminate(st, vec, cert: int) -> int:
@@ -432,22 +429,18 @@ class Span:
         return cert
 
     def _insert(self, st, vec, cert, origin):
-        """Sweep vec, divide it by its content once (sign included, so the
-        lead is positive) and store it as a pivot, back-substituted into
-        the stored ones."""
+        """Sweep vec, make it primitive with a positive lead and store it as
+        a pivot, back-substituted into the stored ones."""
         cert = self._eliminate(st, vec, cert)
         if not vec:
             return
         lead = max(vec, key=SymMonomial.sort_key)
-        content = gcd(*vec.values())
-        if vec[lead] < 0:
-            content = -content
-        if content != 1:
-            vec = {k: v // content for k, v in vec.items()}
+        vec = self._primitive(vec, -1 if vec[lead] < 0 else 1)
         for piv in st.values():
             if lead in piv.vec:
                 piv.cert |= cert
-                self._combine(piv.vec, vec, lead)
+                self._step(piv.vec, vec, lead)
+                piv.vec = self._primitive(piv.vec)
         st[lead] = _Pivot(vec, cert, origin)
 
     def reduce_expr(self, e: SymExpr):

@@ -35,11 +35,11 @@ module table and validates, canonicalises and stores only an unseen value,
 so equal values are one immutable object and equality and hashing are
 ``object``'s identity versions.  A generator stores its weight and sort key
 when built; a monomial its weight, and its sort key on first use.
-Monomial products are read from one table keyed by the left factor,
-m1 -> {m2: m1 * m2}, which ``monomial_product`` and the product loop share;
-a missing entry is built through ``SymMonomial`` and stored.  Every sum of
-expressions, of products or of integer multiples, runs through the one
-loop ``sum_of_products``, which adds integer numerators over a common
+Each monomial holds its own products, ``m1.products`` = {m2: m1 * m2},
+which ``monomial_product`` and the product loop share; a missing entry is
+built through ``SymMonomial`` and stored.  Every sum of expressions, of
+products or of integer multiples, runs through the one loop
+``sum_of_products``, which adds integer numerators over a common
 denominator and keeps no term order; a rational multiple is ``scale``.
 Printing is one path too, ``render_each``: a batch of expressions sorts its
 distinct monomials once by ``sort_key`` and each expression's terms by their
@@ -187,11 +187,12 @@ class SymMonomial:
 
     Interned under its canonical factors: an argument that is not that key
     is canonicalised by ``__post_init__`` on every call, and equal products
-    of any factor list are one object.  ``weight`` is stored when built,
-    ``sort_key`` on first use.
+    of any factor list are one object.  ``weight`` and an empty
+    ``products`` row, {m2: self * m2}, are stored when built, ``sort_key``
+    on first use.
     """
 
-    __slots__ = ("factors", "weight", "_key")
+    __slots__ = ("factors", "weight", "products", "_key")
 
     def __new__(cls, factors):
         try:
@@ -215,6 +216,7 @@ class SymMonomial:
         canon = tuple(sorted(merged.items(), key=lambda fe: fe[0].sort_key()))
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "weight", sum(g.weight * e for g, e in canon))
+        object.__setattr__(self, "products", {})
 
     __setattr__ = __delattr__ = _immutable
 
@@ -260,28 +262,16 @@ class SymMonomial:
 UNIT_MONOMIAL = SymMonomial(())
 
 
-# the one product table, m1 -> {m2: m1 * m2}: series products meet the
-# same pairs many times, and a row is looked up once per left term
-_PRODUCTS: dict[SymMonomial, dict[SymMonomial, SymMonomial]] = {}
-
-
-def _product_row(m1: SymMonomial) -> dict[SymMonomial, SymMonomial]:
-    row = _PRODUCTS.get(m1)
-    if row is None:
-        row = _PRODUCTS[m1] = {}
-    return row
-
-
-def _product_miss(row: dict, m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """Build m1 * m2, the one way a product is built, and store it in m1's row."""
-    m = row[m2] = SymMonomial(m1.factors + m2.factors)
+def _product_miss(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
+    """Build m1 * m2, the one way a product is built, and store it in m1's
+    ``products`` row."""
+    m = m1.products[m2] = SymMonomial(m1.factors + m2.factors)
     return m
 
 
 def monomial_product(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """m1 * m2, read from the product table."""
-    row = _product_row(m1)
-    return row.get(m2) or _product_miss(row, m1, m2)
+    """m1 * m2, read from m1's ``products`` row."""
+    return m1.products.get(m2) or _product_miss(m1, m2)
 
 
 class SymExpr:
@@ -436,7 +426,7 @@ def render_each(exprs, styles=("text",)):
     monomial, the least and so the last term, then becomes its bare
     number.  ``exprs`` is read twice, so it must be a collection.
     """
-    ranked = sorted({m for e in exprs for m in e.nums}, key=SymMonomial.sort_key, reverse=True)
+    ranked = sorted(set().union(*(e.nums for e in exprs)), key=SymMonomial.sort_key, reverse=True)
     rank = {m: i for i, m in enumerate(ranked)}.__getitem__
     # per style: its fraction format, separator, monomial names and den -> _Heads
     tables = [(frac, times, {m: mono(m) for m in ranked}.__getitem__, {})
@@ -493,10 +483,9 @@ def sum_of_products(pairs) -> SymExpr:
             left, right = right, left
         for m1, n1 in left.items():
             n1 *= scale
-            row = _product_row(m1)
-            product = row.get
+            product = m1.products.get
             for m2, n2 in right.items():
-                m = product(m2) or _product_miss(row, m1, m2)  # a monomial is truthy
+                m = product(m2) or _product_miss(m1, m2)  # a monomial is truthy
                 out[m] = get(m, 0) + n1 * n2
     return SymExpr.from_ints(den, {m: n for m, n in out.items() if n})
 

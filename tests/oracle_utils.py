@@ -635,9 +635,9 @@ def eliminate_normalised(st, vec, cert: int) -> int:
 
 
 class StepNormalisedSpan(Span):
-    """``Span`` with the former sweep, also in back-substitution."""
+    """``Span`` with the former sweep; back-substitution is ``Span``'s own,
+    which already normalises after its one step."""
 
-    _combine = staticmethod(combine_normalised)
     _eliminate = staticmethod(eliminate_normalised)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import assoclab
-from assoclab import cli, numeric
+from assoclab import cli, freealg, numeric, relations
 from assoclab.cli import main
 from assoclab.delta_side import phi_delta
 from assoclab.freealg import series_to_json
@@ -512,6 +512,62 @@ def test_interrupted_run_leaves_no_new_file(tmp_path, monkeypatch):
     assert old.read_text() == "earlier result\n"
 
 
+def _interrupt_after(real, n):
+    """``render_each`` that yields real's first n texts, then is interrupted."""
+    def render(exprs, *styles):
+        texts = real(exprs, *styles)
+        for _ in range(n):
+            yield next(texts)
+        raise KeyboardInterrupt
+
+    return render
+
+
+@pytest.mark.parametrize("module,argv", [
+    (freealg, ["expand", "--order", "3"]),
+    (freealg, ["expand", "--order", "3", "--format", "text"]),
+    (relations, ["relations", "--order", "6", "--aux", "all", "--reduce"]),
+], ids=["expand-json", "expand-text", "relations"])
+def test_interrupted_write_keeps_an_existing_file_and_leaves_no_new_one(
+        tmp_path, monkeypatch, module, argv):
+    # the interrupt comes while the output is being written, after work is done
+    monkeypatch.setattr(module, "render_each", _interrupt_after(module.render_each, 5))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("earlier result\n")
+    old.chmod(0o640)
+    for target in (old, new):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--output", str(target)])
+    assert old.read_text() == "earlier result\n"
+    assert old.stat().st_mode & 0o7777 == 0o640
+    assert os.listdir(tmp_path) == ["old.json"]  # no new file, no part file
+
+
+def test_output_replaces_an_existing_file_and_keeps_its_mode(tmp_path, capsys):
+    argv = ["expand", "--order", "3", "--format", "text"]
+    target, twin = tmp_path / "out.txt", tmp_path / "twin.txt"
+    target.write_text("earlier result\n")
+    target.chmod(0o604)
+    os.link(target, twin)
+    code, printed = run_capture(capsys, argv)
+    assert run_capture(capsys, argv + ["--output", str(target)]) == (0, "")
+    assert target.read_text() == printed and code == 0
+    assert target.stat().st_mode & 0o7777 == 0o604
+    assert twin.read_text() == "earlier result\n"  # the replaced file's other name
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "twin.txt"]
+
+
+def test_output_through_a_symlink_is_written_in_place(tmp_path, capsys):
+    argv = ["expand", "--order", "3", "--format", "text"]
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("earlier result\n")
+    link.symlink_to(real)
+    _, printed = run_capture(capsys, argv)
+    assert run_capture(capsys, argv + ["--output", str(link)]) == (0, "")
+    assert link.is_symlink() and real.read_text() == printed
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
 def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
     from assoclab.relations import comparison_relations
 
@@ -540,8 +596,6 @@ def test_verify_failure_is_reported(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_without_report_renders_nothing(tmp_path, capsys, monkeypatch):
-    from assoclab import relations
-
     target = relations.comparison_relations(4)[-1]
     real = numeric._row_total
 

@@ -1,7 +1,8 @@
 """Every name a package module or test file imports is used in that file,
 each package module imports only the package modules of the layers below
-it, importing the command line loads no heavy standard module, and only
-``eval`` loads mpmath.
+it, importing the command line loads no heavy standard module, only
+``eval`` loads mpmath, and a test class that subclasses a package class
+overrides only names its base has.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` imports nothing, so
@@ -11,6 +12,7 @@ every name has one import path, its module's; the checks below skip it.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -122,6 +124,56 @@ def test_every_oracle_has_a_caller():
     # an oracle no test reads any more checks nothing
     oracles = Path(__file__).resolve().parent / "oracle_utils.py"
     assert dead_definitions(oracles.read_text(), *references(TESTS)) == []
+
+
+def package_subclasses(source: str):
+    """(class node, package base class) for each class whose base is a name
+    imported from an assoclab module."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("assoclab.")
+                for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for b in node.bases:
+                if isinstance(b, ast.Name) and b.id in imported:
+                    module, name = imported[b.id]
+                    yield node, getattr(importlib.import_module(module), name)
+
+
+def overrides_without_base(source: str) -> list[str]:
+    """The non-dunder names a package subclass defines in its body that
+    its package base lacks."""
+    missing = []
+    for node, base in package_subclasses(source):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            missing += ["%s.%s" % (node.name, n) for n in names
+                        if not n.startswith("__") and not hasattr(base, n)]
+    return missing
+
+
+def test_checker_flags_an_override_the_base_lacks():
+    source = ("from assoclab.relations import Span as Base\n"
+              "class S(Base):\n    'doc'\n    _eliminate = None\n    _gone = None\n"
+              "    def _step(self):\n        pass\n    def _lost(self):\n        pass\n"
+              "    def __repr__(self):\n        return ''\n"
+              "class T(dict):\n    _other = None\n")
+    assert overrides_without_base(source) == ["S._gone", "S._lost"]
+
+
+def test_oracle_overrides_name_package_attributes():
+    # an override of a name the package no longer has would go on passing, unread
+    found = {(p.name, node.name) for p in TESTS for node, _ in package_subclasses(p.read_text())}
+    assert ("oracle_utils.py", "StepNormalisedSpan") in found
+    assert [m for p in TESTS for m in overrides_without_base(p.read_text())] == []
 
 
 def sort_key_subscripts(source: str) -> list[int]:

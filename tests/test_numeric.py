@@ -249,6 +249,24 @@ def test_eval_zeta_matches_the_hoelder_convolution_at_a_third():
             assert close_enough(got, holder_zeta(comp, 60, x), 60), (comp, x)
 
 
+def test_comparison_rows_vanish_with_z_from_the_hoelder_convolution():
+    # z by the convolution at 1/3, d by the mpf nested sum and c = ln 2: no
+    # value here comes from the midpoint split, so a row that vanishes shows
+    # the paper's relation itself, not only the shuffle rows behind the split
+    rows = comparison_relations(7)
+    gens = {g for r in rows for m in r.expr.nums for g, _ in m.factors}
+    assert (len(rows), len(gens)) == (237, 184)
+    prec = Precision(digits=40)
+    with mp.workdps(60):
+        values = {g: holder_zeta(g.parts, 40, Fraction(1, 3)) if g.kind == "zeta"
+                  else delta_mpf(g.parts, prec) if g.kind == "delta" else mp.log(2)
+                  for g in gens}
+        for r in rows:
+            total = mp.fsum(n * mp.fprod(values[g] ** e for g, e in m.factors)
+                            for m, n in r.expr.nums.items())
+            assert abs(total / r.expr.den) < mp.mpf(10) ** -35, r.provenance
+
+
 def test_eval_delta_single_one_is_log_two():
     v = eval_delta((1,), Precision(digits=40))
     with mp.workdps(60):

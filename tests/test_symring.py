@@ -223,10 +223,11 @@ def test_products_are_built_one_way_and_read_from_one_table():
     assert not hasattr(monomial_product, "cache_info")  # no second cache
     phi_delta(6)
     reduce(comparison_relations(6), aux_relations(AUX_NAMES, 6))
-    # every product the series and the reduction met sits in the one table
-    assert len(symring._PRODUCTS) > 100
-    for m1, row in symring._PRODUCTS.items():
-        for m2, m in row.items():
+    # every product the series and the reduction met sits in its left factor's row
+    rows = [m1 for m1 in symring._MONOMIALS.values() if m1.products]
+    assert len(rows) > 100
+    for m1 in rows:
+        for m2, m in m1.products.items():
             assert m is SymMonomial(m1.factors + m2.factors)
 
 
