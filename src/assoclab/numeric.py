@@ -46,13 +46,14 @@ built.  Rows are evaluated in integer fixed point: ``_fixed`` holds each
 monomial's value as an int scaled by 2^B (``_scale_bits``), a row's value
 is the exact integer sum of its numerators times those ints over its one
 denominator, and ``verify_relation`` decides pass or fail on that integer
-sum exactly; ``residual_text`` prints its residual from the same integers.
-Integer sums do not depend on the order of their terms, so this module does
-not depend on the monomial order.
+sum exactly; ``residual_text`` prints its residual from the same integers,
+rounded by ``decimal``'s correctly rounded division.  Integer sums do not
+depend on the order of their terms, so neither does this module.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
@@ -380,30 +381,24 @@ def verify_relation(rel, prec: Precision = Precision()) -> VerifyResult:
     return VerifyResult(_row_total(expr, prec), expr.den, prec)
 
 
+_EIGHT_DIGITS = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_UP)
+
+
 def residual_text(num: int, den: int) -> str:
     """num / den (num >= 0, den > 0) to 8 significant digits, as mpmath's
     ``nstr(x, 8)`` prints it: "0.0", "0.25", "4.8099229e-314".
 
-    The quotient is rounded half up in exact integer arithmetic; the text is
-    fixed-point when the leading digit sits at 10^-4 to 10^7, scientific
-    otherwise, with trailing zeros stripped down to one after the point.
-    (nstr truncates its argument to 46 bits before it rounds, so a quotient
+    ``decimal`` rounds the exact quotient half up; the text is fixed-point
+    when the leading digit sits at 10^-4 to 10^7, scientific otherwise,
+    with trailing zeros stripped down to one after the point.  (nstr
+    truncates its argument to 46 bits before it rounds, so a quotient
     within 2^-45 of itself above a tie prints one unit lower there.)
     """
     if not num:
         return "0.0"
-    # e, the place of the leading digit: 10^e <= num/den < 10^(e+1)
-    at_least = lambda k: num * 10**-k >= den if k < 0 else num >= den * 10**k
-    e = math.floor(math.log10(num) - math.log10(den))
-    while not at_least(e):
-        e -= 1
-    while at_least(e + 1):
-        e += 1
-    n, d = (num * 10 ** (7 - e), den) if e <= 7 else (num, den * 10 ** (e - 7))
-    q = (2 * n + d) // (2 * d)
-    if q == 10**8:  # the rounding carried into a new digit
-        q, e = 10**7, e + 1
-    digits, split, exponent = str(q), 1, ""
+    q = _EIGHT_DIGITS.divide(num, den)
+    e = q.adjusted()  # the place of the leading digit: 10^e <= q < 10^(e+1)
+    digits, split, exponent = "".join(map(str, q.as_tuple().digits)), 1, ""
     if -5 < e < 0:
         digits = "0" * -e + digits
     elif 0 <= e < 8:

@@ -22,10 +22,11 @@ The midpoint rows (the Hoelder convolution) read no series at all, nor
 does ``holder_zeta``, the same convolution at 1/3: plain nested sums at
 1/3 and 2/3 that share no value with the package's midpoint split, nor
 ``linearise``, which maps an expression to word coordinates (the
-shuffle algebra of words that end in B).  The series helpers at the end
-(sums, scalings, graded parts, the grading check, ad-powers) are not
-oracles: the pipeline never runs them, so they live with the tests that
-use them.
+shuffle algebra of words that end in B), nor ``nf``, the normal form
+modulo shuffle in Lyndon generators, nor ``rank``, an exact rank over Q.
+The series helpers at the end (sums, scalings, graded parts, the grading
+check, ad-powers) are not oracles: the pipeline never runs them, so they
+live with the tests that use them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, log
+from math import comb, factorial, gcd, lcm, log
 
 from mpmath import mp
 
@@ -956,7 +957,7 @@ def _word_shuffle(u: str, v: str) -> dict[str, int]:
     return {"".join(w): k for w, k in shuffle(u, v).items()}
 
 
-def _shuffle_sum(x: dict, y: dict) -> Counter:
+def shuffle_sum(x: dict, y: dict) -> Counter:
     out: Counter = Counter()
     for u, a in x.items():
         for v, b in y.items():
@@ -987,7 +988,7 @@ def _linearise_monomial(m) -> dict[str, int]:
     image = {"": 1}
     for g, e in m.factors:
         for _ in range(e):
-            image = _shuffle_sum(image, _linearise_generator(g))
+            image = shuffle_sum(image, _linearise_generator(g))
     return dict(image)
 
 
@@ -1001,6 +1002,100 @@ def linearise(expr) -> dict[str, Fraction]:
         for w, k in _linearise_monomial(m).items():
             total[w] += n * k
     return {w: Fraction(k, expr.den) for w, k in total.items() if k}
+
+
+def rank(vectors) -> int:
+    """The rank over Q of vectors given as {coordinate: rational} dicts,
+    with mutually comparable coordinates: fraction-free row echelon on an
+    integer multiple of each vector, pivoting on its largest coordinate."""
+    pivots: dict = {}
+    for vec in vectors:
+        den = lcm(*(Fraction(v).denominator for v in vec.values()))
+        vec = {k: int(v * den) for k, v in vec.items() if v}
+        while vec:
+            lead = max(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = vec
+                break
+            g = gcd(vec[lead], piv[lead])
+            f, q = piv[lead] // g, vec[lead] // g
+            vec = {k: f * v for k, v in vec.items()}
+            for k, v in piv.items():
+                vec[k] = vec.get(k, 0) - q * v
+            vec = {k: v for k, v in vec.items() if v}
+            content = gcd(*vec.values())
+            vec = {k: v // content for k, v in vec.items()}
+    return len(pivots)
+
+
+# -- the normal form modulo shuffle: by Radford's theorem the shuffle algebra
+# is the polynomial algebra on the Lyndon words (A < B), so modulo the word
+# shuffles each d[s] is one polynomial in c and the d[l], and each z[s] one
+# in the z[l], with l Lyndon
+
+
+def lyndon_factors(word: str) -> list[str]:
+    """Duval's factorisation word = l1 l2 ... lk into Lyndon words, with
+    l1 >= l2 >= ... >= lk under A < B."""
+    out, i, n = [], 0, len(word)
+    while i < n:
+        j, k = i + 1, i
+        while j < n and word[k] <= word[j]:
+            k = i if word[k] < word[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(word[i:i + j - k])
+            i += j - k
+    return out
+
+
+def _lyndon_generator(kind: str, word: str):
+    from assoclab.symring import LOG2, Generator, word_composition
+
+    return LOG2 if word == "B" else Generator(kind, word_composition(word))
+
+
+@lru_cache(maxsize=None)
+def nf_word(kind: str, word: str):
+    """The normal form of the delta or zeta value of ``word``: for Lyndon
+    factors l1 ... ln of word, with i1!...ik! the factorials of their
+    multiplicities, l1 ⧢ ... ⧢ ln is i1!...ik! word plus words below word
+    in lex order, each rewritten the same way (Reutenauer, Free Lie
+    Algebras, Thm 6.1).  Every word met ends in B, and for z starts with A."""
+    from assoclab.symring import SymExpr, SymMonomial, sum_of_products
+
+    factors = lyndon_factors(word)
+    lead = SymExpr.from_ints(1, {SymMonomial(tuple((_lyndon_generator(kind, l), 1) for l in factors)): 1})
+    if len(factors) == 1:
+        return lead
+    shuffled = {"": 1}
+    for l in factors:
+        shuffled = shuffle_sum(shuffled, {l: 1})
+    multiplicity = shuffled.pop(word)
+    form = sum_of_products([(lead, 1)] + [(nf_word(kind, u), -k) for u, k in shuffled.items()])
+    return form.scale(Fraction(1, multiplicity))
+
+
+@lru_cache(maxsize=None)
+def _nf_monomial(m):
+    from assoclab.symring import SymExpr, sum_of_products, zeta_word
+
+    image = SymExpr.one()
+    for g, e in m.factors:
+        form = SymExpr.gen(g) if g.kind == "log2" else nf_word(g.kind, zeta_word(g.parts))
+        for _ in range(e):
+            image = sum_of_products([(image, form)])
+    return image
+
+
+def nf(expr):
+    """NF(expr), the algebra map that sends each generator to its normal
+    form, through one ``sum_of_products`` over the memoised monomial images."""
+    from assoclab.symring import sum_of_products
+
+    image = sum_of_products([(_nf_monomial(m), n) for m, n in expr.nums.items()])
+    return image.scale(Fraction(1, expr.den))
 
 
 def ad_words(actor: str, argument: str, levels) -> dict[str, int]:

@@ -6,22 +6,26 @@ identities that fail certification are asserted to stay OUT of the spans.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
 from assoclab.delta_side import iint_to_sym, phi_delta, psi_series, xi_series
+from assoclab.freealg import nc_coeff
 from assoclab.mzv_side import phi_mzv
 from assoclab.numeric import Precision
 from assoclab.relations import (
+    AUX_NAMES,
     Span,
+    aux_relations,
     comparison_relations,
     duality_relations,
     known_values,
     shuffle_relations,
 )
-from assoclab.symring import LOG2, SymExpr, delta, zeta
+from assoclab.symring import LOG2, SymExpr, delta, word_composition, zeta
 
 from oracle_utils import (
     check_omega2,
@@ -30,7 +34,11 @@ from oracle_utils import (
     eval_symexpr,
     iint_numeric,
     linearise,
+    lyndon_factors,
     midpoint_rows,
+    nf,
+    rank,
+    shuffle_sum,
 )
 
 
@@ -380,3 +388,53 @@ def test_shuffle_and_midpoint_rows_leave_the_d_words_free(order):
     span = Span(shuffle_relations(order) + midpoint_rows(order))
     free = [len(span._monomials(w)) - len(span._slice(w)) for w in range(1, order + 1)]
     assert free == [2 ** (w - 1) for w in range(1, order + 1)]
+
+
+def d_words(n: int) -> list[str]:
+    """The words of length n that end in B; the empty word at n = 0."""
+    return [""] if n == 0 else ["".join(p) + "B" for p in itertools.product("AB", repeat=n - 1)]
+
+
+def test_word_coordinate_ledger_is_the_free_count_of_the_span():
+    # the shuffle, duality and comparison rows lie in the kernel of L, which
+    # the shuffle and midpoint rows span, so the ideal of --aux all plus the
+    # comparison rows is ker L plus the ideal of the known rows: at weight w,
+    # 2^(w-1) less the rank of {L(k) shuffled with x}, over the known rows k
+    # and the d-words x of weight w - wt(k), monomials stay free
+    known = [(r.weight, linearise(r.expr)) for r in known_values()]
+    span = Span(aux_relations(AUX_NAMES, 9) + comparison_relations(9))
+    ledger, free = [], []
+    for w in range(1, 10):
+        rows = [shuffle_sum(image, {x: 1}) for wk, image in known if wk <= w for x in d_words(w - wk)]
+        ledger.append(2 ** (w - 1) - rank(rows))
+        st = span._slice(w)
+        free.append(len([m for m in span._monomials(w) if m not in st]))
+    assert ledger == free == [1, 2, 3, 6, 10, 23, 47, 96, 192]
+
+
+# -- the normal form modulo shuffle (oracle_utils.nf): every generator
+# rewritten as a polynomial in the Lyndon generators
+
+
+def test_shuffle_rows_have_normal_form_zero():
+    rows = shuffle_relations(9)
+    assert [sum(r.weight <= n for r in rows) for n in range(6, 10)] == [64, 162, 397, 924]
+    assert [r.provenance.label() for r in rows if nf(r.expr)] == []
+
+
+def test_lyndon_comparisons_are_multiples_of_the_midpoint_rows():
+    # modulo shuffle both series are characters (Ree), and the path 0 -> 1
+    # is 0 -> 1/2 -> 1 (Chen): at a Lyndon word l the comparison says what
+    # the Hoelder convolution at 1/2 says for word_composition(l)
+    mzv, dlt = phi_mzv(9), phi_delta(9)
+    midpoints = {r.provenance.name: r.expr for r in midpoint_rows(9)}
+    words = ("".join(w) for n in range(2, 10) for w in itertools.product("AB", repeat=n))
+    lyndon = [w for w in words if lyndon_factors(w) == [w]]
+    assert len(lyndon) == 125
+    off = []
+    for l in lyndon:
+        row = nf(nc_coeff(mzv, l) - nc_coeff(dlt, l))
+        mid = nf(midpoints["midpoint:" + ",".join(map(str, word_composition(l)))])
+        if not (row and mid and row.monic() == mid.monic()):
+            off.append(l)
+    assert off == []

@@ -560,3 +560,16 @@ def test_residual_text_at_the_edges(digits, value):
     assert residual_text(num, scale) == _nstr_of_quotient(num, scale)
     if digits == 40 and value in ("0", "0.25"):
         assert residual_text(num, scale) == {"0": "0.0", "0.25": "0.25"}[value]
+
+
+@pytest.mark.parametrize("num, den, text", [
+    # exact ties round up, also where half-even would keep the even digit 8;
+    # nstr cannot judge these, as it truncates to 46 bits before it rounds
+    (123456785, 10**9, "0.12345679"),
+    (123456785, 10**20, "1.2345679e-12"),
+    (246913570, 20, "12345679.0"),
+    # an exact tie that carries into a new leading digit
+    (999999995, 10**9, "1.0"),
+])
+def test_residual_text_rounds_exact_ties_up(num, den, text):
+    assert residual_text(num, den) == text
