@@ -208,7 +208,8 @@ def nc_coeff(s: NCSeries, w: str) -> SymExpr:
     _check_word(w)
     if len(w) > s.order:
         raise DegreeTooLargeError("word degree %d > order %d" % (len(w), s.order))
-    return s.coeffs.get(w, SymExpr.zero())
+    found = s.coeffs.get(w)
+    return SymExpr.zero() if found is None else found
 
 
 def series_terms(s: NCSeries):

@@ -24,16 +24,20 @@ larger multiplier set.
 Elimination is fraction free in Bareiss's sense: every row stays an
 integer vector, keyed by the interned monomials as the numerators of a
 ``SymExpr`` are, so a monic relation is its own row, and ordered by
-``SymMonomial.sort_key``.  ``Span`` gives the details.  Provenances appear
-only at the boundary, and an expression is reduced at its own scale.
+``SymMonomial.sort_key``.  Each row is swept by one operation that scales
+it once, up front, and a new pivot is back-substituted only into the
+pivots whose leads sort above its own.  ``Span`` gives the details.
+Provenances appear only at the boundary, and an expression is reduced at
+its own scale.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .symring import (
     LOG2,
@@ -274,21 +278,16 @@ def extract_relations(s1: NCSeries, s2: NCSeries) -> list[Relation]:
     """
     if s1.order != s2.order:
         raise OrderMismatchError("orders %d != %d" % (s1.order, s2.order))
-    seen: set[SymExpr] = set()
-    out: list[Relation] = []
+    first: dict[SymExpr, Relation] = {}
     words = sorted(set(s1.coeffs) | set(s2.coeffs), key=lambda w: (len(w), w))
     for w in words:
         if len(w) < 2:
             continue
         diff = nc_coeff(s1, w) - nc_coeff(s2, w)
-        if not diff:
-            continue
-        rel = Relation(diff, Comparison(len(w), w))
-        if rel.expr in seen:
-            continue
-        seen.add(rel.expr)
-        out.append(rel)
-    return out
+        if diff:
+            rel = Relation(diff, Comparison(len(w), w))
+            first.setdefault(rel.expr, rel)
+    return list(first.values())
 
 
 def comparison_relations(order: int) -> list[Relation]:
@@ -304,9 +303,19 @@ class _Pivot:
         self.origin = origin
 
 
+class _Slice(dict):
+    """One weight's pivots by lead, and the same pivots in ascending lead
+    order: ``pivots[i]`` leads at the monomial of sort key ``sort_keys[i]``."""
+
+    __slots__ = ("sort_keys", "pivots")
+
+    def __init__(self):
+        self.sort_keys, self.pivots = [], []
+
+
 # reduce_expr's extra coordinate: no pivot holds it, so it carries the
-# factor by which the row operations have scaled the expression.  Each step
-# multiplies it by L/g > 0 and nothing divides it, so it stays positive.
+# factor by which the row operations have scaled the expression.  Each sweep
+# multiplies it by D > 0 and nothing divides it, so it stays positive.
 _SCALE = None
 
 
@@ -321,22 +330,24 @@ class Span:
     and a product row maps each term t to ``monomial_product(t, m)``.
     Pivot rows are primitive integer vectors: the gcd of the entries is 1
     and the lead (highest under ``SymMonomial.sort_key``) entry is
-    positive.  Elimination is fraction free: each step is
-    vec <- (L/g)·vec - (a/g)·piv, with a = vec[lead], L = piv[lead] and
-    g = gcd(a, L).  One normaliser, ``_primitive``, divides a row by its
-    content: a swept row once, after its last step, with the sign that
-    makes its lead positive, and each stored pivot after the one step that
-    back-substitutes a new pivot into it, so every stored pivot stays
-    primitive.  ``reduce_expr`` reads its remainder over the scale it
-    carries and divides nothing.  Certificates do not depend on where a
-    division falls: a step scales the row by a positive rational and no
-    pivot holds another pivot's lead, so a row meets exactly the pivots
-    whose leads it holds on entry.  Slices are built lazily and kept fully
-    reduced (echelon with back-substitution), so reducing an expression is
-    a single elimination pass.  A pivot's certificate is a bitmask over
-    base-row indices, and its origin is the index of its base row (-1 for a
-    product row).  Provenances appear only at the boundary, in
-    ``reduce_expr`` and ``reduce``.
+    positive.  Slices are built lazily and kept fully reduced: no pivot
+    holds another's lead.  So a row meets exactly the pivots whose leads it
+    holds on entry, and their entries in it stay put until their own turn.
+    The one row operation, ``_sweep``, reads them all first, scales the row
+    once by the least D > 0 that keeps each multiple integral, subtracts
+    the multiples and drops zeros at the end, dividing nothing.  One
+    normaliser, ``_primitive``, divides a swept row by its content, with
+    the sign that makes its lead positive, and each stored pivot after the
+    sweep that back-substitutes a new pivot into it.  Certificates do not
+    depend on D or on where a division falls: both scale a row by a
+    positive rational and keep the leads it holds.  A lead is its row's
+    largest monomial, so only the stored pivots whose leads sort above the
+    new lead can hold it; ``_Slice`` keeps the leads in order and
+    ``bisect`` finds the first such pivot.  The new pivot's monomials all
+    sort at or below its lead, so each stored lead stays largest.  A
+    pivot's certificate is a bitmask over base-row indices, and its origin
+    is the index of its base row (-1 for a product row).  Provenances
+    appear only at the boundary, in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
@@ -344,11 +355,16 @@ class Span:
         gens = {g for r in self.base for m in r.expr.monomials() for g, _ in m.factors}
         self._gens = sorted(gens, key=Generator.sort_key)
         self._mono_cache: dict[int, list[SymMonomial]] = {0: [UNIT_MONOMIAL]}
-        self._slices: dict[int, dict[SymMonomial, _Pivot]] = {}
+        self._slices: dict[int, _Slice] = {}
 
     def _provenances(self, cert: int) -> frozenset:
         """The provenances of the base rows whose bits are set in cert."""
-        return frozenset(r.provenance for i, r in enumerate(self.base) if cert >> i & 1)
+        base, out = self.base, []
+        while cert:
+            low = cert & -cert
+            out.append(base[low.bit_length() - 1].provenance)
+            cert ^= low
+        return frozenset(out)
 
     def _monomials(self, w: int) -> list[SymMonomial]:
         """The monomials of weight w in the base generators, ascending in
@@ -364,15 +380,14 @@ class Span:
                 key=SymMonomial.sort_key)
         return found
 
-    def _slice(self, w: int) -> dict[SymMonomial, _Pivot]:
+    def _slice(self, w: int) -> _Slice:
         st = self._slices.get(w)
         if st is not None:
             return st
         # a base row that reduced to zero in its own slice lies in the span
         # of that slice, so its products add nothing: multiply live rows only
         live = {p.origin for v in range(1, w) for p in self._slice(v).values()}
-        st = {}
-        self._slices[w] = st
+        st = self._slices[w] = _Slice()
         for i, r in enumerate(self.base):
             if r.weight < w and i in live:
                 nums = r.expr.nums
@@ -384,23 +399,29 @@ class Span:
         return st
 
     @staticmethod
-    def _step(vec, piv, lead):
-        """vec <- (L/g)·vec - (a/g)·piv in place, where a = vec[lead],
-        L = piv[lead] > 0 and g = gcd(a, L): vec is scaled by L/g > 0 only,
-        and loses its entry at lead."""
-        a, L = vec[lead], piv[lead]
-        g = gcd(a, L)
-        f, q = L // g, a // g
-        if f != 1:
+    def _sweep(vec, met, cert: int) -> int:
+        """Clear vec's entry at the lead of each (lead, pivot) in met, in
+        place, and return cert with those pivots' bits: vec <- D·vec -
+        Σ (D·a/L)·piv, where a = vec[lead], L = piv[lead] > 0 and D > 0 is
+        the lcm of the L/gcd(a, L).  No pivot in met may hold another one's
+        lead, so each a is still D·a when its pivot's turn comes."""
+        D = 1
+        for m, p in met:
+            L = p.vec[m]
+            D = lcm(D, L // gcd(vec[m], L))
+        if D != 1:
             for k in vec:
-                vec[k] *= f
+                vec[k] *= D
         get = vec.get
-        for k, v in piv.items():
-            nv = get(k, 0) - q * v
-            if nv:
-                vec[k] = nv
-            else:
-                del vec[k]
+        for m, p in met:
+            cert |= p.cert
+            piv = p.vec
+            q = vec[m] // piv[m]
+            for k, v in piv.items():
+                vec[k] = get(k, 0) - q * v
+        for k in [k for k, v in vec.items() if not v]:
+            del vec[k]
+        return cert
 
     @staticmethod
     def _primitive(vec, sign=1):
@@ -411,37 +432,29 @@ class Span:
 
     @staticmethod
     def _eliminate(st, vec, cert: int) -> int:
-        """Sweep every pivot lead out of vec in place, with no division:
-        the caller normalises once.  Returns cert with the bits of the
-        pivots used.
-
-        Pivot rows hold no foreign pivot monomials, so subtracting one pivot
-        never changes another pivot's coefficient: any sweep order will do,
-        and the pivots used are the ones whose lead vec holds on entry.  Each
-        step scales vec by a positive rational, so that set, and with it
-        every certificate, does not depend on when the content is divided
-        out."""
-        step = Span._step
-        for m in [m for m in vec if m in st]:
-            piv = st[m]
-            cert |= piv.cert
-            step(vec, piv.vec, m)
-        return cert
+        """Sweep every pivot lead that vec holds out of vec in place, with
+        no division (the caller normalises), and return cert with the bits
+        of the pivots used."""
+        return Span._sweep(vec, [(m, st[m]) for m in vec if m in st], cert)
 
     def _insert(self, st, vec, cert, origin):
         """Sweep vec, make it primitive with a positive lead and store it as
-        a pivot, back-substituted into the stored ones."""
+        a pivot, back-substituted into the stored ones whose leads sort
+        above its own: no other pivot holds it."""
         cert = self._eliminate(st, vec, cert)
         if not vec:
             return
         lead = max(vec, key=SymMonomial.sort_key)
-        vec = self._primitive(vec, -1 if vec[lead] < 0 else 1)
-        for piv in st.values():
+        new = _Pivot(self._primitive(vec, -1 if vec[lead] < 0 else 1), cert, origin)
+        key = lead.sort_key()
+        at = bisect(st.sort_keys, key)
+        for piv in st.pivots[at:]:
             if lead in piv.vec:
-                piv.cert |= cert
-                self._step(piv.vec, vec, lead)
+                piv.cert = self._sweep(piv.vec, ((lead, new),), piv.cert)
                 piv.vec = self._primitive(piv.vec)
-        st[lead] = _Pivot(vec, cert, origin)
+        st[lead] = new
+        st.sort_keys.insert(at, key)
+        st.pivots.insert(at, new)
 
     def reduce_expr(self, e: SymExpr):
         """Remainder of e modulo the span slice of its weight, plus the
@@ -476,12 +489,10 @@ def reduce(rels, aux=()) -> list[Relation]:
     span = Span(aux + rels)
     out: list[Relation] = []
     for w in sorted({r.weight for r in rels}):
-        st = span._slice(w)
-        for lead in sorted(st, key=SymMonomial.sort_key, reverse=True):
-            piv = st[lead]
+        for piv in reversed(span._slice(w).pivots):
             if piv.origin < len(aux):
                 continue
             prov = span.base[piv.origin].provenance
             cert = span._provenances(piv.cert) - {prov}
-            out.append(Relation(SymExpr.from_ints(piv.vec[lead], dict(piv.vec)), prov, cert))
+            out.append(Relation(SymExpr.from_ints(1, dict(piv.vec)), prov, cert))
     return out

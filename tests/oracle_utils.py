@@ -1004,29 +1004,43 @@ def linearise(expr) -> dict[str, Fraction]:
     return {w: Fraction(k, expr.den) for w, k in total.items() if k}
 
 
-def rank(vectors) -> int:
-    """The rank over Q of vectors given as {coordinate: rational} dicts,
-    with mutually comparable coordinates: fraction-free row echelon on an
-    integer multiple of each vector, pivoting on its largest coordinate."""
+def remainder(pivots: dict, vec: dict) -> dict:
+    """vec reduced by an ``echelon``'s pivots: fraction-free, on an integer
+    multiple of vec, lead by lead from its largest coordinate.  {} when vec
+    lies in their span."""
+    den = lcm(*(Fraction(v).denominator for v in vec.values()))
+    vec = {k: int(v * den) for k, v in vec.items() if v}
+    while vec:
+        lead = max(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            break
+        g = gcd(vec[lead], piv[lead])
+        f, q = piv[lead] // g, vec[lead] // g
+        vec = {k: f * v for k, v in vec.items()}
+        for k, v in piv.items():
+            vec[k] = vec.get(k, 0) - q * v
+        vec = {k: v for k, v in vec.items() if v}
+        content = gcd(*vec.values())
+        vec = {k: v // content for k, v in vec.items()}
+    return vec
+
+
+def echelon(vectors) -> dict:
+    """A row echelon over Q of vectors given as {coordinate: rational}
+    dicts, with mutually comparable coordinates: each integer pivot keyed by
+    its largest coordinate."""
     pivots: dict = {}
     for vec in vectors:
-        den = lcm(*(Fraction(v).denominator for v in vec.values()))
-        vec = {k: int(v * den) for k, v in vec.items() if v}
-        while vec:
-            lead = max(vec)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = vec
-                break
-            g = gcd(vec[lead], piv[lead])
-            f, q = piv[lead] // g, vec[lead] // g
-            vec = {k: f * v for k, v in vec.items()}
-            for k, v in piv.items():
-                vec[k] = vec.get(k, 0) - q * v
-            vec = {k: v for k, v in vec.items() if v}
-            content = gcd(*vec.values())
-            vec = {k: v // content for k, v in vec.items()}
-    return len(pivots)
+        vec = remainder(pivots, vec)
+        if vec:
+            pivots[max(vec)] = vec
+    return pivots
+
+
+def rank(vectors) -> int:
+    """The rank over Q of vectors given as {coordinate: rational} dicts."""
+    return len(echelon(vectors))
 
 
 # -- the normal form modulo shuffle: by Radford's theorem the shuffle algebra

@@ -163,7 +163,7 @@ def overrides_without_base(source: str) -> list[str]:
 def test_checker_flags_an_override_the_base_lacks():
     source = ("from assoclab.relations import Span as Base\n"
               "class S(Base):\n    'doc'\n    _eliminate = None\n    _gone = None\n"
-              "    def _step(self):\n        pass\n    def _lost(self):\n        pass\n"
+              "    def _sweep(self):\n        pass\n    def _lost(self):\n        pass\n"
               "    def __repr__(self):\n        return ''\n"
               "class T(dict):\n    _other = None\n")
     assert overrides_without_base(source) == ["S._gone", "S._lost"]

@@ -23,6 +23,7 @@ from assoclab.relations import (
     comparison_relations,
     duality_relations,
     known_values,
+    reduce,
     shuffle_relations,
 )
 from assoclab.symring import LOG2, SymExpr, delta, word_composition, zeta
@@ -31,6 +32,7 @@ from oracle_utils import (
     check_omega2,
     check_product_form,
     close_enough,
+    echelon,
     eval_symexpr,
     iint_numeric,
     linearise,
@@ -38,6 +40,7 @@ from oracle_utils import (
     midpoint_rows,
     nf,
     rank,
+    remainder,
     shuffle_sum,
 )
 
@@ -410,6 +413,27 @@ def test_word_coordinate_ledger_is_the_free_count_of_the_span():
         st = span._slice(w)
         free.append(len([m for m in span._monomials(w) if m not in st]))
     assert ledger == free == [1, 2, 3, 6, 10, 23, 47, 96, 192]
+
+
+@pytest.mark.parametrize("order", [5, 6, 7, 8])
+def test_kept_relations_are_proved_in_word_coordinates(order):
+    # ker L holds the shuffle, duality and comparison rows, so a relation r
+    # holds when L(r) lies in the ideal of the known rows' images: at weight
+    # w, the span of {L(k) shuffled with x} over the known rows k and the
+    # d-words x of weight w - wt(k).  Neither Span nor mpmath takes part.
+    known = [(r.weight, linearise(r.expr)) for r in known_values()]
+    kept = reduce(comparison_relations(order), aux_relations(AUX_NAMES, order))
+    unproved, images = [], []
+    for w in sorted({r.weight for r in kept}):
+        ideal = echelon(shuffle_sum(image, {x: 1}) for wk, image in known if wk <= w for x in d_words(w - wk))
+        for r in kept:
+            if r.weight == w:
+                images.append(linearise(r.expr))
+                if remainder(ideal, images[-1]):
+                    unproved.append(r.provenance.label())
+    assert unproved == []
+    if order == 8:
+        assert (len(images), sum(not image for image in images)) == (51, 4)
 
 
 # -- the normal form modulo shuffle (oracle_utils.nf): every generator

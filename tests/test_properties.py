@@ -32,6 +32,7 @@ from assoclab.symring import (
 )
 
 from oracle_utils import (
+    FractionSpan,
     StepNormalisedSpan,
     expr_add_fraction,
     expr_sub_fraction,
@@ -345,7 +346,7 @@ def _pivots(st_):
 @settings(max_examples=60)
 @given(integer_slices(), st.lists(st.tuples(sparse_rows, st.integers(1, 2**70)), max_size=4))
 def test_one_normalisation_per_row_matches_the_per_step_sweep(rows, queries):
-    got, want = {}, {}
+    got, want = Span([])._slice(4), StepNormalisedSpan([])._slice(4)
     for i, r in enumerate(rows):
         row = {SLICE_MONOMIALS[k]: v for k, v in r.items()}
         Span([])._insert(got, dict(row), 1 << i, i)
@@ -358,3 +359,22 @@ def test_one_normalisation_per_row_matches_the_per_step_sweep(rows, queries):
     for r, den in queries + [(r, 3) for r in rows[:2]]:
         e = SymExpr.from_ints(den, {SLICE_MONOMIALS[k]: v for k, v in r.items()})
         assert span.reduce_expr(e) == oracle.reduce_expr(e)
+
+
+@settings(max_examples=60)
+@given(integer_slices())
+def test_back_substitution_matches_the_rational_span(rows):
+    # a new pivot is back-substituted only into the stored pivots whose
+    # leads sort above its own; the rational oracle scans every pivot
+    base = [Relation(SymExpr.from_ints(1, {SLICE_MONOMIALS[k]: v for k, v in r.items()}),
+                     KnownValue("r%d" % i)) for i, r in enumerate(rows)]
+    span, oracle = Span(base), FractionSpan(base)
+    got, want = span._slice(4), oracle._slice(4)
+    assert got.keys() == want.keys()
+    for lead, piv in got.items():
+        assert {m: Fraction(v, piv.vec[lead]) for m, v in piv.vec.items()} == want[lead].vec
+        assert piv.origin == want[lead].origin
+        assert span._provenances(piv.cert) == frozenset(want[lead].cert)
+    leads = sorted(got, key=SymMonomial.sort_key)
+    assert got.sort_keys == [m.sort_key() for m in leads]
+    assert got.pivots == [got[m] for m in leads]

@@ -467,9 +467,18 @@ def test_span_pivots_are_primitive_with_positive_lead():
             assert piv.origin == -1 or piv.cert >> piv.origin & 1
     low, high = SymMonomial(((zeta((3,)), 1),)), SymMonomial(((delta((3,)), 1),))
     assert low.sort_key() < high.sort_key()
-    st = {}
+    st = Span([])._slice(3)
     span._insert(st, {low: 4, high: -6}, 1, 0)
     assert st[high].vec == {low: -2, high: 3}
+
+
+def test_provenances_read_the_set_bits_of_a_certificate():
+    base = aux_relations(AUX_NAMES, 5) + comparison_relations(5)
+    span = Span(base)
+    certs = [p.cert for w in range(1, 6) for p in span._slice(w).values()]
+    for cert in certs + [0, 1, 1 << (len(base) - 1), (1 << len(base)) - 1]:
+        want = frozenset(r.provenance for i, r in enumerate(base) if cert >> i & 1)
+        assert span._provenances(cert) == want
 
 
 @pytest.mark.parametrize("order", [5, 6, 7, 8])
