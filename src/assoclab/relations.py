@@ -440,7 +440,7 @@ class Span:
     def _insert(self, st, vec, cert, origin):
         """Sweep vec, make it primitive with a positive lead and store it as
         a pivot, back-substituted into the stored ones whose leads sort
-        above its own: no other pivot holds it."""
+        above its own: no other stored pivot can hold its lead."""
         cert = self._eliminate(st, vec, cert)
         if not vec:
             return

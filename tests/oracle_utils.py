@@ -637,7 +637,7 @@ def eliminate_normalised(st, vec, cert: int) -> int:
 
 class StepNormalisedSpan(Span):
     """``Span`` with the former sweep; back-substitution is ``Span``'s own,
-    which already normalises after its one step."""
+    which already normalises after its one-pivot sweep."""
 
     _eliminate = staticmethod(eliminate_normalised)
 
