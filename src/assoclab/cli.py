@@ -434,10 +434,10 @@ def main(argv=None) -> int:
         # check paths before any work; append mode leaves an existing file intact
         for path in (getattr(args, "output", None), getattr(args, "report", None)):
             if path is not None:
-                existed = os.path.lexists(path)
+                existed = os.path.exists(path)  # follows links: a dangling one's target is new
                 _emit((), path, "a")
                 if not existed:
-                    created.append(path)
+                    created.append(os.path.realpath(path))
         return args.handler(args)
     except BaseException as exc:
         # an unfinished run leaves no file it created, only what was there before

@@ -25,10 +25,9 @@ Elimination is fraction free in Bareiss's sense: every row stays an
 integer vector, keyed by the interned monomials as the numerators of a
 ``SymExpr`` are, so a monic relation is its own row, and ordered by
 ``SymMonomial.sort_key``.  Each row is swept by one operation that scales
-it once, up front, and a new pivot is back-substituted only into the
-pivots whose leads sort above its own.  ``Span`` gives the details.
-Provenances appear only at the boundary, and an expression is reduced at
-its own scale.
+it once, up front, and returns that scale, and a new pivot is
+back-substituted only into the pivots whose leads sort above its own.
+``Span`` gives the details; provenances appear only at the boundary.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .symring import (
     delta,
     dual_word,
     monomial_product,
+    primitive,
     render_each,
     sum_of_products,
     sym_weight,
@@ -313,12 +313,6 @@ class _Slice(dict):
         self.sort_keys, self.pivots = [], []
 
 
-# reduce_expr's extra coordinate: no pivot holds it, so it carries the
-# factor by which the row operations have scaled the expression.  Each sweep
-# multiplies it by D > 0 and nothing divides it, so it stays positive.
-_SCALE = None
-
-
 class Span:
     """Weight-sliced echelon form of the ideal span of a relation list.
 
@@ -335,19 +329,19 @@ class Span:
     holds on entry, and their entries in it stay put until their own turn.
     The one row operation, ``_sweep``, reads them all first, scales the row
     once by the least D > 0 that keeps each multiple integral, subtracts
-    the multiples and drops zeros at the end, dividing nothing.  One
-    normaliser, ``_primitive``, divides a swept row by its content, with
-    the sign that makes its lead positive, and each stored pivot after the
-    sweep that back-substitutes a new pivot into it.  Certificates do not
-    depend on D or on where a division falls: both scale a row by a
-    positive rational and keep the leads it holds.  A lead is its row's
-    largest monomial, so only the stored pivots whose leads sort above the
-    new lead can hold it; ``_Slice`` keeps the leads in order and
-    ``bisect`` finds the first such pivot.  The new pivot's monomials all
-    sort at or below its lead, so each stored lead stays largest.  A
-    pivot's certificate is a bitmask over base-row indices, and its origin
-    is the index of its base row (-1 for a product row).  Provenances
-    appear only at the boundary, in ``reduce_expr`` and ``reduce``.
+    the multiples and drops zeros at the end, dividing nothing, and returns
+    D for ``reduce_expr``.  ``symring.primitive`` divides a swept row by its
+    content, with the sign that makes its lead positive, and each stored
+    pivot after the sweep that back-substitutes a new pivot into it.
+    Certificates do not depend on D or on where a division falls: both
+    scale a row by a positive rational and keep the leads it holds.  A lead
+    is its row's largest monomial, so only the stored pivots whose leads
+    sort above the new lead can hold it; ``_Slice`` keeps the leads in
+    order and ``bisect`` finds the first such pivot.  The new pivot's
+    monomials all sort at or below its lead, so each stored lead stays
+    largest.  A pivot's certificate is a bitmask over base-row indices, and
+    its origin is the index of its base row (-1 for a product row).
+    Provenances appear only in ``reduce_expr`` and ``reduce``.
     """
 
     def __init__(self, base):
@@ -399,12 +393,12 @@ class Span:
         return st
 
     @staticmethod
-    def _sweep(vec, met, cert: int) -> int:
+    def _sweep(vec, met, cert: int) -> tuple[int, int]:
         """Clear vec's entry at the lead of each (lead, pivot) in met, in
-        place, and return cert with those pivots' bits: vec <- D·vec -
-        Σ (D·a/L)·piv, where a = vec[lead], L = piv[lead] > 0 and D > 0 is
-        the lcm of the L/gcd(a, L).  No pivot in met may hold another one's
-        lead, so each a is still D·a when its pivot's turn comes."""
+        place, and return cert with those pivots' bits, and D: vec <- D·vec
+        - Σ (D·a/L)·piv, where a = vec[lead], L = piv[lead] > 0 and D > 0
+        is the lcm of the L/gcd(a, L).  No pivot in met may hold another
+        one's lead, so each a is still D·a when its pivot's turn comes."""
         D = 1
         for m, p in met:
             L = p.vec[m]
@@ -421,37 +415,30 @@ class Span:
                 vec[k] = get(k, 0) - q * v
         for k in [k for k, v in vec.items() if not v]:
             del vec[k]
-        return cert
+        return cert, D
 
     @staticmethod
-    def _primitive(vec, sign=1):
-        """vec divided by sign × its content, as a new row, or vec itself
-        when that factor is 1."""
-        factor = sign * gcd(*vec.values())
-        return vec if factor == 1 else {k: v // factor for k, v in vec.items()}
-
-    @staticmethod
-    def _eliminate(st, vec, cert: int) -> int:
+    def _eliminate(st, vec, cert: int) -> tuple[int, int]:
         """Sweep every pivot lead that vec holds out of vec in place, with
         no division (the caller normalises), and return cert with the bits
-        of the pivots used."""
+        of the pivots used, and the factor D > 0 that scaled vec."""
         return Span._sweep(vec, [(m, st[m]) for m in vec if m in st], cert)
 
     def _insert(self, st, vec, cert, origin):
         """Sweep vec, make it primitive with a positive lead and store it as
         a pivot, back-substituted into the stored ones whose leads sort
         above its own: no other stored pivot can hold its lead."""
-        cert = self._eliminate(st, vec, cert)
+        cert, _ = self._eliminate(st, vec, cert)
         if not vec:
             return
         lead = max(vec, key=SymMonomial.sort_key)
-        new = _Pivot(self._primitive(vec, -1 if vec[lead] < 0 else 1), cert, origin)
+        new = _Pivot(primitive(vec, -1 if vec[lead] < 0 else 1), cert, origin)
         key = lead.sort_key()
         at = bisect(st.sort_keys, key)
         for piv in st.pivots[at:]:
             if lead in piv.vec:
-                piv.cert = self._sweep(piv.vec, ((lead, new),), piv.cert)
-                piv.vec = self._primitive(piv.vec)
+                piv.cert, _ = self._sweep(piv.vec, ((lead, new),), piv.cert)
+                piv.vec = primitive(piv.vec)
         st[lead] = new
         st.sort_keys.insert(at, key)
         st.pivots.insert(at, new)
@@ -461,16 +448,13 @@ class Span:
         provenances of every row that took part in the elimination.
 
         The remainder is e minus a rational combination of pivot rows, at
-        the scale of e; monomials in generators the span does not know lie
-        in no pivot, so they pass through unchanged."""
+        the scale of e: the swept numerators over den·D.  Monomials in
+        generators the span does not know pass through unchanged."""
         if not e:
             return e, frozenset()
-        st = self._slice(sym_weight(e))
         vec = dict(e.nums)
-        vec[_SCALE] = e.den
-        cert = self._eliminate(st, vec, 0)
-        scale = vec.pop(_SCALE)
-        return SymExpr.from_ints(scale, vec), self._provenances(cert)
+        cert, D = self._eliminate(self._slice(sym_weight(e)), vec, 0)
+        return SymExpr.from_ints(e.den * D, vec), self._provenances(cert)
 
     def contains(self, e: SymExpr) -> bool:
         rem, _ = self.reduce_expr(e)

@@ -29,12 +29,14 @@ get eliminated first.  Monomials compare by weight and then lexicographically
 on their descending factor list.
 
 A ``SymExpr`` is integer numerators over one positive denominator, in
-lowest terms, so equal expressions have equal fields.  Generators and
-monomials are hash-consed: the constructor looks its arguments up in a
-module table and validates, canonicalises and stores only an unseen value,
-so equal values are one immutable object and equality and hashing are
-``object``'s identity versions.  A generator stores its weight and sort key
-when built; a monomial its weight, and its sort key on first use.
+lowest terms, so equal expressions have equal fields.  A monic one is the
+``primitive`` row with a positive lead, the row ``relations.Span`` stores,
+over that lead.  Generators and monomials are hash-consed: the constructor
+looks its arguments up in a module table and validates, canonicalises and
+stores only an unseen value, so equal values are one immutable object and
+equality and hashing are ``object``'s identity versions.  A generator
+stores its weight and sort key when built; a monomial its weight, and its
+sort key on first use.
 Each monomial holds its own products, ``m1.products`` = {m2: m1 * m2},
 which ``monomial_product`` and the product loop share; a missing entry is
 built through ``SymMonomial`` and stored.  Every sum of expressions, of
@@ -359,10 +361,11 @@ class SymExpr:
         return SymExpr.from_ints(self.den * q.denominator, nums)
 
     def monic(self) -> "SymExpr":
-        """self over its leading coefficient: primitive numerators over den =
-        the positive lead."""
-        lead = self.nums[self.leading_monomial()]
-        return SymExpr.from_ints(abs(lead), (self if lead > 0 else -self).nums)
+        """self over its leading coefficient: the ``primitive`` numerators
+        with a positive lead, over den = that lead."""
+        m = self.leading_monomial()
+        nums = primitive(self.nums, -1 if self.nums[m] < 0 else 1)
+        return SymExpr.from_ints(nums[m], nums)
 
     def __pow__(self, n: int) -> "SymExpr":
         if n < 0:
@@ -448,6 +451,13 @@ def render_each(exprs, styles=("text",)):
             text = " ".join(parts) or "+ 0"
             texts.append(text[2:] if text[0] == "+" else "-" + text[2:])
         yield tuple(texts)
+
+
+def primitive(nums: dict, sign: int = 1) -> dict:
+    """An integer row divided by sign × its content, as a new dict, or nums
+    itself when that factor is 1."""
+    factor = sign * gcd(*nums.values())
+    return nums if factor == 1 else {m: n // factor for m, n in nums.items()}
 
 
 def sum_of_products(pairs) -> SymExpr:

@@ -606,13 +606,15 @@ def fraction_reduce(rels, aux=()) -> list:
 # give the same remainders.
 
 
-def combine_normalised(vec, piv, lead):
+def combine_normalised(vec, piv, lead, scale: int) -> int:
     """vec <- ((L/g)·vec - (a/g)·piv) / content in place, where
-    a = vec[lead], L = piv[lead] > 0 and g = gcd(a, L)."""
+    a = vec[lead], L = piv[lead] > 0 and g = gcd(a, L), and return
+    scale·(L/g) / content: the content is taken over vec and that scale."""
     a, L = vec[lead], piv[lead]
     g = gcd(a, L)
     f, q = L // g, a // g
     if f != 1:
+        scale *= f
         for k in vec:
             vec[k] *= f
     for k, v in piv.items():
@@ -621,18 +623,21 @@ def combine_normalised(vec, piv, lead):
             vec[k] = nv
         else:
             del vec[k]
-    content = gcd(*vec.values())
+    content = gcd(scale, *vec.values())
     if content > 1:
+        scale //= content
         for k in vec:
             vec[k] //= content
+    return scale
 
 
-def eliminate_normalised(st, vec, cert: int) -> int:
+def eliminate_normalised(st, vec, cert: int) -> tuple[int, int]:
+    scale = 1
     for m in [m for m in vec if m in st]:
         piv = st[m]
         cert |= piv.cert
-        combine_normalised(vec, piv.vec, m)
-    return cert
+        scale = combine_normalised(vec, piv.vec, m, scale)
+    return cert, scale
 
 
 class StepNormalisedSpan(Span):

@@ -512,6 +512,28 @@ def test_interrupted_run_leaves_no_new_file(tmp_path, monkeypatch):
     assert old.read_text() == "earlier result\n"
 
 
+@pytest.mark.parametrize("argv,flag,interrupted", [
+    (["relations", "--order", "99"], "--output", False),
+    (["verify", "--digits", "5"], "--report", False),
+    (["relations", "--order", "3"], "--output", True),
+], ids=["usage-error", "usage-error-report", "interrupted"])
+def test_failed_run_through_a_dangling_link_leaves_only_the_link(
+        tmp_path, monkeypatch, argv, flag, interrupted):
+    # opening the link creates its target, which the failed run then removes
+    def interrupt(order):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "comparison_relations", interrupt)
+    link = tmp_path / "out.json"
+    link.symlink_to(tmp_path / "target.json")
+    if interrupted:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + [flag, str(link)])
+    else:
+        assert main(argv + [flag, str(link)]) == 2
+    assert os.listdir(tmp_path) == ["out.json"] and link.is_symlink()
+
+
 def _interrupt_after(real, n):
     """``render_each`` that yields real's first n texts, then is interrupted."""
     def render(exprs, *styles):

@@ -415,6 +415,14 @@ def test_word_coordinate_ledger_is_the_free_count_of_the_span():
     assert ledger == free == [1, 2, 3, 6, 10, 23, 47, 96, 192]
 
 
+def test_word_coordinate_ledger_at_weight_ten():
+    # the ledger alone, in word coordinates with no Span: the free count at
+    # w = 10 without building the order-10 span
+    known = [(r.weight, linearise(r.expr)) for r in known_values()]
+    rows = [shuffle_sum(image, {x: 1}) for wk, image in known for x in d_words(10 - wk)]
+    assert len(rows) == 480 and 2 ** 9 - rank(rows) == 384
+
+
 @pytest.mark.parametrize("order", [5, 6, 7, 8])
 def test_kept_relations_are_proved_in_word_coordinates(order):
     # ker L holds the shuffle, duality and comparison rows, so a relation r

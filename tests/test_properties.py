@@ -26,6 +26,7 @@ from assoclab.symring import (
     SymMonomial,
     delta,
     monomial_product,
+    primitive,
     render_each,
     sum_of_products,
     zeta,
@@ -114,6 +115,22 @@ def test_integer_product_loop_matches_the_fraction_loop(pairs, q):
         # one value reached by different routes is one canonical form
         for x, y in (((a + b) - b, a), (a.scale(q).scale(1 / q), a), (tripled, b)):
             assert x == y and hash(x) == hash(y)
+
+
+@given(st.dictionaries(monomials, st.integers(-(2**40), 2**40).filter(bool), min_size=1, max_size=5),
+       st.integers(1, 2**20), st.sampled_from((1, -1)), st.integers(1, 2**40))
+def test_one_primitive_row_for_monic_expressions_and_span_pivots(row, k, sign, den):
+    nums = {m: k * n for m, n in row.items()}  # a content of k or more
+    content = gcd(*nums.values())
+    got = primitive(nums, sign)
+    assert gcd(*got.values()) == 1
+    assert all(sign * content * got[m] == n for m, n in nums.items()) and got.keys() == nums.keys()
+    assert primitive(got) is got
+    e = SymExpr.from_ints(den, nums)
+    lead = e.nums[e.leading_monomial()]
+    # the former monic: negate the whole expression for a negative lead
+    assert e.monic() == SymExpr.from_ints(abs(lead), (e if lead > 0 else -e).nums)
+    assert e.monic().monic() == e.monic()
 
 
 scalars = st.integers(-4, 4)

@@ -406,9 +406,10 @@ def test_reduce_expr_matches_fraction_oracle(order_rows):
 
 
 def test_reduce_expr_keeps_a_huge_scale_positive():
-    # the sweep scales the row, _SCALE coordinate included, by positive
-    # factors only and never divides it, so an input over a den far beyond a
-    # machine word still comes back as the exact rational remainder
+    # the sweep scales the numerators by a positive D, which it returns and
+    # never divides, and the remainder is read over den·D, so an input over
+    # a den far beyond a machine word still comes back as the exact rational
+    # remainder
     comp, aux = comparison_relations(5), aux_relations(AUX_NAMES, 5)
     rows = [r.expr.scale(k) for k, r in enumerate(comp, 1) if r.weight == 5]
     e = sum_of_products((row, 1) for row in rows).scale(Fraction(-7, 3**40))
