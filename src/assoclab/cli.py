@@ -19,7 +19,7 @@ parts and weight at most 24.  Every integer from outside (the flags,
 ASSOCLAB_MAX_ORDER, composition parts) is read by ``_natural``, in ASCII digits.
 Primary outputs are deterministic: the same configuration yields byte
 identical JSON across runs.  One writer (``_emit``) streams every output
-through the stream's own buffer: JSON byte for byte as ``json.dumps(payload,
+in writes of at least 64 KiB: JSON byte for byte as ``json.dumps(payload,
 indent=2, ensure_ascii=True)`` plus a newline, text line by line, so no
 command holds its whole output as one string.  What a command prints is
 computed before its first byte is written, so a failed build prints
@@ -64,6 +64,7 @@ DEFAULT_DIGITS = "40"
 MAX_DIGITS = 2000
 MAX_EVAL_DEPTH = 12
 MAX_EVAL_WEIGHT = 24
+BLOCK = 1 << 16  # characters per write at least, but the last
 
 
 class UsageError(Exception):
@@ -103,14 +104,22 @@ def _emit(chunks, path: str | None = None, mode: str = "w") -> None:
     existing regular file, not a link, is written as ``<path>.<pid>.part``
     with its mode bits, which goes on any failure and after the last piece
     moves onto path, so a run that stops midway leaves the file whole;
-    links, devices and FIFOs are written in place."""
+    links, devices and FIFOs are written in place.  Pieces are joined into
+    writes of ``BLOCK`` characters or more, as stdout may have no buffer."""
     regular = path is not None and mode == "w" and os.path.isfile(path) and not os.path.islink(path)
     part = "%s.%d.part" % (path, os.getpid()) if regular else None
     try:
         with nullcontext(sys.stdout) if path is None else open(part or path, mode, encoding="utf-8") as out:
             if part:
                 os.chmod(part, os.stat(path).st_mode & 0o7777)
-            out.writelines(chunks)
+            block, size = [], 0
+            for chunk in chunks:
+                block.append(chunk)
+                size += len(chunk)
+                if size >= BLOCK:
+                    out.write("".join(block))
+                    block, size = [], 0
+            out.write("".join(block))
         if part:
             os.replace(part, path)
     except OSError as exc:

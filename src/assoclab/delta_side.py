@@ -8,9 +8,11 @@ Xi_B is the zeta side's deletion fold with only B deletable: the
 regularisation of Ihara, Kaneko and Zagier on [0, 1/2], read through
 ``dual_word``.  Over the words x that start with A,
 
-    Xi_B = 1 + sum of (-1)^#B(x) D(x) deletion_fold(x, B),
+    Xi_B = 1 + sum of (-1)^#B(x) D(x) fold(x, B),
 
-with D(x) = d[word_composition(dual_word(x))] and D(A^k) = c^k/k!.  The
+with D(x) = d[word_composition(dual_word(x))] and D(A^k) = c^k/k!, all
+x folded in one walk (``freealg.deletion_rows``).  D is one to one, and
+A^k is reached only from x = A^k, so no coefficient is a sum.  The
 paper's formula, kernel integrals I[l1,...,lr] times ad_B^{l1}(A) ...
 ad_B^{lr}(A), is kept as the test oracle ``xi_series_by_kernels``.
 
@@ -26,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, dual_word, zeta_word
-from .freealg import B, NCSeries, deletion_fold, nc_div, nc_mul, nc_swap, nc_word_sums
+from .symring import SymExpr, SymMonomial, LOG2, compositions, delta, dual_word, word_composition
+from .freealg import A, B, NCSeries, deletion_rows, nc_div, nc_mul, nc_swap
 
 
 def index_weight(ix) -> int:
@@ -96,21 +98,19 @@ def iint_to_sym(levels: tuple[int, ...]) -> SymExpr:
 
 
 def xi_series(order: int) -> NCSeries:
-    """Xi_B, with x = dual_word(zeta_word(s)) for each composition s of
-    r = 1..order: #B(x) = r - len(s), and x = A^r when len(s) = r."""
-    terms = (
-        (_log_power(r) if k == r else SymExpr.gen(delta(s), coeff=(-1) ** (r - k)),
-         deletion_fold(dual_word(zeta_word(s)), B))
-        for r in range(1, order + 1)
-        for k in range(1, r + 1)
-        for s in compositions(r, k)
-    )
-    return nc_word_sums(order, terms)
+    """Xi_B over the words x that start with A, of length r = 1..order:
+    D(x) is the delta whose zeta word is dual to x, and D(A^r) = c^r/r!."""
+    rows = deletion_rows(order, B, A + B, lambda x: None if B not in x else
+                         SymMonomial(((delta(word_composition(dual_word(x))), 1),)))
+    coeffs = {w: SymExpr.from_ints(1, row) for w, row in rows.items()}
+    coeffs.update((A * r, _log_power(r)) for r in range(1, order + 1))
+    return NCSeries(order, {"": SymExpr.one(), **coeffs})
 
 
 def psi_series(order: int) -> NCSeries:
-    """exp(cB) * Xi_B, the left half of the delta-side product."""
-    exp_cb = nc_word_sums(order, ((_log_power(k), {B * k: 1}) for k in range(1, order + 1)))
+    """exp(cB) * Xi_B, the left half of the delta-side product, with exp(cB)
+    the literal series of c^k/k! B^k."""
+    exp_cb = NCSeries(order, {B * k: _log_power(k) if k else SymExpr.one() for k in range(order + 1)})
     return nc_mul(exp_cb, xi_series(order))
 
 

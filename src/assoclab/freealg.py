@@ -16,14 +16,15 @@ pairs with |u| + |v| <= N are visited, and the pairs that meet at one output
 word are listed under it in a ``defaultdict(list)`` and summed in one
 accumulator (``symring.sum_of_products``).  Quotients a * inverse(s) are
 solved degree by degree from the same pair lists (``nc_div``), and the
-inverse is the quotient of the unit.  Word sums (``nc_word_sums``) list a
-word's (coefficient, count) pairs the same way and sum them at once;
-there is no separate exponential, as exp(c X) is the word sum of c^k/k! X^k.
+inverse is the quotient of the unit.
 
-Both sides' word counts come from one fold (``deletion_fold``): a deletable
-letter may be deleted with a sign flip, B to the left end, A to the right.
-The fold steps over runs of equal letters, not letters: a deletable run of
-p copies branches once into its p + 1 deletion counts, with binomial weights.
+Both sides' coefficient rows come from one walk (``deletion_rows``) over the
+words that start with A, each folded once from its parent's fold states.
+The fold keeps each letter or, if deletable, deletes it with a sign flip,
+B to the left end, A to the right, so the state is (head, #A deleted) with
+head = B^#B deleted + kept letters.  It steps over runs of equal letters:
+a deletable run of p copies branches once into s = 0..p deletions, with
+weight (-1)^s C(p, s), as the C(p, s) choices of s copies reach one state.
 A series prints as one batch (``render_each``), one term at a time
 (``series_terms``); ``series_to_json`` wraps that stream with the order.
 """
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 from .symring import LETTER_SWAP, SymExpr, render_each, sum_of_products
@@ -68,15 +68,8 @@ class NCSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = int(order)
-        clean: dict[str, SymExpr] = {}
-        if coeffs:
-            for w, e in coeffs.items():
-                _check_word(w)
-                if len(w) > order:
-                    continue
-                if e:
-                    clean[w] = e
-        self.coeffs = clean
+        # every word is checked, also one that the truncation drops
+        self.coeffs = {w: e for w, e in (coeffs or {}).items() if len(_check_word(w)) <= order and e}
 
     def __eq__(self, other):
         if not isinstance(other, NCSeries):
@@ -150,15 +143,6 @@ def nc_inverse(s: NCSeries) -> NCSeries:
     return nc_div(nc_unit(s.order), s)
 
 
-def nc_word_sums(order: int, terms) -> NCSeries:
-    """1 + sum of coeff * k * w over (SymExpr coeff, {word w: int k}) pairs."""
-    pairs = defaultdict(list, {"": [(SymExpr.one(), 1)]})
-    for coeff, words in terms:
-        for w, k in words.items():
-            pairs[w].append((coeff, k))
-    return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
-
-
 @lru_cache(maxsize=None)
 def _run_branches(run: str) -> tuple:
     """(prefix, kept copies, #A deleted, weight) for s = 0..p deletions
@@ -169,34 +153,44 @@ def _run_branches(run: str) -> tuple:
     return tuple((run[:s], run[s:], 0, (-1) ** s * comb(p, s)) for s in range(p + 1))
 
 
-def deletion_fold(word: str, deletable: str) -> dict[str, int]:
-    """Signed word counts of a left fold over the runs of equal letters of
-    word, each letter kept or, if in ``deletable``, deleted with a sign
-    flip: B to the left end, A to the right.
-
-    The state is (head, #A deleted), with head = B^#B deleted + kept
-    prefix, as kept letters extend the head and the word ends as head A^#A.
-    A run of p copies of a deletable letter branches once into s = 0..p
-    deletions with weight (-1)^s C(p, s): the C(p, s) choices of s deleted
-    copies reach one state.  A run of a letter that cannot be deleted
-    extends every head in one step.
-    """
-    states = {("", 0): 1}
-    for letter, run in groupby(word):
-        run = "".join(run)
-        if letter not in deletable:
-            states = {(head + run, a): c for (head, a), c in states.items()}
-            continue
-        nxt = defaultdict(int)
-        branches = _run_branches(run)
-        for (head, a), c in states.items():
-            for pre, kept, da, k in branches:
-                nxt[pre + head + kept, a + da] += k * c
-        states = nxt
-    out = defaultdict(int)
+def _fold_run(states: dict, run: str, deletable: str) -> dict:
+    """The fold states, (head, #A deleted) -> count, after one more run of
+    equal letters, in a new dict: a run that cannot be deleted extends every
+    head, a deletable one branches by ``_run_branches``."""
+    if run[0] not in deletable:
+        return {(head + run, a): c for (head, a), c in states.items()}
+    nxt = defaultdict(int)
+    branches = _run_branches(run)
     for (head, a), c in states.items():
-        out[head + A * a] += c
-    return {w: c for w, c in out.items() if c}
+        for pre, kept, da, k in branches:
+            nxt[pre + head + kept, a + da] += k * c
+    return nxt
+
+
+def deletion_rows(order: int, deletable: str, ends: str, monomial) -> dict:
+    """{word: {monomial(x): (-1)^#B(x) count}} over the templates x: the
+    words of length <= order that start with A, end in a letter of ``ends``
+    and have a ``monomial(x)`` other than None, with x's nonzero fold counts
+    (each template owns its monomial, so no entry is a sum).  Depth first on
+    an explicit stack: a word's fold states are its parent's (the word less
+    its last run) extended by that run, so each run-prefix is folded once,
+    and a word ending in a letter not in ``ends`` only if a run can follow."""
+    rows, stack, word, states, letter = defaultdict(dict), [], "", {("", 0): 1}, A
+    while True:
+        room = order - len(word) - (letter not in ends)
+        stack += [(word, states, letter * k) for k in range(room, 0, -1)]
+        if not stack:
+            return rows
+        parent, states, run = stack.pop()
+        word, states = parent + run, _fold_run(states, run, deletable)
+        letter = B if run[0] == A else A
+        if run[0] in ends and (m := monomial(word)) is not None:
+            counts, sign = defaultdict(int), (-1) ** word.count(B)
+            for (head, a), c in states.items():
+                counts[head + A * a] += c
+            for w, c in counts.items():
+                if c:
+                    rows[w][m] = sign * c
 
 
 def nc_swap(s: NCSeries) -> NCSeries:

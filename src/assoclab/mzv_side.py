@@ -9,15 +9,16 @@ binomial sum of words: inside the template, a block of s_i letters A is
 clipped from the i-th A-run and appended at the right end, a block of t_i
 letters B is clipped from the i-th B-run and prepended at the left end,
 weighted by (-1)^{s_i+t_i} C(p_i,s_i) C(q_i,t_i).  The overall sign is
-(-1)^{q1+...+qg}.  The sum is ``freealg.deletion_fold`` over the template
-with both letters deletable, in which the binomials and signs arrive as
-merged counts.
+(-1)^{q1+...+qg}.  The sum is the deletion fold over the template with
+both letters deletable, in which the binomials and signs arrive as merged
+counts; one walk (``freealg.deletion_rows``) folds every template, the
+words from A to B, and as their zeta words differ, no coefficient is a sum.
 """
 
 from __future__ import annotations
 
-from .symring import SymExpr, compositions, word_composition, zeta
-from .freealg import A, B, NCSeries, deletion_fold, nc_word_sums
+from .symring import SymExpr, SymMonomial, compositions, word_composition, zeta
+from .freealg import A, B, NCSeries, deletion_rows
 
 # ((p1, q1), ..., (pg, qg)), all entries >= 1; only enumerate_pq builds one
 Pairs = tuple[tuple[int, int], ...]
@@ -49,10 +50,6 @@ def phi_mzv(order: int) -> NCSeries:
     Coefficients are emitted raw: both zeta[3] and zeta[2,1] occur, and no
     known relation between generators is applied here.
     """
-    terms = (
-        (SymExpr.gen(zeta(word_composition(word)), coeff=(-1) ** word.count(B)),
-         deletion_fold(word, A + B))
-        for r in range(2, order + 1)
-        for word in map(pq_word, enumerate_pq(r))
-    )
-    return nc_word_sums(order, terms)
+    rows = deletion_rows(order, A + B, B, lambda x: SymMonomial(((zeta(word_composition(x)), 1),)))
+    coeffs = {w: SymExpr.from_ints(1, row) for w, row in rows.items()}
+    return NCSeries(order, {"": SymExpr.one(), **coeffs})

@@ -10,7 +10,8 @@ production paths kept here as references (the mpf delta kernel, the mpf
 midpoint split, the rational elimination, the per-step normalised integer
 sweep, the Fraction product and sum loops, the word-sum and shuffle-row
 loops, the pair-index duality rows, the all-pairs product and geometric
-inverse, the closed-form template word sum, the carry-vector kernel
+inverse, the closed-form template word sum, the per-word deletion fold
+and the two series built from it by word sums, the carry-vector kernel
 expansion, its zeta-kernel reading, the paper's kernel formula for Xi_B
 with its ad-word counts, and the per-expression printer that sorted by
 ``sort_key``): each checks the rewrite that replaced it.
@@ -894,6 +895,74 @@ def word_sum_closed_form(pairs) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
+def deletion_fold(word: str, deletable: str) -> dict[str, int]:
+    """The package's former per-word fold: the signed word counts of a left
+    fold over the runs of equal letters of word, each letter kept or, if in
+    ``deletable``, deleted with a sign flip, B to the left end and A to the
+    right, every word folded from its first letter.  The state is
+    (head, #A deleted); a deletable run of p copies branches into s = 0..p
+    deletions with weight (-1)^s C(p, s)."""
+    states = {("", 0): 1}
+    for letter, run in itertools.groupby(word):
+        p = len(list(run))
+        nxt: dict = {}
+        for (head, a), c in states.items():
+            for s in range(p + 1 if letter in deletable else 1):
+                kept = letter * (p - s)
+                key = (letter * s + head + kept, a) if letter == "B" else (head + kept, a + s)
+                nxt[key] = nxt.get(key, 0) + (-1) ** s * comb(p, s) * c
+        states = nxt
+    out: dict[str, int] = {}
+    for (head, a), c in states.items():
+        out[head + "A" * a] = out.get(head + "A" * a, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def nc_word_sums(order: int, terms):
+    """The package's former word sums: 1 + sum of coeff * k * w over
+    (SymExpr coeff, {word w: int k}) pairs, each word's pairs summed at
+    once in ``sum_of_products``."""
+    from assoclab.freealg import NCSeries
+    from assoclab.symring import SymExpr, sum_of_products
+
+    pairs: dict = {"": [(SymExpr.one(), 1)]}
+    for coeff, words in terms:
+        for w, k in words.items():
+            pairs.setdefault(w, []).append((coeff, k))
+    return NCSeries(order, {w: sum_of_products(p) for w, p in pairs.items()})
+
+
+def phi_mzv_by_word_sums(order: int):
+    """The package's former Phi_mzv: each template A^p1 B^q1 ... folded on
+    its own, times (-1)^#B z[its composition], and the word sums taken."""
+    from assoclab.mzv_side import enumerate_pq, pq_word
+    from assoclab.symring import SymExpr, word_composition, zeta
+
+    return nc_word_sums(order, (
+        (SymExpr.gen(zeta(word_composition(word)), coeff=(-1) ** word.count("B")),
+         deletion_fold(word, "AB"))
+        for r in range(2, order + 1)
+        for word in map(pq_word, enumerate_pq(r))
+    ))
+
+
+def xi_series_by_word_sums(order: int):
+    """The package's former Xi_B: x = dual_word(zeta_word(s)) for each
+    composition s of r = 1..order folded on its own with only B deletable,
+    times (-1)^(r - len(s)) d[s], or c^r/r! when x = A^r, and the word sums
+    taken."""
+    from assoclab.symring import LOG2, SymExpr, compositions, delta, dual_word, zeta_word
+
+    return nc_word_sums(order, (
+        (SymExpr.gen(LOG2, r, Fraction(1, factorial(r))) if k == r
+         else SymExpr.gen(delta(s), coeff=(-1) ** (r - k)),
+         deletion_fold(dual_word(zeta_word(s)), "B"))
+        for r in range(1, order + 1)
+        for k in range(1, r + 1)
+        for s in compositions(r, k)
+    ))
+
+
 def iint_terms_by_carry_vectors(levels) -> list:
     """The package's former kernel expansion: one (coefficient, composition)
     term per carry vector (m0=0, m1, ..., m_{r-1}, m_r=0) with
@@ -1139,7 +1208,6 @@ def xi_series_by_kernels(order: int):
     over index words of I[levels] times ad_B^l1(A) ... ad_B^lr(A), index
     words cut off at total degree ``order``."""
     from assoclab.delta_side import iint_to_sym, index_words
-    from assoclab.freealg import nc_word_sums
 
     return nc_word_sums(
         order,

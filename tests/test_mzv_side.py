@@ -3,24 +3,29 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import pytest
 
-from assoclab.freealg import A, B, NCSeries, deletion_fold, nc_mul, nc_unit
+from assoclab import delta_side, freealg, mzv_side
+from assoclab.delta_side import xi_series
+from assoclab.freealg import A, B, NCSeries, deletion_rows, nc_mul, nc_unit
 from assoclab.mzv_side import enumerate_pq, phi_mzv, pq_word
 from assoclab.symring import SymExpr, compositions, dual_word, word_composition, zeta, zeta_word
 
 from oracle_utils import (
     ad_series,
     check_grading,
+    deletion_fold,
     dual_composition,
     nc_add,
     nc_graded_part,
     nc_scale,
     nc_sub,
+    phi_mzv_by_word_sums,
     word_sum_closed_form,
+    xi_series_by_word_sums,
     zeta_composition,
 )
 
@@ -95,11 +100,22 @@ def test_dual_composition_is_reverse_swap():
         assert pq_word(dual_composition(pairs)) == dual_word(pq_word(pairs))
 
 
+def _walk_counts(order: int, deletable: str, ends: str) -> dict[str, dict[str, int]]:
+    # each template's fold counts, read back from rows keyed by the template
+    counts: dict[str, dict[str, int]] = {}
+    for w, row in deletion_rows(order, deletable, ends, lambda x: x).items():
+        for x, n in row.items():
+            counts.setdefault(x, {})[w] = n * (-1) ** x.count(B)
+    return counts
+
+
 def test_word_sum_fold_matches_the_closed_formula():
     templates = [pairs for r in range(2, 11) for pairs in enumerate_pq(r)]
     assert len(templates) == 511
+    walked = _walk_counts(10, A + B, B)
+    assert set(walked) == {pq_word(pairs) for pairs in templates}
     for pairs in templates:
-        assert deletion_fold(pq_word(pairs), A + B) == word_sum_closed_form(pairs), pairs
+        assert walked[pq_word(pairs)] == word_sum_closed_form(pairs), pairs
 
 
 def _deleted_letter_sets(word: str, deletable: str) -> dict[str, int]:
@@ -126,6 +142,14 @@ def _random_run_word(rng: random.Random) -> str:
 
 
 def test_word_sum_is_the_sum_over_deleted_letter_sets():
+    # the walk, at every word that starts with A, up to length 8
+    words = {A + "".join(rest) for n in range(8) for rest in product(A + B, repeat=n)}
+    for deletable in (A + B, A, B, ""):
+        walked = _walk_counts(8, deletable, A + B)
+        assert set(walked) <= words
+        for word in words:  # a trailing deletable A cancels its whole fold
+            assert walked.get(word, {}) == _deleted_letter_sets(word, deletable), (word, deletable)
+    # the former per-word fold, which the series oracles read
     cases = [(pq_word(pairs), deletable)
              for deletable in ("AB", "A", "B")
              for r in range(2, 9)
@@ -139,6 +163,46 @@ def test_word_sum_is_the_sum_over_deleted_letter_sets():
     cases += [(word, deletable) for word in words for deletable in ("", "A", "B", "AB")]
     for word, deletable in cases:
         assert deletion_fold(word, deletable) == _deleted_letter_sets(word, deletable), (word, deletable)
+
+
+@pytest.mark.parametrize("order", range(10))
+def test_series_match_the_per_word_fold_and_word_sums(order):
+    assert phi_mzv(order) == phi_mzv_by_word_sums(order)
+    assert xi_series(order) == xi_series_by_word_sums(order)
+
+
+def test_each_template_owns_its_monomial(monkeypatch):
+    # the rows are written, not summed: no two templates share a monomial
+    seen: dict[str, list] = {}
+
+    def recording(order, deletable, ends, monomial):
+        def record(x):
+            m = monomial(x)
+            if m is not None:
+                seen.setdefault(deletable, []).append(m)
+            return m
+        return deletion_rows(order, deletable, ends, record)
+
+    monkeypatch.setattr(mzv_side, "deletion_rows", recording)
+    monkeypatch.setattr(delta_side, "deletion_rows", recording)
+    phi_mzv(10), xi_series(10)
+    # Phi_mzv: the 511 words A...B; Xi_B: the 1023 words A... less A^1..A^10
+    assert len(seen["AB"]) == len(set(seen["AB"])) == 511
+    assert len(seen["B"]) == len(set(seen["B"])) == 1013
+
+
+def test_the_walk_folds_each_run_prefix_once(monkeypatch):
+    steps = []
+    fold_run = freealg._fold_run
+    monkeypatch.setattr(freealg, "_fold_run", lambda states, run, d: steps.append(run) or fold_run(states, run, d))
+    phi_mzv(9)
+    templates = [pq_word(pairs) for r in range(2, 10) for pairs in enumerate_pq(r)]
+    runs = [["".join(g) for _, g in groupby(w)] for w in templates]
+    prefixes = {"".join(r[:i]) for r in runs for i in range(1, len(r) + 1)}
+    assert len(steps) == len(prefixes) == 383
+    steps.clear()
+    xi_series(9)
+    assert len(steps) == 2 ** 9 - 1  # every word that starts with A
 
 
 def test_phi_degree_two_is_zeta2_bracket():

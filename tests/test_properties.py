@@ -9,7 +9,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit, nc_word_sums
+from assoclab.freealg import NCSeries, nc_div, nc_inverse, nc_mul, nc_unit
 from assoclab.relations import (
     AUX_NAMES,
     KnownValue,
@@ -40,6 +40,7 @@ from oracle_utils import (
     fraction_terms,
     nc_inverse_geometric,
     nc_mul_all_pairs,
+    nc_word_sums,
     nc_word_sums_fraction,
     render_by_sort_key,
     sum_of_products_fraction,
