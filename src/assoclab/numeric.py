@@ -29,9 +29,9 @@ is a lower bound of the true one.  mpmath is used only at the edges, and
 imported only there: ``eval_delta`` and ``eval_zeta`` return mpfs, and a
 ``VerifyResult`` builds its mpf ``residual``, rounded once, on first
 access.  So ``expand``, ``relations`` and ``verify`` never load it.
-Results carry no error object; instead the working precision exceeds the
-requested digits by a guard margin plus a term-count allowance, and the
-summation cutoffs are chosen against an explicit tail bound.
+Results carry no error object; instead each pass sizes its cutoff and its
+bit count in integers, as the least that keep the tail after the cutoff and
+the loss of its floors below 10^-(digits+guard) (``_sum_deltas``).
 
 There is one value cache, the dict ``_VALUES``, keyed by the ``Generator``
 and the (frozen) Precision.  ``_value`` reads it, and every pass writes the
@@ -87,16 +87,13 @@ class Precision(namedtuple("Precision", "digits")):
         return tuple.__new__(cls, (digits,))
 
 
-def _working_dps(prec: Precision, terms: int) -> int:
-    # allowance for rounding accumulation across ~terms additions
-    return prec.digits + prec.guard + max(5, int(math.ceil(math.log10(terms + 10))))
-
-
 def _delta_cutoff(depth: int, target_digits: int) -> int:
-    # smallest M (up to step granularity) with 2^-M * M^depth < 10^-target
-    M = max(32, int(target_digits * 3.33) + 8 * depth)
-    while -M * math.log10(2.0) + depth * math.log10(M) >= -target_digits:
-        M += 16
+    # the least M with 2^-M * sum_(j<depth) C(M, j) < 10^-target; as the sum
+    # is at least 1, no M below the bit length of 10^target passes
+    unit = 10**target_digits
+    M = unit.bit_length()
+    while sum(math.comb(M, j) for j in range(depth)) * unit >= 1 << M:
+        M += 1
     return M
 
 
@@ -116,13 +113,13 @@ def eval_delta(comp, prec: Precision = Precision()) -> mpf:
     return _mpf(_value(delta(comp), prec))
 
 
-def _fixed_point_bits(comp: tuple[int, ...], dps: int) -> int:
-    # P = ceil(dps*log2(10) + E) with E = k + sum s_i*log2(k+1-i): the first
-    # chain n_i = k+1-i is a term of at least 2^-E, a lower bound on the
-    # value, so an absolute error of 2^-P stays relative to small values
-    k = len(comp)
-    e = k + sum(s * math.log2(k - i) for i, s in enumerate(comp))
-    return int(math.ceil(dps * math.log2(10) + e))
+def _fixed_point_bits(comps, M: int, target_digits: int) -> int:
+    # the least P with (M + 1)(2K + 1) * 2^E * 10^target < 2^(P+1), for the
+    # batch's largest depth K and largest 2^E = 2^k * prod (k-i)^s_i: the
+    # first chain n_i = k - i is a summand of 2^-E, a lower bound on the value
+    K = max(map(len, comps))
+    first = max(2 ** len(c) * math.prod((len(c) - i) ** s for i, s in enumerate(c)) for c in comps)
+    return ((M + 1) * (2 * K + 1) * first * 10**target_digits).bit_length() - 1
 
 
 def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], Dyadic]:
@@ -150,10 +147,10 @@ def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], Dyadic]:
     dropped once its last child is built, so at most one root-to-leaf path
     of arrays, K + 1 for the batch's largest depth K, is alive at a time.
 
-    One cutoff and one bit count serve the pass: M is ``_delta_cutoff`` at
-    depth K, and P the largest ``_fixed_point_bits`` of the batch at the
-    working precision of depth K.  Both are at least what a composition
-    gets alone, so a value's last bits depend on the batch that summed it.
+    One cutoff and one bit count serve the pass, each the least integer
+    that meets its bound below: M is ``_delta_cutoff`` at depth K, and P is
+    ``_fixed_point_bits`` of the whole batch.  Both are at least what a
+    composition gets alone, so a value's last bits depend on the batch.
     The int is kept as it is, not shifted to any common scale, so a tiny
     value keeps the E bits that ``_fixed_point_bits`` gave it.
 
@@ -166,17 +163,19 @@ def _sum_deltas(comps, prec: Precision) -> dict[tuple[int, ...], Dyadic]:
     which loses at most one half).  So e_j(n) < e_j(n-1)/2 + (2j - 1)/2 + 1,
     which keeps e_j below 2j + 1, starting from e_j(0) = 0.  A value of
     depth k adds M + 1 entries of level k, so it is low by less than
-    (M + 1)*(2k + 1) units of 2^-(P+1).  The cutoff M adds the tail after M,
-    which ``_delta_cutoff`` keeps below 10^-(digits+guard); P is large
-    enough that (M + 1)*(2k + 1)*2^-(P+1) is below 2^-E*10^-(digits+guard),
-    with 2^-E a lower bound on the value (``_fixed_point_bits``).  Both
-    losses are drops, so every value is a lower bound of the true one.
+    (M + 1)*(2k + 1) units of 2^-(P+1), and P is the least with
+    (M + 1)*(2K + 1)*2^-(P+1) below 2^-E*10^-(digits+guard), with 2^-E a
+    lower bound on the value (``_fixed_point_bits``).  The cutoff drops the
+    tail after M.  A depth-k summand at n sums terms of at most 2^-n over
+    the C(n-1, k-1) chains n > n2 > ... > nk >= 1, so that tail is at most
+    sum_(n>M) 2^-n*C(n-1, k-1) = 2^-M*sum_(j<k) C(M, j), which grows with
+    k; M is the least that keeps it below 10^-(digits+guard) at depth K.
+    Both losses are drops, so every value is a lower bound of the true one.
     """
     comps = set(comps)
-    K = max(map(len, comps))
-    M = _delta_cutoff(K, prec.digits + prec.guard)
-    dps = _working_dps(prec, M * K)
-    P = max(_fixed_point_bits(c, dps) for c in comps)
+    target = prec.digits + prec.guard
+    M = _delta_cutoff(max(map(len, comps)), target)
+    P = _fixed_point_bits(comps, M, target)
     kids: dict[tuple[int, ...], set[int]] = {}
     for c in comps:
         for j in range(len(c)):
@@ -314,7 +313,7 @@ def _mpf(v: Dyadic) -> mpf:
 
 def _scale_bits(prec: Precision) -> int:
     """B, the scale 2^B of the fixed-point row values."""
-    return int(math.ceil((prec.digits + prec.guard) * math.log2(10))) + GUARD_BITS
+    return (10 ** (prec.digits + prec.guard)).bit_length() + GUARD_BITS
 
 
 @lru_cache(maxsize=None)

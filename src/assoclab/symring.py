@@ -39,9 +39,9 @@ stores its weight and sort key when built; a monomial its weight, and its
 sort key on first use.
 Each monomial holds its own products, ``m1.products`` = {m2: m1 * m2},
 which ``monomial_product`` and the product loop share; a missing entry is
-built through ``SymMonomial`` and stored.  Every sum of expressions, of
-products or of integer multiples, runs through the one loop
-``sum_of_products``, which adds integer numerators over a common
+built through ``SymMonomial`` and stored in both factors' rows.  Every sum
+of expressions, of products or of integer multiples, runs through the one
+loop ``sum_of_products``, which adds integer numerators over a common
 denominator and keeps no term order; a rational multiple is ``scale``.
 Printing is one path too, ``render_each``: a batch of expressions sorts its
 distinct monomials once by ``sort_key`` and each expression's terms by their
@@ -265,9 +265,9 @@ UNIT_MONOMIAL = SymMonomial(())
 
 
 def _product_miss(m1: SymMonomial, m2: SymMonomial) -> SymMonomial:
-    """Build m1 * m2, the one way a product is built, and store it in m1's
-    ``products`` row."""
-    m = m1.products[m2] = SymMonomial(m1.factors + m2.factors)
+    """Build m1 * m2, the one way a product is built, and store it in the
+    ``products`` rows of both, as monomials commute."""
+    m = m1.products[m2] = m2.products[m1] = SymMonomial(m1.factors + m2.factors)
     return m
 
 

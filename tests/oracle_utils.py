@@ -36,7 +36,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, log
+from math import ceil, comb, factorial, gcd, lcm, log, log10
 
 from mpmath import mp
 
@@ -97,11 +97,18 @@ def brute_delta(comp, digits: int = 30):
         return +out
 
 
+def working_dps(prec, terms: int) -> int:
+    """The mpf oracles' own working precision: the requested and guard
+    digits of ``prec`` plus an allowance for rounding across about ``terms``
+    additions."""
+    return prec.digits + prec.guard + max(5, ceil(log10(terms + 10)))
+
+
 def _mpf_budget(depth: int, prec):
-    from assoclab.numeric import _delta_cutoff, _working_dps
+    from assoclab.numeric import _delta_cutoff
 
     M = _delta_cutoff(depth, prec.digits + prec.guard)
-    return M, _working_dps(prec, M * depth)
+    return M, working_dps(prec, M * depth)
 
 
 def _mpf_powers(s: int, M: int):
@@ -128,8 +135,8 @@ def _mpf_outer(prev, pw, M: int):
 
 
 def delta_mpf(comp, prec):
-    """The nested delta sum in mpf arithmetic, at the package's cutoff and
-    working precision for ``prec`` (a ``numeric.Precision``).
+    """The nested delta sum in mpf arithmetic, at the package's cutoff for
+    ``prec`` (a ``numeric.Precision``) and the oracles' ``working_dps``.
 
     This is the mpf loop the package ran before its fixed-point integer
     kernel (ldexp in place of a running 2^-n, exact either way, so the
@@ -308,12 +315,10 @@ def generator_mpf(g, prec):
 
 
 def eval_symexpr_mpf(e, prec):
-    """An expression's value in mpf arithmetic, at the working precision of
-    the package for ``prec`` and ``len(e) + 1`` terms, from the package's
-    generator values."""
-    from assoclab.numeric import _working_dps
-
-    with mp.workdps(_working_dps(prec, len(e) + 1)):
+    """An expression's value in mpf arithmetic, at the oracles'
+    ``working_dps`` for ``prec`` and ``len(e) + 1`` terms, from the
+    package's generator values."""
+    with mp.workdps(working_dps(prec, len(e) + 1)):
         total = mp.zero
         for mono, q in fraction_terms(e):
             v = mp.mpf(q.numerator) / q.denominator
@@ -327,12 +332,11 @@ def zeta_split_mpf(comp, prec, delta_value):
     """z[comp] by the package's former mpf midpoint split: the sum over the
     cuts w = uv of its word of delta_value(dual_word(u)) * delta_value(v),
     each read through ``word_composition`` (1 for an empty side), in mpf
-    arithmetic at the working precision for one term per cut."""
-    from assoclab.numeric import _working_dps
+    arithmetic at ``working_dps`` for one term per cut."""
     from assoclab.symring import dual_word, word_composition, zeta_word
 
     w = zeta_word(comp)
-    with mp.workdps(_working_dps(prec, len(w) + 1)):
+    with mp.workdps(working_dps(prec, len(w) + 1)):
         total = mp.zero
         for i in range(len(w) + 1):
             part = mp.one

@@ -1,8 +1,8 @@
 """Every name a package module or test file imports is used in that file,
 each package module imports only the package modules of the layers below
 it, importing the command line loads no heavy standard module, only
-``eval`` loads mpmath, and a test class that subclasses a package class
-overrides only names its base has.
+``eval`` loads mpmath, ``numeric`` holds no floating point, and a test
+class that subclasses a package class overrides only names its base has.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` imports nothing, so
@@ -193,6 +193,34 @@ def test_checker_flags_a_sort_key_subscript():
 def test_only_symring_reads_the_layout_of_a_sort_key(path):
     # the monomial order's tuple layout is symring's to change
     assert sort_key_subscripts(path.read_text()) == []
+
+
+FLOAT_CALLS = {"log", "log2", "log10", "ceil", "float"}
+
+
+def floating_point(source: str) -> list[int]:
+    """Lines that call a float logarithm, ``ceil`` or ``float``, by name or
+    as an attribute, or that hold a float literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in FLOAT_CALLS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_floating_point():
+    source = ("import math\nbits = math.ceil(t * math.log2(10))\nx = float(n)\n"
+              "M = max(32, int(t * 3.33))\nok = comb(M, 2) * 10**t < 1 << M\ntext = '0.0'\n")
+    assert floating_point(source) == [2, 2, 3, 4]
+
+
+def test_numeric_sizes_its_passes_without_floating_point():
+    # the module docstring's claim: integers from the delta pass to the verdict
+    assert floating_point((SRC / "numeric.py").read_text()) == []
 
 
 SERIES = {"symring", "freealg", "mzv_side", "delta_side"}

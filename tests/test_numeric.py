@@ -19,7 +19,6 @@ from assoclab.numeric import (
     _delta_cutoff,
     _fixed_point_bits,
     _scale_bits,
-    _working_dps,
     eval_delta,
     eval_zeta,
     residual_text,
@@ -64,11 +63,23 @@ def test_precision_validation():
         Precision().digits = 50
 
 
-def test_working_dps_and_cutoff_monotone():
-    p = Precision(digits=30)
-    assert _working_dps(p, 100) >= 35
+def test_delta_cutoff_monotone():
     assert _delta_cutoff(1, 40) < _delta_cutoff(1, 80)
     assert _delta_cutoff(4, 40) >= _delta_cutoff(1, 40)
+
+
+def _binomial_tail(depth: int, M: int) -> int:
+    # 2^M times the bound on the tail after M: sum_(j<depth) C(M, j)
+    return sum(math.comb(M, j) for j in range(depth))
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_chain_count_tail_has_its_closed_form(depth):
+    # sum_(n=k..N) 2^-n*C(n-1, k-1) = 1 - 2^-N*sum_(j<k) C(N, j), exactly: the
+    # negative-binomial tail that _delta_cutoff bounds the dropped sum with
+    for N in range(41):
+        head = sum(Fraction(math.comb(n - 1, depth - 1), 2**n) for n in range(depth, N + 1))
+        assert head == 1 - Fraction(_binomial_tail(depth, N), 2**N), N
 
 
 def _chain_tail(depth: int, M: int):
@@ -103,6 +114,9 @@ def test_delta_cutoff_drops_less_than_the_target(digits):
         M = _delta_cutoff(depth, target)
         tail = _chain_tail(depth, M)
         assert tail < mp.mpf(10) ** -target, (depth, M, mp.nstr(tail, 5))
+        # M is the least that keeps the closed-form tail below the target
+        assert _binomial_tail(depth, M) * 10**target < 2**M, (depth, M)
+        assert _binomial_tail(depth, M - 1) * 10**target >= 2 ** (M - 1), (depth, M)
 
 
 def _bound_compositions(depth: int):
@@ -118,20 +132,27 @@ def _bound_compositions(depth: int):
 @pytest.mark.parametrize("digits", [10, 11, 40, 100, 299, 300, 1000, 1999, 2000])
 def test_fixed_point_bits_cover_the_rounding_loss(digits):
     # (M + 1)(2k + 1) * 2^-(P+1) < 2^-E * 10^-(digits+guard) in integers, with
-    # 2^-E = 2^-k / prod (k+1-i)^s_i the first chain's term.  A batch sums
-    # every value at the cutoff and working precision of its largest depth
-    # K, so each depth k is checked under every K from k to 24; the batch's
-    # P is at least the composition's own, which is what is checked here
+    # 2^-E = 2^-k / prod (k+1-i)^s_i the first chain's term, and P the least
+    # that does it.  A batch sums every value at the cutoff of its largest
+    # depth K, so each depth k is checked under every K from k to 24, alone
+    # and in the batch of every checked composition of depth at most K,
+    # whose P covers each of them at the loss of depth K
     prec = Precision(digits)
+    target = digits + prec.guard
     for big in range(1, 25):
-        M = _delta_cutoff(big, digits + prec.guard)
-        dps = _working_dps(prec, M * big)
-        for depth in range(1, big + 1):
-            for comp in _bound_compositions(depth):
-                first_chain = 2 ** depth * math.prod((depth - i) ** s for i, s in enumerate(comp))
-                P = _fixed_point_bits(comp, dps)
-                loss = (M + 1) * (2 * depth + 1)
-                assert loss * first_chain * 10 ** (digits + prec.guard) < 2 ** (P + 1), (comp, big, P)
+        M = _delta_cutoff(big, target)
+        batch = [c for depth in range(1, big + 1) for c in _bound_compositions(depth)]
+        P_batch = _fixed_point_bits(batch, M, target)
+        batch_losses = []
+        for comp in batch:
+            depth = len(comp)
+            first_chain = 2**depth * math.prod((depth - i) ** s for i, s in enumerate(comp))
+            P = _fixed_point_bits([comp], M, target)
+            loss = (M + 1) * (2 * depth + 1) * first_chain * 10**target
+            assert 2**P <= loss < 2 ** (P + 1), (comp, big, P)
+            batch_losses.append((M + 1) * (2 * big + 1) * first_chain * 10**target)
+            assert P_batch >= P and batch_losses[-1] < 2 ** (P_batch + 1), (comp, big, P_batch)
+        assert max(batch_losses) >= 2**P_batch, (big, P_batch)
 
 
 @pytest.mark.parametrize("digits,max_weight", [(50, 8), (300, 8), (2000, 6)])

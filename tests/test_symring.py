@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -223,12 +226,32 @@ def test_products_are_built_one_way_and_read_from_one_table():
     assert not hasattr(monomial_product, "cache_info")  # no second cache
     phi_delta(6)
     reduce(comparison_relations(6), aux_relations(AUX_NAMES, 6))
-    # every product the series and the reduction met sits in its left factor's row
+    # every product the series and the reduction met sits in both factors'
+    # rows, as monomials commute
     rows = [m1 for m1 in symring._MONOMIALS.values() if m1.products]
     assert len(rows) > 100
     for m1 in rows:
         for m2, m in m1.products.items():
-            assert m is SymMonomial(m1.factors + m2.factors)
+            assert m is SymMonomial(m1.factors + m2.factors) is m2.products[m1]
+
+
+def test_a_product_is_built_once_for_both_orders():
+    # counted in a fresh interpreter, as monomials are interned for the whole
+    # process: the order-9 series build 2,934 monomials (3,787 when only the
+    # left factor's row kept a product) for 1,972 distinct new ones
+    script = ("from assoclab import symring\n"
+              "from assoclab.delta_side import phi_delta\n"
+              "from assoclab.mzv_side import phi_mzv\n"
+              "built, init = [], symring.SymMonomial.__post_init__\n"
+              "symring.SymMonomial.__post_init__ = lambda m: built.append(1) or init(m)\n"
+              "before = len(symring._MONOMIALS)\n"
+              "phi_mzv(9), phi_delta(9)\n"
+              "print(len(built), len(symring._MONOMIALS) - before)\n")
+    src = os.path.dirname(os.path.dirname(symring.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert proc.stdout.split() == ["2934", "1972"]
 
 
 def test_equal_values_are_one_object():
